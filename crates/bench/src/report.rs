@@ -175,6 +175,7 @@ impl Json {
     /// Returns a message with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -213,6 +214,7 @@ fn emit_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -350,13 +352,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, so the run ends on a char
+                    // boundary of the &str input.
+                    let start = self.pos;
+                    while self
+                        .bytes
+                        .get(self.pos)
+                        .is_some_and(|&b| b != b'"' && b != b'\\')
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -830,6 +837,28 @@ mod tests {
         let text = doc.to_pretty_string();
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed, doc);
+    }
+
+    #[test]
+    fn strings_round_trip_multibyte_and_control_characters() {
+        // 2-, 3- and 4-byte UTF-8 next to escapes, at run boundaries.
+        for text in [
+            "é",
+            "ααα",
+            "€\u{1}€",
+            "𝔽₂ ⊗ 𝔽₂",
+            "\u{0}\u{1f}\t\r\n\"\\",
+            "a\u{7}é\u{1b}€\u{c}𝄞\u{8}z",
+            "",
+        ] {
+            let doc = Json::obj([(text, Json::Str(text.into()))]);
+            let emitted = doc.to_pretty_string();
+            assert_eq!(Json::parse(&emitted).unwrap(), doc, "{text:?}");
+        }
+        assert_eq!(
+            Json::parse("\"\\u00e9\\/é\"").unwrap(),
+            Json::Str("é/é".into())
+        );
     }
 
     #[test]

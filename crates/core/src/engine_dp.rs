@@ -49,9 +49,20 @@
 //! [`rsbt_sim::pool`] and interned serially in deterministic order, so
 //! counts are bit-identical for every thread count.
 //!
+//! **Orbit quotient.** Fault-free blackboard queries whose task is
+//! symmetric and whose profile repeats a group size ([`orbit_eligible`])
+//! run on the quotient of this state space by permutations of equal-size
+//! sources (`DESIGN.md` §4.12): states are multisets of class types,
+//! rows are weighted splits, and the counts are the same integers. Those
+//! queries have no [`MAX_DP_K`] limit. Message passing, faulted runs,
+//! non-symmetric tasks and all-distinct-size profiles keep the labeled
+//! DP above.
+//!
 //! Production dispatch: [`crate::probability::exact`],
 //! [`crate::probability::exact_series`] and their faulted/parallel
-//! variants route here (the tree engine stays as the reference path).
+//! variants route here whenever [`orbit_eligible`] holds or `k ≤`
+//! [`MAX_DP_K`]; only the remaining wide-`k` queries fall back to the
+//! tree engine, which also stays as the reference path.
 
 use rsbt_random::Assignment;
 use rsbt_sim::lanes::{self, pair_index};
@@ -60,17 +71,20 @@ use rsbt_tasks::Task;
 
 use crate::engine::{self, SolvabilityMemo, TaskKernel};
 
+mod orbit;
+
 /// Largest `k·t_max` the quotient engine accepts: state weights are exact
 /// dyadic integers `≤ 2^{k·t}` carried as `u128`, so 126 bits is the last
 /// point where every tally (including the full-tree `2^{k·t}`) is
 /// representable. The 126-bit edge is pinned by test.
 pub const MAX_DP_BITS: usize = 126;
 
-/// Largest `k` the quotient engine accepts: every state expands `2^k`
+/// Largest `k` the labeled DP accepts: every state expands `2^k`
 /// transition digits per round, so the per-round cost `O(states · 2^k)`
-/// stops being "flat in `t`" long before this. Points with `k` beyond
-/// this (and `k·t` within the tree engine's wall) stay on the reference
-/// engine — see `probability`'s dispatch.
+/// stops being "flat in `t`" long before this. [`orbit_eligible`]
+/// queries are exempt; other points with `k` beyond this (and `k·t`
+/// within the tree engine's wall) stay on the reference engine — see
+/// `probability`'s dispatch.
 pub const MAX_DP_K: usize = 20;
 
 /// Transition rows are cached (one `2^k`-entry child-id row per state)
@@ -88,7 +102,7 @@ const PAR_MIN_STATES: usize = 16;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DpStats {
     /// Distinct equality states interned (`dp_states` in bench notes) —
-    /// bounded by Bell(units).
+    /// bounded by Bell(units), or the orbit count on the orbit path.
     pub states: usize,
     /// Largest unsolved frontier over all rounds.
     pub frontier_max: usize,
@@ -97,7 +111,8 @@ pub struct DpStats {
     /// Frontier expansions answered from the cached row table — the
     /// transposition-table hits.
     pub row_hits: u64,
-    /// State–digit edges walked (`frontier · 2^k` summed over rounds).
+    /// State–digit edges walked (`frontier · 2^k` summed over rounds);
+    /// on the orbit path, weighted row entries walked.
     pub transitions: u64,
     /// Verdict-memo hits inside [`SolvabilityMemo`] (states whose node
     /// partition repeated an earlier state's).
@@ -117,8 +132,9 @@ pub struct DpStats {
 ///
 /// # Panics
 ///
-/// Panics if `k·t_max >` [`MAX_DP_BITS`], `k >` [`MAX_DP_K`], or on a
-/// model/assignment node mismatch.
+/// Panics if `k·t_max >` [`MAX_DP_BITS`], if `k >` [`MAX_DP_K`] for a
+/// query that is not [`orbit_eligible`], or on a model/assignment node
+/// mismatch.
 pub fn solved_series<T: Task + ?Sized>(
     model: &Model,
     task: &T,
@@ -558,7 +574,50 @@ fn silence_mask(faults: &FaultSchedule, n: usize, round: usize) -> u64 {
     })
 }
 
-/// The shared sweep body of every public entry point.
+/// Whether a query runs on the orbit quotient (`DESIGN.md` §4.12): the
+/// fault-free blackboard, a profile that repeats a group size, and a task
+/// symmetric at `n` ([`Task::is_symmetric_for`]). Such queries are exact
+/// for every `k·t ≤` [`MAX_DP_BITS`], with no [`MAX_DP_K`] limit. All
+/// others take the labeled DP; with all group sizes distinct the quotient
+/// would be the labeled state space anyway.
+///
+/// # Panics
+///
+/// Panics where [`Task::is_symmetric_for`] does (the task is undefined
+/// at `n`), and only when the other conditions hold.
+pub fn orbit_eligible<T: Task + ?Sized>(
+    model: &Model,
+    task: &T,
+    alpha: &Assignment,
+    faults: Option<&FaultSchedule>,
+) -> bool {
+    if !model.is_blackboard() || faults.is_some() {
+        return false;
+    }
+    let mut sizes = alpha.group_sizes().to_vec();
+    sizes.sort_unstable();
+    sizes.windows(2).any(|w| w[0] == w[1]) && task.is_symmetric_for(alpha.n())
+}
+
+/// `counts[d − 1] = 2^{k·d}` at every depth: the all-⊥ root already
+/// solves, so monotonicity covers the entire tree wholesale (`k·d ≤ 126`
+/// keeps the shift in range).
+fn all_solved(k: usize, t_max: usize) -> Vec<u128> {
+    (1..=t_max).map(|d| 1u128 << (k * d)).collect()
+}
+
+/// Fills the depths after round `r` once the frontier is empty:
+/// everything solves from there on, so the tally is pure absorption.
+fn absorb_rest(counts: &mut [u128], mut solved: u128, k: usize, r: usize) {
+    for count in &mut counts[r..] {
+        solved <<= k;
+        *count = solved;
+    }
+}
+
+/// The shared sweep body of every public entry point: the budget checks,
+/// then the orbit quotient for [`orbit_eligible`] queries and the labeled
+/// DP for the rest.
 fn run<T: Task + ?Sized>(
     model: &Model,
     task: &T,
@@ -575,23 +634,42 @@ fn run<T: Task + ?Sized>(
         "k*t = {} exceeds the u128 dyadic-count budget of {MAX_DP_BITS}",
         k * t_max
     );
-    assert!(
-        k <= MAX_DP_K,
-        "2^k per-state transition fan-out too large (k = {k} > {MAX_DP_K})"
-    );
     if let Some(p) = model.ports() {
         assert_eq!(p.n(), n, "model/assignment node mismatch");
     }
-    let geom = Geometry::new(model, alpha, faults.is_some());
+    let orbit = orbit_eligible(model, task, alpha, faults);
     assert!(
-        geom.units <= u8::MAX as usize,
-        "too many knowledge units for u8 labels"
+        orbit || k <= MAX_DP_K,
+        "2^k per-state transition fan-out too large (k = {k} > {MAX_DP_K})"
     );
     let table = engine::fallback_table(task, n);
     let kernel = match table.as_ref() {
         Some(table) => TaskKernel::new(task, table),
         None => TaskKernel::closed_form_only(task),
     };
+    if orbit {
+        orbit::run(kernel, alpha, t_max)
+    } else {
+        run_labeled(model, kernel, alpha, t_max, faults, threads)
+    }
+}
+
+/// The labeled DP over source (or node) partitions.
+fn run_labeled<T: Task + ?Sized>(
+    model: &Model,
+    kernel: TaskKernel<'_, T>,
+    alpha: &Assignment,
+    t_max: usize,
+    faults: Option<&FaultSchedule>,
+    threads: usize,
+) -> (Vec<u128>, DpStats) {
+    let k = alpha.k();
+    let n = alpha.n();
+    let geom = Geometry::new(model, alpha, faults.is_some());
+    assert!(
+        geom.units <= u8::MAX as usize,
+        "too many knowledge units for u8 labels"
+    );
     let units = geom.units;
     let mut dp = Dp {
         geom,
@@ -614,16 +692,10 @@ fn run<T: Task + ?Sized>(
     };
     let root = vec![0u8; units];
     let root_id = dp.intern(&root);
-    let mut counts = vec![0u128; t_max];
     if dp.verdicts[root_id as usize] {
-        // The all-⊥ root already solves: monotonicity covers the entire
-        // tree wholesale, at every depth (`k·d ≤ 126` keeps the shift in
-        // range).
-        for d in 1..=t_max {
-            counts[d - 1] = 1u128 << (k * d);
-        }
-        return (counts, dp.stats(1));
+        return (all_solved(k, t_max), dp.stats(1));
     }
+    let mut counts = vec![0u128; t_max];
     if t_max == 0 {
         return (counts, dp.stats(1));
     }
@@ -680,11 +752,7 @@ fn run<T: Task + ?Sized>(
         frontier = merged;
         frontier_max = frontier_max.max(frontier.len());
         if frontier.is_empty() {
-            // Everything solves from here on: pure absorption.
-            for d in r + 1..=t_max {
-                solved <<= k;
-                counts[d - 1] = solved;
-            }
+            absorb_rest(&mut counts, solved, k, r);
             break;
         }
     }
@@ -696,7 +764,24 @@ fn run<T: Task + ?Sized>(
 mod tests {
     use super::*;
     use rsbt_sim::{KnowledgeArena, LaneStepper};
-    use rsbt_tasks::{KLeaderElection, LeaderElection, Task};
+    use rsbt_tasks::{
+        KLeaderElection, LeaderAndDeputy, LeaderElection, Task, WeakSymmetryBreaking,
+    };
+
+    /// The labeled DP, bypassing the orbit dispatch.
+    fn labeled_series<T: Task + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t_max: usize,
+    ) -> (Vec<u128>, DpStats) {
+        let table = engine::fallback_table(task, alpha.n());
+        let kernel = match table.as_ref() {
+            Some(table) => TaskKernel::new(task, table),
+            None => TaskKernel::closed_form_only(task),
+        };
+        run_labeled(model, kernel, alpha, t_max, None, 1)
+    }
 
     fn models_for(n: usize) -> Vec<Model> {
         vec![Model::Blackboard, Model::message_passing_cyclic(n)]
@@ -980,6 +1065,104 @@ mod tests {
     fn beyond_126_bits_rejected() {
         let alpha = Assignment::private(2);
         let _ = solved_series(&Model::Blackboard, &LeaderElection, &alpha, 64);
+    }
+
+    #[test]
+    fn orbit_quotient_matches_labeled_dp_bit_for_bit() {
+        // Every blackboard profile with a repeated group size, n ≤ 7,
+        // t ≤ 5, across the symmetric built-in tasks.
+        let mut checked = 0;
+        for n in 2..=7usize {
+            let tasks: Vec<Box<dyn Task>> = vec![
+                Box::new(LeaderElection),
+                Box::new(KLeaderElection::new(2)),
+                Box::new(KLeaderElection::new(3)),
+                Box::new(WeakSymmetryBreaking),
+                Box::new(LeaderAndDeputy::unconstrained(n)),
+            ];
+            for alpha in Assignment::iter_profiles(n) {
+                let mut sizes = alpha.group_sizes().to_vec();
+                sizes.sort_unstable();
+                if !sizes.windows(2).any(|w| w[0] == w[1]) {
+                    continue;
+                }
+                for task in tasks
+                    .iter()
+                    .filter(|t| t.name() != "3-leader-election" || n >= 3)
+                {
+                    let task = task.as_ref();
+                    assert!(orbit_eligible(&Model::Blackboard, task, &alpha, None));
+                    let (orbit, stats) =
+                        solved_series_with_stats(&Model::Blackboard, task, &alpha, 5, 1);
+                    let (labeled, labeled_stats) =
+                        labeled_series(&Model::Blackboard, task, &alpha, 5);
+                    assert_eq!(orbit, labeled, "{alpha} {}", task.name());
+                    assert!(stats.states <= labeled_stats.states, "{alpha} {stats:?}");
+                    checked += 1;
+                }
+            }
+        }
+        // 26 profiles × 5 tasks, less 3-LE on the one n = 2 profile.
+        assert_eq!(checked, 26 * 5 - 1, "profiles × tasks covered");
+    }
+
+    #[test]
+    fn orbit_dispatch_leaves_the_labeled_paths_alone() {
+        let repeated = Assignment::from_group_sizes(&[2, 2]).unwrap();
+        let distinct = Assignment::from_group_sizes(&[1, 2]).unwrap();
+        let sched = FaultSchedule::empty(4, 3);
+        let constrained = LeaderAndDeputy::new(vec![true; 4], vec![true, true, true, false]);
+        let bb = Model::Blackboard;
+        assert!(orbit_eligible(&bb, &LeaderElection, &repeated, None));
+        assert!(!orbit_eligible(&bb, &LeaderElection, &distinct, None));
+        assert!(!orbit_eligible(
+            &Model::message_passing_cyclic(4),
+            &LeaderElection,
+            &repeated,
+            None
+        ));
+        assert!(!orbit_eligible(
+            &bb,
+            &LeaderElection,
+            &repeated,
+            Some(&sched)
+        ));
+        assert!(!orbit_eligible(&bb, &constrained, &repeated, None));
+        // The non-symmetric task still gets the labeled DP's answer.
+        let (series, stats) = solved_series_with_stats(&bb, &constrained, &repeated, 4, 1);
+        assert_eq!(
+            (series, stats),
+            labeled_series(&bb, &constrained, &repeated, 4)
+        );
+    }
+
+    #[test]
+    fn orbit_quotient_collapses_the_gcd_two_blowups() {
+        // Theorem 4.1 (gcd 2): p ≡ 0. The labeled DP needs Bell(12) =
+        // 4,213,597 states for [2; 12] and Bell(10) = 115,975 for
+        // [2; 10]; the orbits are the 77 and 42 integer partitions.
+        for (groups, t, max_states) in [(12usize, 10usize, 77usize), (10, 12, 42)] {
+            let alpha = Assignment::from_group_sizes(&vec![2; groups]).unwrap();
+            let (series, stats) =
+                solved_series_with_stats(&Model::Blackboard, &LeaderElection, &alpha, t, 1);
+            assert_eq!(series, vec![0u128; t], "[2; {groups}]");
+            assert!(stats.states <= max_states, "[2; {groups}] {stats:?}");
+            assert!(stats.rows_built as usize <= stats.states, "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn orbit_rows_reach_the_126_bit_edge() {
+        // k = 126 at t = 1: one row of weight 2^126, with C(126, 63) in
+        // the split weights. A bit drawn by exactly one source elects
+        // it, so 2·126 realizations solve.
+        let alpha = Assignment::private(126);
+        let series = solved_series(&Model::Blackboard, &LeaderElection, &alpha, 1);
+        assert_eq!(series, vec![252]);
+        // k·t = 63·2 = 126 with gcd 2: p ≡ 0.
+        let pairs = Assignment::from_group_sizes(&[2; 63]).unwrap();
+        let series = solved_series(&Model::Blackboard, &LeaderElection, &pairs, 2);
+        assert_eq!(series, vec![0, 0]);
     }
 
     #[test]

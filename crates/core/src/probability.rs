@@ -6,12 +6,15 @@
 //! DP engine ([`crate::engine_dp`]), which folds the execution tree into
 //! a dynamic program over knowledge-equality states, carries counts as
 //! exact `u128` dyadic integers up to `k·t ≤` [`MAX_EXACT_BITS`]` = 126`,
-//! and costs `O(states · 2^k)` per round — flat in `t`. The
-//! prefix-sharing execution-tree engine ([`crate::engine`]) remains the
-//! dispatch fallback for `k >` [`crate::engine_dp::MAX_DP_K`] (where the
-//! DP's per-state `2^k` fan-out is unaffordable) and the reference path
-//! for bit-identity tests. A Monte-Carlo estimator covers the regimes
-//! where even the DP is out of reach.
+//! and costs `O(states · 2^k)` per round — flat in `t`. Fault-free
+//! blackboard queries with a symmetric task and a repeated group size
+//! take the DP's orbit quotient ([`crate::engine_dp::orbit_eligible`]),
+//! which has no `k` limit. Every other query with `k >`
+//! [`crate::engine_dp::MAX_DP_K`] (where the labeled DP's per-state `2^k`
+//! fan-out is unaffordable) falls back to the prefix-sharing
+//! execution-tree engine ([`crate::engine`]), which is also the reference
+//! path for bit-identity tests. A Monte-Carlo estimator covers the
+//! regimes where even the DP is out of reach.
 
 use rand::rngs::StreamRng;
 use rand::Rng;
@@ -47,7 +50,8 @@ pub const MAX_EXACT_BITS: usize = 126;
 
 /// The previous exact wall: the largest `k·t` the tree-walking paths can
 /// afford (`2^30` executions). Still load-bearing three ways: the
-/// `k > MAX_DP_K` dispatch fallback runs the tree engine, whose cost is
+/// `k > MAX_DP_K` dispatch fallback (for queries the orbit quotient
+/// cannot take) runs the tree engine, whose cost is
 /// `2^{k·t}` node visits; leaf-by-leaf certificate searches
 /// ([`crate::eventual`]) enumerate realizations outright; and bench
 /// sweeps tag rows past this budget with the `exact-dp` mode so report
@@ -84,7 +88,8 @@ pub fn exact<T: Task + ?Sized>(model: &Model, task: &T, alpha: &Assignment, t: u
 /// [`exact`] with a caller-provided [`KnowledgeArena`].
 ///
 /// The arena matters only on the tree-engine fallback path (`k >`
-/// [`engine_dp::MAX_DP_K`]) and at `t = 0`, where interning is
+/// [`engine_dp::MAX_DP_K`] off the orbit quotient) and at `t = 0`, where
+/// interning is
 /// content-addressed and reuse across points skips re-interning shared
 /// knowledge prefixes; the quotient DP path keeps no knowledge ids.
 /// Results are bit-identical either way.
@@ -171,8 +176,9 @@ fn check_budget(model: &Model, alpha: &Assignment, t: usize) {
 
 /// The production dispatch behind every `exact*` entry point: solved
 /// counts per depth from the quotient DP engine
-/// ([`engine_dp::solved_series`] and the faulted twin) whenever its
-/// per-state `2^k` digit fan-out is affordable (`k ≤`
+/// ([`engine_dp::solved_series`] and the faulted twin) whenever the query
+/// takes its orbit quotient ([`engine_dp::orbit_eligible`]) or its
+/// labeled per-state `2^k` digit fan-out is affordable (`k ≤`
 /// [`engine_dp::MAX_DP_K`]), else from the prefix-sharing tree engine —
 /// whose `u64` tallies additionally require `k·t ≤ 62`. The two are
 /// bit-identical on the overlap (property-tested in [`crate::engine_dp`]
@@ -189,7 +195,7 @@ fn dispatch_series<T: Task + ?Sized>(
     threads: usize,
     arena: &mut KnowledgeArena,
 ) -> Vec<u128> {
-    if alpha.k() <= engine_dp::MAX_DP_K {
+    if alpha.k() <= engine_dp::MAX_DP_K || engine_dp::orbit_eligible(model, task, alpha, faults) {
         return match faults {
             None => engine_dp::solved_series_with_stats(model, task, alpha, t_max, threads).0,
             Some(f) => {
@@ -514,8 +520,9 @@ pub fn exact_series_cached<T: Task + ?Sized>(
 /// larger sweeps where single-threaded evaluation dominates wall-clock
 /// time.
 ///
-/// On the quotient-DP path (`k ≤` [`engine_dp::MAX_DP_K`]) the threads
-/// build missing transition rows per round
+/// On the quotient-DP path (`k ≤` [`engine_dp::MAX_DP_K`], or any `k` on
+/// the orbit quotient, which runs serially) the threads build missing
+/// labeled transition rows per round
 /// ([`engine_dp::solved_series_with_stats`]); interning stays serial and
 /// ordered, so the counts are independent of `threads`. On the tree
 /// fallback, parallelism is top-level-subtree sharding over the
@@ -545,7 +552,7 @@ where
         return exact(model, task, alpha, t);
     }
     let k = alpha.k();
-    if k <= engine_dp::MAX_DP_K {
+    if k <= engine_dp::MAX_DP_K || engine_dp::orbit_eligible(model, task, alpha, None) {
         let (counts, _) = engine_dp::solved_series_with_stats(model, task, alpha, t, threads);
         return counts[t - 1] as f64 / (1u128 << (k * t)) as f64;
     }
@@ -1927,11 +1934,57 @@ mod tests {
     #[test]
     #[should_panic(expected = "digit fan-out bound")]
     fn dispatch_rejects_wide_k_past_the_tree_tallies() {
-        // k = 21 > MAX_DP_K routes to the tree engine, whose u64 tallies
-        // stop at k·t = 62; 21·3 = 63 must be refused with a message
-        // naming both limits.
+        // k = 21 > MAX_DP_K off the orbit quotient (message passing)
+        // routes to the tree engine, whose u64 tallies stop at k·t = 62;
+        // 21·3 = 63 must be refused with a message naming both limits.
         let alpha = Assignment::private(21);
-        let _ = exact(&Model::Blackboard, &LeaderElection, &alpha, 3);
+        let model = Model::message_passing_cyclic(21);
+        let _ = exact(&model, &LeaderElection, &alpha, 3);
+    }
+
+    /// Solved realizations of blackboard LE on `k` private sources at
+    /// time `t`, by inclusion–exclusion: `m^k` strings minus the
+    /// assignments where no string of the `m = 2^t` is used exactly once,
+    /// `Σⱼ (−1)ʲ C(m, j) · k!/(k−j)! · (m−j)^(k−j)`.
+    fn private_le_solved(k: u32, t: u32) -> i128 {
+        let m = 1i128 << t;
+        let binom = |a: i128, b: i128| (0..b).fold(1i128, |c, i| c * (a - i) / (i + 1));
+        let falling = |a: i128, b: i128| (0..b).fold(1i128, |f, i| f * (a - i));
+        let unsolved: i128 = (0..=m.min(k as i128))
+            .map(|j| {
+                let term = binom(m, j) * falling(k as i128, j) * (m - j).pow(k - j as u32);
+                if j % 2 == 0 {
+                    term
+                } else {
+                    -term
+                }
+            })
+            .sum();
+        m.pow(k) - unsolved
+    }
+
+    #[test]
+    fn orbit_quotient_answers_past_max_dp_k() {
+        // k = 40 > MAX_DP_K: the orbit quotient reaches k·t = 120, where
+        // the tree engine's k·t ≤ 62 would refuse.
+        let alpha = Assignment::private(40);
+        let counts = engine_dp::solved_series(&Model::Blackboard, &LeaderElection, &alpha, 3);
+        for t in 1..=3u32 {
+            assert_eq!(
+                counts[t as usize - 1] as i128,
+                private_le_solved(40, t),
+                "t={t}"
+            );
+        }
+        let p = exact(&Model::Blackboard, &LeaderElection, &alpha, 3);
+        let expect = private_le_solved(40, 3) as f64 / (1u128 << 120) as f64;
+        assert_eq!(p.to_bits(), expect.to_bits());
+        let par = exact_parallel(&Model::Blackboard, &LeaderElection, &alpha, 3, 2);
+        assert_eq!(par.to_bits(), p.to_bits());
+        // Theorem 4.1: gcd 2 never elects, at k = 32 past MAX_DP_K too.
+        let pairs = Assignment::from_group_sizes(&[2; 32]).unwrap();
+        let series = exact_series(&Model::Blackboard, &LeaderElection, &pairs, 3);
+        assert_eq!(series, vec![0.0; 3]);
     }
 
     #[test]

@@ -75,6 +75,22 @@ impl LeaderAndDeputy {
         self.may_lead.len()
     }
 
+    /// Whether every node may take either role.
+    fn is_unconstrained(&self) -> bool {
+        self.may_lead.iter().all(|&b| b) && self.may_deputy.iter().all(|&b| b)
+    }
+
+    /// Panics where the output complex for `n` nodes is undefined: `n`
+    /// differs from the constraint vectors' length, or no valid
+    /// (leader, deputy) pair exists.
+    fn assert_defined(&self, n: usize) {
+        assert_eq!(n, self.n(), "constraints defined for {} nodes", self.n());
+        assert!(
+            (0..n).any(|l| (0..n).any(|d| l != d && self.may_lead[l] && self.may_deputy[d])),
+            "role constraints admit no (leader, deputy) pair"
+        );
+    }
+
     /// The facet electing leader `i` and deputy `j`.
     ///
     /// Returns `None` when the pair violates the constraints (or `i == j`).
@@ -109,7 +125,7 @@ impl Task for LeaderAndDeputy {
         // The name doubles as a memoization key (`rsbt_core::probability`
         // caches on it), so constrained variants must not alias the
         // unconstrained task.
-        if self.may_lead.iter().all(|&b| b) && self.may_deputy.iter().all(|&b| b) {
+        if self.is_unconstrained() {
             Cow::Borrowed("leader-and-deputy")
         } else {
             let enc = |v: &[bool]| {
@@ -142,11 +158,7 @@ impl Task for LeaderAndDeputy {
     /// runs eagerly (it is `O(n²)` on booleans), so an impossible
     /// constraint set panics before the first facet is demanded.
     fn facet_stream(&self, n: usize) -> FacetStream<'_> {
-        assert_eq!(n, self.n(), "constraints defined for {} nodes", self.n());
-        assert!(
-            (0..n).any(|l| (0..n).any(|d| l != d && self.may_lead[l] && self.may_deputy[d])),
-            "role constraints admit no (leader, deputy) pair"
-        );
+        self.assert_defined(n);
         Box::new((0..n).flat_map(move |leader| {
             (0..n).filter_map(move |deputy| self.facet_for(leader, deputy))
         }))
@@ -159,18 +171,9 @@ impl Task for LeaderAndDeputy {
     /// `{i}`, `{j}` with `may_lead[i]` and `may_deputy[j]`.
     fn solves_partition(&self, labels: &[u8]) -> Option<bool> {
         let n = self.n();
-        assert_eq!(
-            labels.len(),
-            n,
-            "constraints defined for {} nodes",
-            self.n()
-        );
         // Panic-parity with `output_complex`/`facet_stream`: an impossible
         // constraint set must not silently read as "unsolvable".
-        assert!(
-            (0..n).any(|l| (0..n).any(|d| l != d && self.may_lead[l] && self.may_deputy[d])),
-            "role constraints admit no (leader, deputy) pair"
-        );
+        self.assert_defined(labels.len());
         // Singleton classes, identified by their unique member.
         let singleton = |i: usize| labels.iter().filter(|&&l| l == labels[i]).count() == 1;
         Some((0..n).any(|i| {
@@ -180,6 +183,16 @@ impl Task for LeaderAndDeputy {
         }))
     }
 
+    /// Unconstrained, the task is symmetric wherever it is defined;
+    /// constrained masks take the default check on the output complex.
+    fn is_symmetric_for(&self, n: usize) -> bool {
+        if !self.is_unconstrained() {
+            return self.output_complex(n).is_symmetric();
+        }
+        self.assert_defined(n);
+        true
+    }
+
     /// Lane lowering of the two-singletons test: only a *weight-1 unit*
     /// can be a singleton node class, and it is one iff it differs from
     /// every other unit ("alone"). Materialize an alone-flag register
@@ -187,18 +200,8 @@ impl Task for LeaderAndDeputy {
     /// admissible `(leader unit, deputy unit)` pairs the AND of the two
     /// flags.
     fn lane_plan(&self, unit_of_node: &[usize], units: usize) -> Option<VerdictPlan> {
-        let n = self.n();
-        assert_eq!(
-            unit_of_node.len(),
-            n,
-            "constraints defined for {} nodes",
-            self.n()
-        );
         // Panic-parity with `solves_partition` on impossible constraints.
-        assert!(
-            (0..n).any(|l| (0..n).any(|d| l != d && self.may_lead[l] && self.may_deputy[d])),
-            "role constraints admit no (leader, deputy) pair"
-        );
+        self.assert_defined(unit_of_node.len());
         let w = unit_weights(unit_of_node, units);
         // The unique node of each weight-1 unit carries the unit's role
         // permissions.

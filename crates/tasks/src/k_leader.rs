@@ -95,6 +95,16 @@ impl Task for KLeaderElection {
         Box::new(Combinations::new(n, self.k).map(move |subset| task.facet_for(n, &subset)))
     }
 
+    /// A name permutation maps a `k`-leader set to another `k`-leader set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > n` (no valid outputs exist).
+    fn is_symmetric_for(&self, n: usize) -> bool {
+        assert!(self.k <= n, "cannot elect {} leaders among {n}", self.k);
+        true
+    }
+
     /// Closed form: a facet elects a leader set `S` with `|S| = k`; `S` is
     /// class-monochromatic iff it is a union of whole classes. So the task
     /// solves iff some subset of the class sizes sums to exactly `k` — a

@@ -63,6 +63,12 @@ impl Task for LeaderElection {
         Box::new((0..n).map(move |leader| LeaderElection::tau(n, leader)))
     }
 
+    /// Every name permutation maps `τ_i` to another `τ_j`.
+    fn is_symmetric_for(&self, n: usize) -> bool {
+        assert!(n >= 1, "leader election needs at least one node");
+        true
+    }
+
     /// Closed form: some facet `τ_i` is class-monochromatic iff the class
     /// of the elected `i` is the singleton `{i}` — i.e. iff the partition
     /// has a singleton class (Theorem 4.1's combinatorial core).

@@ -126,6 +126,14 @@ pub trait Task {
 
     /// Whether the output complex for `n` processes is symmetric (stable
     /// under name permutations), the paper's admissibility condition.
+    ///
+    /// The default builds the complex and tries every facet against every
+    /// transposition; the built-in tasks answer without building it.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Task::output_complex`]; overrides must panic
+    /// exactly there too.
     fn is_symmetric_for(&self, n: usize) -> bool {
         self.output_complex(n).is_symmetric()
     }
@@ -208,6 +216,39 @@ mod tests {
         let t = Constant;
         let from_stream: Complex<u64> = t.facet_stream(4).collect();
         assert_eq!(from_stream, t.output_complex(4));
+    }
+
+    #[test]
+    fn builtin_symmetry_overrides_match_the_complex_check() {
+        use crate::{KLeaderElection, LeaderAndDeputy, LeaderElection, WeakSymmetryBreaking};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // `None` is a panic: an override must panic exactly where the
+        // default check does, and agree with it everywhere else.
+        let check = |task: &dyn Task, n: usize| {
+            let fast = catch_unwind(AssertUnwindSafe(|| task.is_symmetric_for(n))).ok();
+            let slow =
+                catch_unwind(AssertUnwindSafe(|| task.output_complex(n).is_symmetric())).ok();
+            assert_eq!(fast, slow, "{} n={n}", task.name());
+        };
+        for n in 0..=6 {
+            check(&LeaderElection, n);
+            check(&WeakSymmetryBreaking, n);
+            for k in 1..=7 {
+                check(&KLeaderElection::new(k), n);
+            }
+        }
+        check(&WeakSymmetryBreaking, 63);
+        // Every role mask on up to 6 nodes, constrained and impossible
+        // ones included, plus a node-count mismatch.
+        let flags = |mask: u32, m: usize| (0..m).map(|i| mask >> i & 1 == 1).collect::<Vec<_>>();
+        for m in 1..=6usize {
+            for lead in 0u32..1 << m {
+                for deputy in 0u32..1 << m {
+                    check(&LeaderAndDeputy::new(flags(lead, m), flags(deputy, m)), m);
+                }
+            }
+            check(&LeaderAndDeputy::unconstrained(m), m + 1);
+        }
     }
 
     #[test]

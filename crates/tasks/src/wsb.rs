@@ -81,6 +81,17 @@ impl Task for WeakSymmetryBreaking {
         }))
     }
 
+    /// A name permutation keeps a bit assignment non-constant.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Task::facet_stream`].
+    fn is_symmetric_for(&self, n: usize) -> bool {
+        assert!(n >= 2, "weak symmetry breaking needs n ≥ 2");
+        assert!(n <= 62, "facet enumeration limited to 62 nodes");
+        true
+    }
+
     /// Closed form: a facet is a non-constant bit assignment; it is
     /// class-monochromatic iff the 1-side is a union of classes. A proper
     /// non-empty union of classes exists iff there are at least two
