@@ -1,7 +1,8 @@
 //! Layer 2a: static verification of compiled [`VerdictPlan`]s.
 //!
 //! Every built-in task lowering is verified over a `(task, n, layout)`
-//! grid — without evaluating a single sample word. Five rules:
+//! grid, statically, and then runs the plan's real execution form once
+//! per endpoint. Six rules:
 //!
 //! | rule | what it proves |
 //! |------|----------------|
@@ -10,6 +11,7 @@
 //! | `RSBT-P003` | no dead ops (backward liveness from the verdict register) |
 //! | `RSBT-P004` | every register and pair index is in bounds for the plan's register file and unit count |
 //! | `RSBT-P005` | endpoint correctness under refinement monotonicity (below) |
+//! | `RSBT-P006` | the executed plan ([`VerdictPlan::eval`], which runs fused pair runs with early exits) agrees with the dual-rail interpretation of [`VerdictPlan::ops`] at both endpoints |
 //!
 //! # The refinement-monotonicity argument (P005)
 //!
@@ -30,6 +32,14 @@
 //! endpoints* no matter which lane pattern arrives at run time — and the
 //! rails double as a `lo ≤ hi` consistency proof obligation that any
 //! future non-monotone op kind would violate.
+//!
+//! P005 reasons about the introspection view; the kernel runs a lowered
+//! form of it (same-destination pair runs fused, folded with early
+//! exits). P006 closes that gap: it evaluates the real `eval` on the
+//! endpoint words themselves (every equality word `!0` for the lo rail,
+//! `0` for the hi rail) and requires each result to be the uniform word
+//! of the matching rail's verdict, so a lowering bug fails CI instead of
+//! silently shifting an estimate.
 
 use rsbt_tasks::{
     pair_count, KLeaderElection, LeaderAndDeputy, LeaderElection, PlanOp, Task, VerdictPlan,
@@ -310,6 +320,9 @@ pub fn verify_plan(
             return findings;
         }
     }
+    if in_bounds.iter().all(|&ok| ok) {
+        findings.extend(execution_form_findings(locus, plan, (lo[0], hi[0])));
+    }
     if let Some((coarse, fine)) = expected {
         if lo[0] != coarse {
             findings.push(Finding::domain(
@@ -330,6 +343,29 @@ pub fn verify_plan(
                     "fine-endpoint verdict {} contradicts solves_partition = {fine} \
                      (all units distinct)",
                     hi[0]
+                ),
+            ));
+        }
+    }
+    findings
+}
+
+/// P006: runs the real [`VerdictPlan::eval`] on the two endpoint rails
+/// and reports each disagreement with the dual-rail verdicts `rails =
+/// (lo, hi)`. Only called on plans whose ops are all in bounds.
+fn execution_form_findings(locus: &str, plan: &VerdictPlan, rails: (bool, bool)) -> Vec<Finding> {
+    let pairs = pair_count(plan.units());
+    let mut regs = Vec::new();
+    let mut findings = Vec::new();
+    for (rail, eq, verdict) in [("lo", !0u64, rails.0), ("hi", 0, rails.1)] {
+        let got = plan.eval(&vec![eq; pairs], &mut regs);
+        let want = if verdict { !0u64 } else { 0 };
+        if got != want {
+            findings.push(Finding::domain(
+                "RSBT-P006",
+                locus.to_string(),
+                format!(
+                    "eval on the {rail} rail returned {got:#x}, the interpreted ops give {want:#x}"
                 ),
             ));
         }
@@ -408,6 +444,17 @@ mod tests {
         // The genuine lowering passes the same gauntlet.
         let real = LeaderElection.lane_plan(&[0, 1], 2).expect("LE lowers");
         assert!(verify_plan("plan:real-le", &real, Some(expected)).is_empty());
+    }
+
+    #[test]
+    fn execution_form_disagreements_are_reported() {
+        // A real plan checked against the opposite rails stands in for a
+        // lowering that drifted from its introspection view.
+        let real = LeaderElection.lane_plan(&[0, 1, 2], 3).expect("LE lowers");
+        assert!(execution_form_findings("t", &real, (false, true)).is_empty());
+        let f = execution_form_findings("plan:drifted-le", &real, (true, false));
+        assert_eq!(rules(&f), ["RSBT-P006", "RSBT-P006"], "{f:?}");
+        assert!(f[0].message.contains("lo rail") && f[1].message.contains("hi rail"));
     }
 
     #[test]

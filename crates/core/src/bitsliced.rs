@@ -29,6 +29,18 @@
 //! `solved` mask, tallies `newly = verdict & live & !solved` per round,
 //! and stops stepping as soon as `solved` covers every live lane.
 //!
+//! **Work only for what is in play.** One word loop serves the
+//! fault-free and the faulted kernels (the faulted one adds per-round
+//! silence words). Per word it transposes each source's 64 draws with
+//! `transpose_rows`, which computes only the `t.next_power_of_two()`
+//! round rows the word can read, not all 64. The stepper's first step
+//! from the all-equal state skips the message-passing port terms (see
+//! [`LaneStepper`]), and the plan folds its fused pair runs with early
+//! exits (see [`VerdictPlan::eval`]). A plan that compiles to the empty,
+//! constant-false program (blackboard leader election without a
+//! singleton source, `p ≡ 0` by Theorem 4.1) returns zero tallies
+//! without drawing or stepping a word.
+//!
 //! Tasks that compile no plan (no closed form, or an op budget overrun)
 //! peel every lane to the scalar [`SampleKernel`] path, counted in
 //! [`McStats::peeled_lanes`] — estimates stay bit-identical either way.
@@ -37,6 +49,8 @@
 //! [`RoundStepper`]: rsbt_sim::RoundStepper
 //! [`SampleKernel`]: crate::probability
 //! [`McStats::peeled_lanes`]: crate::probability::McStats::peeled_lanes
+//! [`LaneStepper`]: rsbt_sim::LaneStepper
+//! [`VerdictPlan::eval`]: rsbt_tasks::VerdictPlan::eval
 
 use rand::rngs::StreamRng;
 use rand::RngCore;
@@ -370,6 +384,12 @@ where
         Some(_) => LaneStepper::new_faulted(model, alpha),
     };
     let plan = task.lane_plan(probe.unit_of_node(), probe.units());
+    if plan.as_ref().is_some_and(VerdictPlan::is_empty) {
+        // Constant-false plan (e.g. blackboard leader election with no
+        // singleton source, p ≡ 0 by Theorem 4.1): no lane ever solves,
+        // so there is nothing to draw or step.
+        return (vec![init()], McStats::default());
+    }
     // The dense fallback is only reachable from the peel path.
     let table = if plan.is_some() {
         None
@@ -379,14 +399,11 @@ where
     let per_chunk = pool::map_sample_chunks_aligned(samples, threads, 64, |arena, range| {
         let mut acc = init();
         let mut stats = McStats::default();
-        match (plan.as_ref(), faults) {
-            (Some(plan), None) => run_plan_words(
-                model, alpha, plan, t, seed, &range, &mut acc, &tally, &mut stats,
+        match plan.as_ref() {
+            Some(plan) => run_plan_words(
+                model, alpha, plan, t, seed, faults, &range, &mut acc, &tally, &mut stats,
             ),
-            (Some(plan), Some(spec)) => run_plan_words_faulted(
-                model, alpha, plan, t, seed, spec, &range, &mut acc, &tally, &mut stats,
-            ),
-            (None, _) => {
+            None => {
                 let kernel = match table.as_ref() {
                     Some(table) => TaskKernel::new(task, table),
                     None => TaskKernel::closed_form_only(task),
@@ -426,6 +443,17 @@ where
 /// The compiled-plan word loop (see the module docs for the layout and
 /// early-exit argument). `range` is word-aligned: `range.start % 64 == 0`
 /// and only the final word can be partially live.
+///
+/// Under `faults`, each word also compiles its 64 per-lane
+/// [`FaultSchedule`]s from the salted fault substream and transposes them
+/// into per-round **silence lane words** (`sil[i][r]` bit `l` = lane
+/// `l`'s node `i` silent in round `r + 1`) for
+/// [`LaneStepper::step_faulted`]. Source draws are untouched — same
+/// streams, same order — so a rate-zero spec compiles all-zero silence
+/// words and reproduces the fault-free verdicts bit-for-bit. Early exit
+/// per word stays sound: faulted partitions still only refine over time
+/// (each round's knowledge embeds the node's own previous knowledge), so
+/// per-lane verdicts stay monotone in `r`.
 #[allow(clippy::too_many_arguments)]
 fn run_plan_words<A, F>(
     model: &Model,
@@ -433,6 +461,7 @@ fn run_plan_words<A, F>(
     plan: &VerdictPlan,
     t: usize,
     seed: u64,
+    faults: Option<&FaultSpec>,
     range: &std::ops::Range<usize>,
     acc: &mut A,
     tally: &F,
@@ -441,13 +470,19 @@ fn run_plan_words<A, F>(
     F: Fn(&mut A, usize, u32),
 {
     debug_assert_eq!(range.start % 64, 0, "chunks must be word-aligned");
-    let k = alpha.k();
-    let mut stepper = LaneStepper::new(model, alpha);
-    // draws[s·64 + l] = lane l's one-word draw for source s; after the
-    // per-source transpose, draws[s·64 + r] bit l = source s's round-r
-    // bit in lane l (BitString::sample packs round r at bit r, and
-    // t ≤ 63 keeps every round inside one word).
-    let mut draws = vec![0u64; k * 64];
+    let (k, n) = (alpha.k(), alpha.n());
+    let mut stepper = match faults {
+        None => LaneStepper::new(model, alpha),
+        Some(_) => LaneStepper::new_faulted(model, alpha),
+    };
+    // draws[s][l] = lane l's one-word draw for source s; after the
+    // transpose, draws[s][r] bit l = source s's round-r bit in lane l
+    // (BitString::sample packs round r at bit r, and t ≤ 63 keeps every
+    // round inside one word). sil[i] is the same for node i's silence
+    // mask (bit r = silent in round r + 1), empty without faults.
+    let mut draws = vec![[0u64; 64]; k];
+    let mut sil = vec![[0u64; 64]; if faults.is_some() { n } else { 0 }];
+    let mut faulted = faults.map(|spec| (spec, FaultSchedule::empty(n, t)));
     let mut regs: Vec<u64> = Vec::new();
     let mut base = range.start;
     while base < range.end {
@@ -462,17 +497,24 @@ fn run_plan_words<A, F>(
                 // Exactly the scalar discipline: sample w·64 + l draws k
                 // words in source order from its own stream.
                 let mut rng = StreamRng::new(seed, (base + l) as u64);
-                for s in 0..k {
-                    draws[s * 64 + l] = rng.next_u64();
+                for d in &mut draws {
+                    d[l] = rng.next_u64();
+                }
+                if let Some((spec, schedule)) = faulted.as_mut() {
+                    spec.fill_schedule(n, t, seed, (base + l) as u64, schedule);
+                    for (i, s) in sil.iter_mut().enumerate() {
+                        s[l] = schedule.silent_mask64(i);
+                    }
                 }
             } else {
-                for s in 0..k {
-                    draws[s * 64 + l] = 0;
+                for block in draws.iter_mut().chain(&mut sil) {
+                    block[l] = 0;
                 }
             }
         }
-        for s in 0..k {
-            transpose64(&mut draws[s * 64..(s + 1) * 64]);
+        // Only rounds 0..t are ever read.
+        for block in draws.iter_mut().chain(&mut sil) {
+            transpose_rows(block, t);
         }
         stepper.reset();
         stats.lane_words += 1;
@@ -486,7 +528,10 @@ fn run_plan_words<A, F>(
             if solved == live_mask {
                 break;
             }
-            stepper.step(|s| draws[s * 64 + r]);
+            match faults {
+                None => stepper.step(|s| draws[s][r]),
+                Some(_) => stepper.step_faulted(|s| draws[s][r], |i| sil[i][r]),
+            }
             let newly = plan.eval(stepper.eq_words(), &mut regs) & live_mask & !solved;
             if newly != 0 {
                 tally(acc, r + 1, newly.count_ones());
@@ -497,115 +542,41 @@ fn run_plan_words<A, F>(
     }
 }
 
-/// The faulted compiled-plan word loop: [`run_plan_words`] plus, per
-/// word, the 64 per-lane [`FaultSchedule`]s compiled from the salted
-/// fault substream and transposed into per-round **silence lane words**
-/// (`sil[i·64 + r]` bit `l` = lane `l`'s node `i` silent in round
-/// `r + 1`) for [`LaneStepper::step_faulted`]. Source draws are
-/// untouched — same streams, same order — so a rate-zero spec compiles
-/// all-zero silence words and reproduces the fault-free verdicts
-/// bit-for-bit. Early exit per word stays sound: faulted partitions
-/// still only refine over time (each round's knowledge embeds the
-/// node's own previous knowledge), so per-lane verdicts stay monotone
-/// in `r`.
-#[allow(clippy::too_many_arguments)]
-fn run_plan_words_faulted<A, F>(
-    model: &Model,
-    alpha: &Assignment,
-    plan: &VerdictPlan,
-    t: usize,
-    seed: u64,
-    spec: &FaultSpec,
-    range: &std::ops::Range<usize>,
-    acc: &mut A,
-    tally: &F,
-    stats: &mut McStats,
-) where
-    F: Fn(&mut A, usize, u32),
-{
-    debug_assert_eq!(range.start % 64, 0, "chunks must be word-aligned");
-    let k = alpha.k();
-    let n = alpha.n();
-    let mut stepper = LaneStepper::new_faulted(model, alpha);
-    let mut draws = vec![0u64; k * 64];
-    // sil[i·64 + l] before the transpose: lane l's silence mask for node
-    // i (bit r = silent in round r + 1); after: per-round lane words.
-    let mut sil = vec![0u64; n * 64];
-    let mut schedule = FaultSchedule::empty(n, t);
-    let mut regs: Vec<u64> = Vec::new();
-    let mut base = range.start;
-    while base < range.end {
-        let live = (range.end - base).min(64);
-        let live_mask = if live == 64 {
-            u64::MAX
-        } else {
-            (1u64 << live) - 1
-        };
-        for l in 0..64 {
-            if l < live {
-                let mut rng = StreamRng::new(seed, (base + l) as u64);
-                for s in 0..k {
-                    draws[s * 64 + l] = rng.next_u64();
-                }
-                spec.fill_schedule(n, t, seed, (base + l) as u64, &mut schedule);
-                for i in 0..n {
-                    sil[i * 64 + l] = schedule.silent_mask64(i);
-                }
-            } else {
-                for s in 0..k {
-                    draws[s * 64 + l] = 0;
-                }
-                for i in 0..n {
-                    sil[i * 64 + l] = 0;
-                }
-            }
-        }
-        for s in 0..k {
-            transpose64(&mut draws[s * 64..(s + 1) * 64]);
-        }
-        for i in 0..n {
-            transpose64(&mut sil[i * 64..(i + 1) * 64]);
-        }
-        stepper.reset();
-        stats.lane_words += 1;
-        let mut solved = plan.eval(stepper.eq_words(), &mut regs) & live_mask;
-        if solved != 0 {
-            tally(acc, 0, solved.count_ones());
-        }
-        for r in 0..t {
-            if solved == live_mask {
-                break;
-            }
-            stepper.step_faulted(|s| draws[s * 64 + r], |i| sil[i * 64 + r]);
-            let newly = plan.eval(stepper.eq_words(), &mut regs) & live_mask & !solved;
-            if newly != 0 {
-                tally(acc, r + 1, newly.count_ones());
-                solved |= newly;
-            }
-        }
-        base += 64;
-    }
-}
-
-/// In-place 64×64 bit-matrix transpose (delta-swap ladder): afterwards,
-/// bit `l` of `a[r]` equals bit `r` of the original `a[l]`.
-fn transpose64(a: &mut [u64]) {
-    debug_assert_eq!(a.len(), 64);
-    let mut j = 32;
-    for m in [
-        0x0000_0000_ffff_ffffu64,
-        0x0000_ffff_0000_ffff,
-        0x00ff_00ff_00ff_00ff,
-        0x0f0f_0f0f_0f0f_0f0f,
-        0x3333_3333_3333_3333,
-        0x5555_5555_5555_5555,
+/// In-place 64×64 bit-matrix transpose (delta-swap ladder, high stages
+/// first), computing only the first `rows` output rows: afterwards, for
+/// `r < rows`, bit `l` of `a[r]` equals bit `r` of the original `a[l]`.
+/// Rows from `rows.next_power_of_two()` on are left as scratch.
+///
+/// Output rows below a power of two `p` depend only on the low side of
+/// every swap at a stage `j ≥ p`, so those stages compute just
+/// `a[k] = (a[k] & m) | ((a[k + j] << j) & !m)` for `k < j`, and the
+/// remaining stages run in full on `a[..p]`.
+fn transpose_rows(a: &mut [u64; 64], rows: usize) {
+    debug_assert!(rows <= 64, "a 64×64 matrix has 64 rows");
+    let p = rows.next_power_of_two();
+    for (j, m) in [
+        (32, 0x0000_0000_ffff_ffffu64),
+        (16, 0x0000_ffff_0000_ffff),
+        (8, 0x00ff_00ff_00ff_00ff),
+        (4, 0x0f0f_0f0f_0f0f_0f0f),
+        (2, 0x3333_3333_3333_3333),
+        (1, 0x5555_5555_5555_5555),
     ] {
-        for k in (0..64).filter(|k| k & j == 0) {
-            let t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
+        if j >= p {
+            let (lo, hi) = a.split_at_mut(j);
+            for (x, &y) in lo.iter_mut().zip(&hi[..j]) {
+                *x = (*x & m) | ((y << j) & !m);
+            }
+        } else {
+            for block in a[..p].chunks_exact_mut(2 * j) {
+                let (lo, hi) = block.split_at_mut(j);
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    let t = ((*x >> j) ^ *y) & m;
+                    *x ^= t << j;
+                    *y ^= t;
+                }
+            }
         }
-        j >>= 1;
     }
 }
 
@@ -629,18 +600,36 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    fn random_matrix(salt: u64) -> [u64; 64] {
+        std::array::from_fn(|i| mix(i as u64 ^ salt))
+    }
+
     #[test]
     fn transpose_is_the_bit_matrix_transpose() {
-        let mut a: Vec<u64> = (0..64).map(|i| mix(i ^ 0xdead)).collect();
-        let orig = a.clone();
-        transpose64(&mut a);
+        let orig = random_matrix(0xdead);
+        let mut a = orig;
+        transpose_rows(&mut a, 64);
         for (r, &row) in a.iter().enumerate() {
             for (l, &old) in orig.iter().enumerate() {
                 assert_eq!(row >> l & 1, old >> r & 1, "({r},{l})");
             }
         }
-        transpose64(&mut a);
+        transpose_rows(&mut a, 64);
         assert_eq!(a, orig, "involution");
+    }
+
+    #[test]
+    fn row_limited_transpose_matches_the_full_transpose() {
+        for salt in [0xdead_u64, 0xbeef, 0] {
+            let orig = random_matrix(salt);
+            let mut full = orig;
+            transpose_rows(&mut full, 64);
+            for rows in 1..=64 {
+                let mut a = orig;
+                transpose_rows(&mut a, rows);
+                assert_eq!(a[..rows], full[..rows], "rows={rows} salt={salt:#x}");
+            }
+        }
     }
 
     fn grid() -> Vec<(Model, Box<dyn Task + Sync>, Assignment, usize)> {
@@ -734,6 +723,92 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every row-limited transpose size the word loop can pick, on each
+    /// port model: `t` straddles every power of two up to the 63-round
+    /// cap.
+    #[test]
+    fn series_are_bit_identical_at_every_transpose_size() {
+        use crate::probability::monte_carlo_parallel_faulted;
+        use rsbt_sim::PortNumbering;
+        let cases: Vec<(Model, Box<dyn Task + Sync>, Assignment)> = vec![
+            (
+                Model::Blackboard,
+                Box::new(LeaderElection),
+                Assignment::from_group_sizes(&[1, 1, 2]).unwrap(),
+            ),
+            (
+                Model::message_passing_cyclic(4),
+                Box::new(WeakSymmetryBreaking),
+                Assignment::from_group_sizes(&[2, 2]).unwrap(),
+            ),
+            // A shared source on the cyclic ring never breaks symmetry:
+            // every word runs all `t` rounds.
+            (
+                Model::message_passing_cyclic(3),
+                Box::new(LeaderElection),
+                Assignment::shared(3),
+            ),
+            (
+                Model::MessagePassing(PortNumbering::adversarial(4, 2)),
+                Box::new(LeaderElection),
+                Assignment::private(4),
+            ),
+        ];
+        let spec = FaultSpec::rates(0.05, 0.2);
+        for (model, task, alpha) in &cases {
+            let task = task.as_ref();
+            for t in [1usize, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 63] {
+                let what = format!("{} {model} t={t}", task.name());
+                let reference = monte_carlo_series_parallel(model, task, alpha, t, 130, 17, 1);
+                let sliced = monte_carlo_bitsliced_series(model, task, alpha, t, 130, 17, 2);
+                assert_eq!(sliced, reference, "{what}");
+                let silent = monte_carlo_bitsliced_series_faulted(
+                    model,
+                    task,
+                    alpha,
+                    t,
+                    130,
+                    17,
+                    2,
+                    &FaultSpec::none(),
+                );
+                assert_eq!(silent, reference, "{what} rate zero");
+                // Faulted schedules are compiled at the series horizon, so
+                // only the tail is pinned to the scalar point kernel.
+                let faulted =
+                    monte_carlo_bitsliced_series_faulted(model, task, alpha, t, 130, 17, 2, &spec);
+                let point = monte_carlo_parallel_faulted(model, task, alpha, t, 130, 17, 1, &spec);
+                assert_eq!(faulted[t - 1], point, "{what} faulted");
+            }
+        }
+    }
+
+    #[test]
+    fn constant_false_plans_skip_the_word_loop() {
+        // Blackboard leader election without a singleton source compiles
+        // the empty plan: p ≡ 0 (Theorem 4.1), so no word is stepped.
+        let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
+        let unit_of_node: Vec<usize> = (0..4).map(|i| alpha.source_of(i)).collect();
+        assert!(LeaderElection
+            .lane_plan(&unit_of_node, alpha.k())
+            .is_some_and(|plan| plan.is_empty()));
+        let (series, stats) = monte_carlo_bitsliced_series_with_stats(
+            &Model::Blackboard,
+            &LeaderElection,
+            &alpha,
+            6,
+            200,
+            3,
+            2,
+        );
+        assert_eq!(stats, McStats::default());
+        assert_eq!(
+            series,
+            monte_carlo_series_parallel(&Model::Blackboard, &LeaderElection, &alpha, 6, 200, 3, 1)
+        );
+        assert!(series.iter().all(|e| e.solved == 0));
     }
 
     #[test]

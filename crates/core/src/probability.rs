@@ -728,9 +728,10 @@ pub struct McStats {
     /// Verdicts computed by the dense facet scan (zero for every built-in
     /// task — they all carry closed forms).
     pub dense_scan_verdicts: u64,
-    /// 64-sample lane words processed by the bit-sliced kernel (each one
+    /// 64-sample lane words stepped by the bit-sliced kernel (each one
     /// [`rsbt_tasks::VerdictPlan`] evaluation per round; zero on the
-    /// scalar entry points).
+    /// scalar entry points, and zero when the task's plan is the empty,
+    /// constant-false program, which skips the word loop).
     pub lane_words: u64,
     /// Samples the bit-sliced kernel peeled to the scalar path because
     /// the task compiled no lane plan (zero for every built-in task).

@@ -29,6 +29,17 @@
 //! caller evaluating a partition-based verdict on the packed relation
 //! gets bit-for-bit the verdict of 64 scalar executions.
 //!
+//! **The fresh first step.** A stepper built by a constructor or
+//! [`LaneStepper::reset`] is *fresh*: every `eq` word is all ones, so
+//! every port term `eq[nbr(i,p), nbr(j,p)]` is all ones and the
+//! message-passing rule reduces exactly to the blackboard's in-place
+//! `eq[i,j] = !(b[i] ^ b[j])`. [`LaneStepper::step`] takes that loop on
+//! its first call instead of walking the `O(n³)` port terms (276 pairs ×
+//! 23 terms on a 24-node ring). Any step or
+//! [`LaneStepper::load_relation`] ends the fresh state;
+//! [`LaneStepper::step_faulted`] always runs its term loop, because the
+//! silence terms still apply.
+//!
 //! # Faulted lanes
 //!
 //! [`LaneStepper::new_faulted`] tracks the same relation under per-node
@@ -179,6 +190,10 @@ pub struct LaneStepper {
     fault_terms: Vec<[u32; 3]>,
     /// Scratch: the current round's silence word per unit (faulted mode).
     silence: Vec<u64>,
+    /// Whether every lane is still in the initial all-equal state (every
+    /// `eq` word all ones): set by the constructors and [`Self::reset`],
+    /// cleared by every step and by [`Self::load_relation`].
+    fresh: bool,
 }
 
 impl LaneStepper {
@@ -230,6 +245,7 @@ impl LaneStepper {
             faulted: false,
             fault_terms: Vec::new(),
             silence: Vec::new(),
+            fresh: true,
         }
     }
 
@@ -275,6 +291,7 @@ impl LaneStepper {
             faulted: true,
             fault_terms,
             silence: vec![0u64; units],
+            fresh: true,
         }
     }
 
@@ -297,6 +314,7 @@ impl LaneStepper {
     /// Resets every lane to the initial all-equal state.
     pub fn reset(&mut self) {
         self.eq.fill(u64::MAX);
+        self.fresh = true;
     }
 
     /// Loads the same labeled equality state into **every** lane:
@@ -324,6 +342,7 @@ impl LaneStepper {
                 p += 1;
             }
         }
+        self.fresh = false;
     }
 
     /// Advances every lane by one round. `source_bits(s)` must return the
@@ -333,8 +352,10 @@ impl LaneStepper {
         for u in 0..self.units {
             self.bits[u] = source_bits(self.unit_source[u]);
         }
-        if self.next.is_empty() {
-            // Blackboard: pure refinement, safe in place.
+        if self.next.is_empty() || self.fresh {
+            // Blackboard: pure refinement, safe in place. Message passing
+            // from the fresh state reduces to the same loop: every
+            // `eq[q]` is all ones, so the port terms drop out.
             let mut p = 0;
             for a in 0..self.units {
                 for b in a + 1..self.units {
@@ -361,6 +382,7 @@ impl LaneStepper {
             }
             std::mem::swap(&mut self.eq, &mut self.next);
         }
+        self.fresh = false;
     }
 
     /// Advances every lane of a faulted stepper by one round. `silent(i)`
@@ -411,6 +433,7 @@ impl LaneStepper {
             }
             std::mem::swap(&mut self.eq, &mut self.next);
         }
+        self.fresh = false;
     }
 }
 
@@ -665,6 +688,56 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The message-passing rule by its port-term loop, on one packed
+    /// relation: `eq'[a,b] = !(bits[a] ^ bits[b]) & AND_q eq[q]`.
+    fn term_loop_step(ports: &PortNumbering, eq: &[u64], bits: &[u64]) -> Vec<u64> {
+        let (terms, offsets) = aligned_terms(ports);
+        let n = ports.n();
+        let mut out = Vec::with_capacity(eq.len());
+        for a in 0..n {
+            for b in a + 1..n {
+                let p = pair_index(n, a, b);
+                let lo = offsets[p] as usize;
+                let hi = offsets[p + 1] as usize;
+                let w = terms[lo..hi]
+                    .iter()
+                    .fold(!(bits[a] ^ bits[b]), |w, &q| w & eq[q as usize]);
+                out.push(w);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn loaded_relations_step_by_the_term_loop_rule() {
+        // `load_relation` leaves the fresh state: the next step must
+        // consult every port term, not the fresh-state shortcut.
+        for ports in [PortNumbering::cyclic(4), PortNumbering::adversarial(4, 2)] {
+            let model = Model::MessagePassing(ports.clone());
+            let mut st = LaneStepper::new(&model, &Assignment::private(4));
+            for (case, labels) in [[0u8, 0, 1, 1], [0, 1, 0, 1], [0, 1, 2, 3], [0, 0, 0, 0]]
+                .iter()
+                .enumerate()
+            {
+                let bits: Vec<u64> = (0..4u64).map(|s| mix(61 ^ s << 8 ^ case as u64)).collect();
+                st.load_relation(labels);
+                let loaded = st.eq_words().to_vec();
+                st.step(|s| bits[s]);
+                assert_eq!(
+                    st.eq_words(),
+                    &term_loop_step(&ports, &loaded, &bits)[..],
+                    "labels {labels:?}, model {model}"
+                );
+            }
+            // And from the fresh state the shortcut agrees with the rule.
+            let bits: Vec<u64> = (0..4u64).map(|s| mix(67 ^ s)).collect();
+            st.reset();
+            let fresh = st.eq_words().to_vec();
+            st.step(|s| bits[s]);
+            assert_eq!(st.eq_words(), &term_loop_step(&ports, &fresh, &bits)[..]);
         }
     }
 

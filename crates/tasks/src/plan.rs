@@ -18,6 +18,15 @@
 //! e.g. "≥ 2 classes" is simply "some unit differs from unit 0", and "a
 //! weight-1 unit forms a singleton node class" is "that unit differs
 //! from every other unit".
+//!
+//! **Fused runs.** Those "differs from every other unit" terms are long
+//! runs of same-register `AndNotEq` (or `OrNotEq`) ops: leader election
+//! over 24 units is 24 runs of 23. The plan stores each maximal run as
+//! one pair slice, and [`VerdictPlan::eval`] folds it in a local register
+//! that stops at the absorbing value (`0` for AND, `!0` for OR), after
+//! which the rest of the run cannot change it. [`VerdictPlan::ops`]
+//! expands the runs back, so the introspection view and
+//! [`VerdictPlan::len`] still count single ops.
 
 /// The packed index of unit pair `(a, b)`, `a < b`, among `units` units
 /// (row-major upper triangle). Must match the convention of the caller's
@@ -38,24 +47,39 @@ pub fn pair_count(units: usize) -> usize {
 /// program loses to the scalar verdict it replaces.
 pub(crate) const MAX_PLAN_OPS: usize = 4096;
 
-/// One straight-line instruction over lane words. Register 0 is the
-/// verdict accumulator; all registers start zeroed.
+/// Which way a fused run folds its distinction inputs into `regs[dst]`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Fold {
+    /// `regs[dst] &= !eq[pair]` per pair (absorbing at `0`).
+    And,
+    /// `regs[dst] |= !eq[pair]` per pair (absorbing at `!0`).
+    Or,
+}
+
+/// One stored instruction over lane words. Register 0 is the verdict
+/// accumulator; all registers start zeroed. A maximal run of same-`dst`
+/// [`PlanOp::AndNotEq`] (or [`PlanOp::OrNotEq`]) ops is stored as one
+/// [`Op::Run`] over a slice of the plan's pair list.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     /// `regs[dst] = !0`.
     Ones { dst: u16 },
-    /// `regs[dst] &= !eq[pair]` — "…and the units of `pair` differ".
-    AndNotEq { dst: u16, pair: u32 },
-    /// `regs[dst] |= !eq[pair]` — "…or the units of `pair` differ".
-    OrNotEq { dst: u16, pair: u32 },
+    /// `regs[dst] &= !eq[p]` (or `|=`) for every `p` in `pairs[lo..hi]`.
+    Run {
+        dst: u16,
+        fold: Fold,
+        lo: usize,
+        hi: usize,
+    },
     /// `regs[dst] |= regs[src]`.
     Or { dst: u16, src: u16 },
     /// `regs[dst] |= regs[a] & regs[b]`.
     OrAnd { dst: u16, a: u16, b: u16 },
 }
 
-/// The introspection view of one plan instruction, mirroring the private
-/// op encoding one-for-one. `rsbt-analyze`'s abstract interpreter walks
+/// The introspection view of one plan instruction: the private encoding
+/// with every fused run expanded back into its single ops, in execution
+/// order. `rsbt-analyze`'s abstract interpreter walks
 /// plans through this view ([`VerdictPlan::ops`]) and rebuilds corrupted
 /// plans for its rejection tests ([`VerdictPlan::from_raw_ops`]); the
 /// execution path never touches it.
@@ -112,9 +136,54 @@ pub struct VerdictPlan {
     units: usize,
     regs: usize,
     ops: Vec<Op>,
+    /// The pair indices of every fused run, run after run.
+    pairs: Vec<u32>,
+    /// The op count with every run expanded (what [`Self::len`] reports).
+    len: usize,
 }
 
 impl VerdictPlan {
+    /// An empty plan over `units` units with a `regs`-register file.
+    fn empty(units: usize, regs: usize) -> Self {
+        VerdictPlan {
+            units,
+            regs,
+            ops: Vec::new(),
+            pairs: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Appends one op, extending the last run when `op` continues it.
+    /// Runs only ever grow at the tail of `pairs`, so a run that is the
+    /// last op always ends at `pairs.len()`.
+    fn push(&mut self, op: PlanOp) {
+        self.len += 1;
+        let (dst, fold, pair) = match op {
+            PlanOp::AndNotEq { dst, pair } => (dst, Fold::And, pair),
+            PlanOp::OrNotEq { dst, pair } => (dst, Fold::Or, pair),
+            PlanOp::Ones { dst } => return self.ops.push(Op::Ones { dst }),
+            PlanOp::Or { dst, src } => return self.ops.push(Op::Or { dst, src }),
+            PlanOp::OrAnd { dst, a, b } => return self.ops.push(Op::OrAnd { dst, a, b }),
+        };
+        let end = self.pairs.len();
+        self.pairs.push(pair);
+        match self.ops.last_mut() {
+            Some(Op::Run {
+                dst: d,
+                fold: f,
+                hi,
+                ..
+            }) if *d == dst && *f == fold => *hi += 1,
+            _ => self.ops.push(Op::Run {
+                dst,
+                fold,
+                lo: end,
+                hi: end + 1,
+            }),
+        }
+    }
+
     /// The unit count the plan was compiled for.
     pub fn units(&self) -> usize {
         self.units
@@ -131,44 +200,47 @@ impl VerdictPlan {
         MAX_PLAN_OPS
     }
 
-    /// The instruction stream as introspection ops, in execution order.
+    /// The instruction stream as introspection ops, in execution order,
+    /// with every fused run expanded into its single ops.
     pub fn ops(&self) -> impl Iterator<Item = PlanOp> + '_ {
-        self.ops.iter().map(|op| match *op {
-            Op::Ones { dst } => PlanOp::Ones { dst },
-            Op::AndNotEq { dst, pair } => PlanOp::AndNotEq { dst, pair },
-            Op::OrNotEq { dst, pair } => PlanOp::OrNotEq { dst, pair },
-            Op::Or { dst, src } => PlanOp::Or { dst, src },
-            Op::OrAnd { dst, a, b } => PlanOp::OrAnd { dst, a, b },
+        self.ops.iter().flat_map(move |&op| {
+            let (single, run) = match op {
+                Op::Ones { dst } => (Some(PlanOp::Ones { dst }), None),
+                Op::Run { dst, fold, lo, hi } => (None, Some((dst, fold, &self.pairs[lo..hi]))),
+                Op::Or { dst, src } => (Some(PlanOp::Or { dst, src }), None),
+                Op::OrAnd { dst, a, b } => (Some(PlanOp::OrAnd { dst, a, b }), None),
+            };
+            let run = run.into_iter().flat_map(|(dst, fold, pairs)| {
+                pairs.iter().map(move |&pair| match fold {
+                    Fold::And => PlanOp::AndNotEq { dst, pair },
+                    Fold::Or => PlanOp::OrNotEq { dst, pair },
+                })
+            });
+            single.into_iter().chain(run)
         })
     }
 
     /// Assembles a plan from raw introspection ops, bypassing the task
-    /// lowerings and every builder invariant.
+    /// lowerings and every builder invariant (same-`dst` runs are fused
+    /// exactly as the builder fuses them).
     ///
     /// This is an analysis/testing hook: `rsbt-analyze` uses it to build
     /// deliberately corrupted plans and prove its verifier rejects them.
     /// Nothing validates the ops — evaluating a plan with out-of-range
-    /// registers or pair indices panics.
+    /// registers or pair indices panics unless a run exits before
+    /// reaching the bad pair.
     pub fn from_raw_ops(units: usize, regs: usize, ops: &[PlanOp]) -> VerdictPlan {
-        VerdictPlan {
-            units,
-            regs,
-            ops: ops
-                .iter()
-                .map(|op| match *op {
-                    PlanOp::Ones { dst } => Op::Ones { dst },
-                    PlanOp::AndNotEq { dst, pair } => Op::AndNotEq { dst, pair },
-                    PlanOp::OrNotEq { dst, pair } => Op::OrNotEq { dst, pair },
-                    PlanOp::Or { dst, src } => Op::Or { dst, src },
-                    PlanOp::OrAnd { dst, a, b } => Op::OrAnd { dst, a, b },
-                })
-                .collect(),
+        let mut plan = VerdictPlan::empty(units, regs);
+        for &op in ops {
+            plan.push(op);
         }
+        plan
     }
 
-    /// The number of straight-line ops (diagnostics only).
+    /// The number of straight-line ops, counting every op of a fused run
+    /// (diagnostics only).
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.len
     }
 
     /// Whether the plan is the empty (constant-false) program.
@@ -179,6 +251,10 @@ impl VerdictPlan {
     /// Runs the plan over packed pairwise-equality words: bit `l` of the
     /// result is the task's verdict for lane `l`'s partition. `regs` is
     /// caller-owned scratch, reused across calls without reallocating.
+    ///
+    /// Each fused run folds its pairs in a local register and stops as
+    /// soon as that register is absorbing (`0` for an AND run, `!0` for
+    /// an OR run): the remaining ops of the run cannot change it.
     ///
     /// # Panics
     ///
@@ -196,8 +272,36 @@ impl VerdictPlan {
         for op in &self.ops {
             match *op {
                 Op::Ones { dst } => regs[dst as usize] = !0,
-                Op::AndNotEq { dst, pair } => regs[dst as usize] &= !eq[pair as usize],
-                Op::OrNotEq { dst, pair } => regs[dst as usize] |= !eq[pair as usize],
+                Op::Run {
+                    dst,
+                    fold: Fold::And,
+                    lo,
+                    hi,
+                } => {
+                    let mut r = regs[dst as usize];
+                    for &p in &self.pairs[lo..hi] {
+                        if r == 0 {
+                            break;
+                        }
+                        r &= !eq[p as usize];
+                    }
+                    regs[dst as usize] = r;
+                }
+                Op::Run {
+                    dst,
+                    fold: Fold::Or,
+                    lo,
+                    hi,
+                } => {
+                    let mut r = regs[dst as usize];
+                    for &p in &self.pairs[lo..hi] {
+                        if r == !0 {
+                            break;
+                        }
+                        r |= !eq[p as usize];
+                    }
+                    regs[dst as usize] = r;
+                }
                 Op::Or { dst, src } => regs[dst as usize] |= regs[src as usize],
                 Op::OrAnd { dst, a, b } => {
                     let v = regs[a as usize] & regs[b as usize];
@@ -211,66 +315,59 @@ impl VerdictPlan {
 
 /// Incremental [`VerdictPlan`] assembly for the task lowerings.
 pub(crate) struct PlanBuilder {
-    units: usize,
-    regs: usize,
-    ops: Vec<Op>,
+    plan: VerdictPlan,
 }
 
 impl PlanBuilder {
     /// A builder with register 0 (the verdict) allocated and zeroed.
     pub(crate) fn new(units: usize) -> Self {
         PlanBuilder {
-            units,
-            regs: 1,
-            ops: Vec::new(),
+            plan: VerdictPlan::empty(units, 1),
         }
     }
 
     /// Allocates a fresh scratch register (starts zeroed).
     pub(crate) fn reg(&mut self) -> u16 {
-        let r = self.regs;
-        self.regs += 1;
+        let r = self.plan.regs;
+        self.plan.regs += 1;
         u16::try_from(r).expect("plan register file overflow")
     }
 
     pub(crate) fn ones(&mut self, dst: u16) {
-        self.ops.push(Op::Ones { dst });
+        self.plan.push(PlanOp::Ones { dst });
     }
 
     /// `regs[dst] &= !eq[(a, b)]` for distinct units `a`, `b`.
     pub(crate) fn and_not_eq(&mut self, dst: u16, a: usize, b: usize) {
-        let pair = pair_index(self.units, a.min(b), a.max(b)) as u32;
-        self.ops.push(Op::AndNotEq { dst, pair });
+        let pair = self.pair(a, b);
+        self.plan.push(PlanOp::AndNotEq { dst, pair });
     }
 
     /// `regs[dst] |= !eq[(a, b)]` for distinct units `a`, `b`.
     pub(crate) fn or_not_eq(&mut self, dst: u16, a: usize, b: usize) {
-        let pair = pair_index(self.units, a.min(b), a.max(b)) as u32;
-        self.ops.push(Op::OrNotEq { dst, pair });
+        let pair = self.pair(a, b);
+        self.plan.push(PlanOp::OrNotEq { dst, pair });
     }
 
     pub(crate) fn or(&mut self, dst: u16, src: u16) {
-        self.ops.push(Op::Or { dst, src });
+        self.plan.push(PlanOp::Or { dst, src });
     }
 
     pub(crate) fn or_and(&mut self, dst: u16, a: u16, b: u16) {
-        self.ops.push(Op::OrAnd { dst, a, b });
+        self.plan.push(PlanOp::OrAnd { dst, a, b });
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.ops.len()
+        self.plan.len()
+    }
+
+    fn pair(&self, a: usize, b: usize) -> u32 {
+        pair_index(self.plan.units, a.min(b), a.max(b)) as u32
     }
 
     /// Finishes the plan, or `None` when it overran [`MAX_PLAN_OPS`].
     pub(crate) fn finish(self) -> Option<VerdictPlan> {
-        if self.ops.len() > MAX_PLAN_OPS {
-            return None;
-        }
-        Some(VerdictPlan {
-            units: self.units,
-            regs: self.regs,
-            ops: self.ops,
-        })
+        (self.plan.len() <= MAX_PLAN_OPS).then_some(self.plan)
     }
 }
 
@@ -418,6 +515,118 @@ mod tests {
         let mut regs = Vec::new();
         let want = plan.eval(&eq, &mut regs);
         assert_eq!(rebuilt.eval(&eq, &mut regs), want);
+    }
+
+    /// The op-by-op interpretation of the introspection view — the
+    /// unfused semantics the fused `eval` must reproduce.
+    fn interpret(plan: &VerdictPlan, eq: &[u64]) -> u64 {
+        let mut regs = vec![0u64; plan.regs()];
+        for op in plan.ops() {
+            match op {
+                PlanOp::Ones { dst } => regs[dst as usize] = !0,
+                PlanOp::AndNotEq { dst, pair } => regs[dst as usize] &= !eq[pair as usize],
+                PlanOp::OrNotEq { dst, pair } => regs[dst as usize] |= !eq[pair as usize],
+                PlanOp::Or { dst, src } => regs[dst as usize] |= regs[src as usize],
+                PlanOp::OrAnd { dst, a, b } => {
+                    regs[dst as usize] |= regs[a as usize] & regs[b as usize]
+                }
+            }
+        }
+        regs[0]
+    }
+
+    /// Random, all-distinct and all-equal words, plus words where each
+    /// pair is all-ones or all-zeros at random.
+    fn word_sets(pairs: usize, salt: u64) -> Vec<Vec<u64>> {
+        let random: Vec<u64> = (0..pairs).map(|p| mix(salt ^ p as u64)).collect();
+        let blocky: Vec<u64> = random
+            .iter()
+            .map(|&w| if w & 1 == 1 { !0 } else { 0 })
+            .collect();
+        vec![random, vec![0; pairs], vec![!0; pairs], blocky]
+    }
+
+    #[test]
+    fn fused_eval_matches_op_by_op_interpretation() {
+        let mut tasks: Vec<(Box<dyn Task>, usize)> = Vec::new();
+        for n in 1..=8usize {
+            tasks.push((Box::new(LeaderElection), n));
+        }
+        for n in 2..=8usize {
+            tasks.push((Box::new(WeakSymmetryBreaking), n));
+            tasks.push((Box::new(LeaderAndDeputy::unconstrained(n)), n));
+            for k in 1..=n {
+                tasks.push((Box::new(KLeaderElection::new(k)), n));
+            }
+        }
+        tasks.push((
+            Box::new(LeaderAndDeputy::new(
+                vec![true, true, false, false],
+                vec![false, false, true, true],
+            )),
+            4,
+        ));
+        let mut regs = Vec::new();
+        let mut plans = 0;
+        for (case, (task, n)) in tasks.iter().enumerate() {
+            let identity: Vec<usize> = (0..*n).collect();
+            let paired: Vec<usize> = (0..*n).map(|i| i / 2).collect();
+            for unit_of_node in [identity, paired] {
+                let units = unit_of_node.iter().max().map_or(0, |&u| u + 1);
+                let Some(plan) = task.lane_plan(&unit_of_node, units) else {
+                    continue;
+                };
+                plans += 1;
+                for eq in word_sets(pair_count(units), case as u64) {
+                    assert_eq!(
+                        plan.eval(&eq, &mut regs),
+                        interpret(&plan, &eq),
+                        "{} n={n} units={units} eq={eq:x?}",
+                        task.name()
+                    );
+                }
+            }
+        }
+        assert!(plans > 100, "only {plans} plans built");
+    }
+
+    #[test]
+    fn raw_plans_fuse_only_same_destination_runs() {
+        // Runs split on every destination or fold change; `ops()` and
+        // `len()` still see the single ops.
+        let ops = [
+            PlanOp::Ones { dst: 1 },
+            PlanOp::AndNotEq { dst: 1, pair: 0 },
+            PlanOp::AndNotEq { dst: 2, pair: 1 },
+            PlanOp::AndNotEq { dst: 1, pair: 2 },
+            PlanOp::OrNotEq { dst: 1, pair: 3 },
+            PlanOp::OrNotEq { dst: 1, pair: 4 },
+            PlanOp::AndNotEq { dst: 1, pair: 5 },
+            PlanOp::Ones { dst: 2 },
+            PlanOp::AndNotEq { dst: 2, pair: 0 },
+            PlanOp::AndNotEq { dst: 2, pair: 5 },
+            PlanOp::OrAnd { dst: 0, a: 1, b: 2 },
+            PlanOp::OrNotEq { dst: 0, pair: 2 },
+            PlanOp::OrNotEq { dst: 0, pair: 1 },
+            PlanOp::Or { dst: 0, src: 1 },
+        ];
+        let plan = VerdictPlan::from_raw_ops(4, 3, &ops);
+        // Stored: Ones, [0], [1], [2], [3 4], [5], Ones, [0 5], OrAnd,
+        // [2 1], Or.
+        assert_eq!(plan.ops.len(), 11);
+        assert_eq!(plan.ops().collect::<Vec<_>>(), ops);
+        assert_eq!(plan.len(), ops.len());
+        assert!(!plan.is_empty());
+        let mut regs = Vec::new();
+        for salt in 0..16 {
+            for eq in word_sets(pair_count(4), salt) {
+                assert_eq!(plan.eval(&eq, &mut regs), interpret(&plan, &eq), "{eq:x?}");
+            }
+        }
+        let empty = VerdictPlan::from_raw_ops(4, 1, &[]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
+        assert_eq!(empty.eval(&[!0; 6], &mut regs), 0);
     }
 
     #[test]
