@@ -1,8 +1,8 @@
 //! Layer 2c: auditing the committed `BENCH_*.json` baselines.
 //!
-//! The seven committed baselines are the repo's regression memory; a
-//! silently corrupted one would let a real regression through the perf
-//! gate. Each file is re-validated against the `rsbt-bench-report/v2`
+//! The three committed baselines are the repo's regression memory for
+//! the sweep, fault-injection and protocol-MC experiments; a silently
+//! corrupted one would hide a changed answer. Each file is re-validated against the `rsbt-bench-report/v2`
 //! schema and then checked against cross-file invariants the generating
 //! experiments guarantee:
 //!
@@ -24,13 +24,9 @@ use rsbt_bench::report::{validate, Json, SCHEMA};
 use crate::Finding;
 
 /// The committed baselines and the experiment each must contain.
-pub const EXPECTED: [(&str, &str); 7] = [
+pub const EXPECTED: [(&str, &str); 3] = [
     ("BENCH_faults.json", "faults"),
-    ("BENCH_mc.json", "perf_mc"),
-    ("BENCH_probability.json", "perf_enum"),
     ("BENCH_proto_mc.json", "proto_mc"),
-    ("BENCH_quotient.json", "perf_quotient"),
-    ("BENCH_solvability.json", "perf_solv"),
     ("BENCH_sweep.json", "zero_one"),
 ];
 
@@ -370,7 +366,7 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let out = run(&root).unwrap();
         assert!(out.findings.is_empty(), "{:#?}", out.findings);
-        assert_eq!(out.baselines_audited, 7);
+        assert_eq!(out.baselines_audited, EXPECTED.len());
         assert!(out.rows_audited > 0);
     }
 
@@ -407,7 +403,7 @@ mod tests {
                 }
             }
         }
-        let (findings, _) = audit_doc("BENCH_mc.json", "perf_mc", &doc("perf_mc", vec![bad]));
+        let (findings, _) = audit_doc("BENCH_faults.json", "faults", &doc("faults", vec![bad]));
         assert!(rules(&findings).contains(&"RSBT-B003"), "{findings:#?}");
     }
 

@@ -1,8 +1,7 @@
 //! Layer 2b: exhaustive static checking of every registered
 //! choreography.
 //!
-//! Each [`GlobalProtocol`] in
-//! [`registered_globals`](rsbt_protocols::choreo::registered_globals) is
+//! Each [`GlobalProtocol`] in [`registered_globals`] is
 //! validated and then projected onto **every** concrete model in both
 //! classes (the blackboard and the cyclic port numbering) for every
 //! system size `n ≤ MAX_N` — the same exhaustiveness the paper's

@@ -1,7 +1,7 @@
 //! Layer 1: token-level determinism lints over the workspace sources.
 //!
-//! Six rules, each with a stable ID, `file:line` findings, inline
-//! `// rsbt-analyze: allow(RULE)` escapes, and — for the two rules whose
+//! Seven rules, each with a stable ID, `file:line` findings, inline
+//! `// rsbt-analyze: allow(RULE)` escapes, and — for the three rules whose
 //! existing occurrences are audited rather than banned — a committed
 //! ratchet baseline (`ANALYZE_BASELINE.json`):
 //!
@@ -13,6 +13,7 @@
 //! | `RSBT-L004` | count-width discipline in `rsbt-core`: `1u64 <<`/`1usize <<` and count→`f64` casts are ratcheted (PR 9's u128 width audit made permanent); `1u64 <<` is hard-banned in `probability.rs`, where shifts reach `k·t > 64` |
 //! | `RSBT-L005` | `.unwrap()`/`.expect(` in library crates: ratcheted, no new occurrences |
 //! | `RSBT-L006` | every crate root carries `#![forbid(unsafe_code)]` and `#![deny(deprecated)]` |
+//! | `RSBT-L007` | top-level `pub fn` entry points in the kernel entry-point files ([`ENTRY_POINT_FILES`]): ratcheted, so deleted entry points stay deleted |
 //!
 //! Rules exempt `#[cfg(test)]` items and `tests/` trees; ratchet rules
 //! compare per-file counts against the committed baseline and fail only
@@ -34,6 +35,15 @@ pub const KERNEL_CRATES: [&str; 6] = [
     "crates/random",
     "crates/sim",
     "crates/tasks",
+];
+
+/// The exact and Monte-Carlo entry-point files whose top-level `pub fn`
+/// count RSBT-L007 ratchets.
+pub const ENTRY_POINT_FILES: [&str; 4] = [
+    "crates/core/src/bitsliced.rs",
+    "crates/core/src/engine.rs",
+    "crates/core/src/engine_dp.rs",
+    "crates/core/src/probability.rs",
 ];
 
 /// One scrubbed workspace source file.
@@ -164,6 +174,7 @@ pub fn run(files: &[SourceFile]) -> LintOutcome {
         let kernel = KERNEL_CRATES.iter().any(|c| rel.starts_with(*c));
         let bench = rel.starts_with("crates/bench/");
         let core = rel.starts_with("crates/core/");
+        let entry_points = ENTRY_POINT_FILES.contains(&rel);
 
         rule_l006(rel, &file.scrubbed, &mut findings);
         if vendor {
@@ -252,6 +263,16 @@ pub fn run(files: &[SourceFile]) -> LintOutcome {
                     } else {
                         ratchet.bump("RSBT-L004", rel, shifts + casts);
                     }
+                }
+            }
+
+            // RSBT-L007: top-level public entry points (no indentation:
+            // inherent methods and nested items do not count).
+            if entry_points && code.starts_with("pub fn ") {
+                if file.scrubbed.allows(lineno, "RSBT-L007") {
+                    suppressed += 1;
+                } else {
+                    ratchet.bump("RSBT-L007", rel, 1);
                 }
             }
 
@@ -468,6 +489,31 @@ mod tests {
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, "RSBT-L006");
         assert!(out.findings[0].message.contains("deny(deprecated)"));
+    }
+
+    #[test]
+    fn entry_points_are_counted_only_at_top_level_of_listed_files() {
+        let src = concat!(
+            "pub fn a() {}\n",
+            "pub(crate) fn b() {}\n",
+            "impl X {\n    pub fn c() {}\n}\n",
+            "pub fn d() {} // rsbt-analyze: allow(RSBT-L007)\n",
+            "#[cfg(test)]\nmod tests {\npub fn e() {}\n}\n",
+        );
+        let out = run(&[
+            file("crates/core/src/engine_dp.rs", src),
+            file("crates/core/src/eventual.rs", src),
+        ]);
+        assert!(out.findings.is_empty(), "{:?}", out.findings);
+        assert_eq!(
+            out.ratchet.get("RSBT-L007", "crates/core/src/engine_dp.rs"),
+            1
+        );
+        assert_eq!(
+            out.ratchet.get("RSBT-L007", "crates/core/src/eventual.rs"),
+            0
+        );
+        assert_eq!(out.suppressed, 1);
     }
 
     #[test]

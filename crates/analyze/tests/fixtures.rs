@@ -135,6 +135,17 @@ fn ratchet_rules_count_instead_of_firing() {
         ),
     );
     assert!(out.findings.is_empty(), "{:#?}", out.findings);
+    let entry = scan(
+        "crates/core/src/probability.rs",
+        "pub fn exact() {}\npub fn exact_series() {}\n",
+    );
+    assert!(entry.findings.is_empty(), "{:#?}", entry.findings);
+    assert_eq!(
+        entry
+            .ratchet
+            .get("RSBT-L007", "crates/core/src/probability.rs"),
+        2
+    );
     assert_eq!(
         out.ratchet.get("RSBT-L004", "crates/core/src/fixture.rs"),
         2

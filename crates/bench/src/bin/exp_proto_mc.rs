@@ -74,7 +74,7 @@ fn main() -> ExitCode {
             // probability (round r = t + 1 completion ≡ time-t
             // solvability, proven pointwise by tests/cross_validation.rs).
             // z = 4 keeps the multi-point gate deterministic-green, the
-            // same convention as exp_perf_mc's agreement grid.
+            // same convention as the sampler's exact-agreement tests.
             for t in 1..=3usize {
                 let exact = eng.exact(&Model::Blackboard, &LeaderElection, &alpha, t);
                 let (lo, hi) = wilson(

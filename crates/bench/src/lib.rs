@@ -1,10 +1,9 @@
 //! Shared sweep engine and helpers for the experiment binaries.
 //!
 //! Every figure and theorem of the paper has a binary under `src/bin/`
-//! (run with `cargo run -p rsbt-bench --bin <exp> --release`); the
-//! performance benches live under `benches/`. See the workspace `README.md`
-//! for the full experiment list and `DESIGN.md` §4 for the ablations the
-//! benches measure.
+//! (run with `cargo run -p rsbt-bench --bin <exp> --release`). See the
+//! workspace `README.md` for the full experiment list; performance is
+//! measured by the separate `perfbench/` package.
 //!
 //! All binaries are thin declarative wrappers over one harness:
 //! [`run_experiment`] parses the shared CLI (`--json <path>`,

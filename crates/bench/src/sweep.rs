@@ -14,10 +14,10 @@
 //!   pattern proven bit-identical by `probability::exact_parallel`) and
 //!   merged back in deterministic point order, never completion order;
 //! * **one-pass series** — a worker computes each point's whole
-//!   `p(1..t_max)` series from a *single* execution-tree traversal
-//!   (`rsbt_core::engine` tallies solved nodes at every depth), and its
-//!   arena persists across the chunk so shared knowledge prefixes are
-//!   interned once.
+//!   `p(1..t_max)` series from a *single* exact sweep
+//!   (`probability::exact_series` tallies solved counts at every depth),
+//!   and its arena persists across the chunk so shared knowledge
+//!   prefixes are interned once.
 //!
 //! The engine's numbers are bit-identical to serial
 //! [`rsbt_core::probability::exact`] (asserted by the determinism tests in
@@ -600,18 +600,11 @@ impl SweepEngine {
         self.mc_seed_override = seed;
     }
 
-    /// The active `--samples`/`--seed` overrides (bins apply them to
-    /// their own non-sweep Monte-Carlo sections too).
-    pub fn mc_overrides(&self) -> (Option<usize>, Option<u64>) {
-        (self.mc_samples_override, self.mc_seed_override)
-    }
-
     /// Aggregated verdict-path counters of every estimated (Monte-Carlo)
     /// sweep point run so far. Estimated rows run on the bit-sliced
     /// kernel, so `lane_words` counts the 64-sample words processed;
     /// `peeled_lanes` and `dense_scan_verdicts` stay zero whenever all
-    /// swept tasks compile lane plans — the `exp_perf_mc` acceptance
-    /// gate.
+    /// swept tasks compile lane plans (asserted by `tests/engine.rs`).
     pub fn mc_stats(&self) -> probability::McStats {
         self.mc_stats
     }
@@ -1053,7 +1046,6 @@ mod tests {
     fn mc_overrides_rekey_and_resize_estimated_rows() {
         let mut engine = SweepEngine::new(2);
         engine.set_mc_overrides(Some(512), Some(99));
-        assert_eq!(engine.mc_overrides(), (Some(512), Some(99)));
         let rows = engine.sweep(&mixed_mode_spec());
         let mut saw_mc = false;
         for r in rows.iter().filter(|r| r.mode == RowMode::Mc) {

@@ -4,7 +4,7 @@
 //! order points were first computed in; and the JSON report layer must
 //! round-trip through its own schema.
 
-use rsbt_bench::{report, Json, ModelSpec, Report, SweepEngine, SweepSpec, TaskSpec};
+use rsbt_bench::{report, Json, ModelSpec, Report, RowMode, SweepEngine, SweepSpec, TaskSpec};
 use rsbt_core::{eventual, probability};
 use rsbt_random::Assignment;
 use rsbt_sim::Model;
@@ -68,6 +68,25 @@ fn parallel_sweep_bit_identical_to_serial_exact() {
             }
         }
     }
+    // Past the tree wall: two-source profiles to k*t = 96 are exact-dp
+    // rows, monotone, and thread-invariant.
+    let deep = || {
+        SweepSpec::new()
+            .task(TaskSpec::fixed(LeaderElection))
+            .nodes(3..=4)
+            .t_cap(48)
+            .bit_budget(126)
+            .filter(|alpha| alpha.k() == 2)
+    };
+    let rows = SweepEngine::new(1).sweep(&deep());
+    assert!(!rows.is_empty());
+    assert!(
+        rows.iter()
+            .all(|r| r.mode == RowMode::ExactDp
+                && r.k * r.series.len() > probability::TREE_EXACT_BITS)
+    );
+    assert!(rows.iter().all(|r| r.is_monotone()));
+    assert_eq!(SweepEngine::new(4).sweep(&deep()), rows);
 }
 
 /// Cache warm-up order must not change results: an engine that computed
@@ -191,7 +210,7 @@ fn mc_sweep_report_round_trips_and_is_deterministic() {
     let mut engine = SweepEngine::new(2);
     let rows = engine.sweep(&spec());
     assert!(
-        rows.iter().any(|r| r.mode == rsbt_bench::RowMode::Mc),
+        rows.iter().any(|r| r.mode == RowMode::Mc),
         "budget 6 must push some rows to the estimator"
     );
     let again = SweepEngine::new(4).sweep(&spec());
@@ -203,6 +222,27 @@ fn mc_sweep_report_round_trips_and_is_deterministic() {
     assert!(stats.lane_words > 0);
     assert_eq!(stats.peeled_lanes, 0);
     assert_eq!(stats.dense_scan_verdicts, 0);
+
+    // Past the tree wall: n = 16 two-source profiles to t = 32 stay in
+    // estimator mode, and their common-random-numbers series are monotone.
+    let wall = SweepSpec::new()
+        .task(TaskSpec::fixed(LeaderElection))
+        .task(TaskSpec::fixed(KLeaderElection::new(3)))
+        .task(TaskSpec::fixed(WeakSymmetryBreaking))
+        .nodes(16..=16)
+        .t_cap(32)
+        .bit_budget(probability::TREE_EXACT_BITS)
+        .filter(|alpha| alpha.k() == 2)
+        .mc(rsbt_bench::McSweep {
+            samples: 256,
+            seed: 0x5253_4254,
+        });
+    let wall_rows = engine.sweep(&wall);
+    assert!(!wall_rows.is_empty());
+    assert!(wall_rows
+        .iter()
+        .all(|r| r.mode == RowMode::Mc && r.k * r.series.len() > probability::TREE_EXACT_BITS));
+    assert!(wall_rows.iter().all(|r| r.is_monotone()));
 
     let mut rep = Report::new("mc-test", "MC engine test", "tests/engine.rs");
     rep.set_threads(engine.threads());

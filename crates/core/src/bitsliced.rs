@@ -1,10 +1,10 @@
-//! The bit-sliced Monte-Carlo kernel: 64 samples per `u64` lane word.
+//! The bit-sliced Monte-Carlo kernel: 64 samples per `u64` lane word —
+//! the crate's one seeded sampler.
 //!
-//! The PR 5 estimators ([`probability::monte_carlo_parallel`] and
-//! friends) advance one sample at a time through a [`RoundStepper`] and
-//! decide each partition with a branchy scalar closed form. This module
-//! packs 64 independent samples into the bit positions ("lanes") of
-//! `u64` words and advances them together: a
+//! The scalar [`SampleKernel`] advances one sample at a time through a
+//! [`RoundStepper`] and decides each partition with a branchy scalar
+//! closed form. This module packs 64 independent samples into the bit
+//! positions ("lanes") of `u64` words and advances them together: a
 //! [`LaneStepper`](rsbt_sim::LaneStepper) tracks the pairwise
 //! knowledge-equality relation per round as packed words, and a
 //! [`VerdictPlan`](rsbt_tasks::VerdictPlan) — the task's closed form
@@ -16,8 +16,8 @@
 //! identical per-sample stream discipline of the scalar kernel — and the
 //! equality tracking and compiled verdicts are exact (not approximate),
 //! so every per-sample first-solving-round equals the scalar kernel's
-//! and the estimates are **bit-identical to
-//! [`probability::monte_carlo_parallel`] for any thread count and any
+//! and the estimates are **bit-identical to a serial stream-order loop
+//! of the scalar kernel (the tests' oracle) for any thread count and any
 //! lane fill**. Worker chunks are word-aligned
 //! ([`pool::map_sample_chunks_aligned`] with `align = 64`), so lane ↔
 //! stream mapping never depends on the worker count; the last partial
@@ -45,7 +45,6 @@
 //! peel every lane to the scalar [`SampleKernel`] path, counted in
 //! [`McStats::peeled_lanes`] — estimates stay bit-identical either way.
 //!
-//! [`probability::monte_carlo_parallel`]: crate::probability::monte_carlo_parallel
 //! [`RoundStepper`]: rsbt_sim::RoundStepper
 //! [`SampleKernel`]: crate::probability
 //! [`McStats::peeled_lanes`]: crate::probability::McStats::peeled_lanes
@@ -61,15 +60,18 @@ use rsbt_tasks::{Task, VerdictPlan};
 use crate::engine::{self, SolvabilityMemo, TaskKernel};
 use crate::probability::{check_mc_args, Estimate, McStats, SampleKernel};
 
-/// Bit-sliced Monte-Carlo `Pr[S(t) | α]`: bit-identical to
-/// [`monte_carlo_parallel`](crate::probability::monte_carlo_parallel)
-/// with the same `(seed, samples)` — for any `threads` on either side —
-/// at a fraction of the cost (see the module docs).
+/// Deterministic parallel Monte-Carlo `Pr[S(t) | α]`: sample `i` always
+/// draws from [`StreamRng`]`(seed, i)`, 64 samples ride one lane word,
+/// and workers take word-aligned index ranges whose solved counts merge
+/// by integer addition — so the estimate is **bit-identical for any
+/// `threads` value** (see the module docs).
 ///
 /// # Panics
 ///
-/// Same conditions as
-/// [`monte_carlo_parallel`](crate::probability::monte_carlo_parallel).
+/// Panics if `samples == 0` or exceeds
+/// [`MAX_MC_SAMPLES`](crate::probability::MAX_MC_SAMPLES), if `t > 63`,
+/// if `alpha.n() > 255`, if `threads == 0`, or on a model/assignment node
+/// mismatch.
 pub fn monte_carlo_bitsliced<T>(
     model: &Model,
     task: &T,
@@ -129,14 +131,19 @@ where
 /// [`LaneStepper::step_faulted`](rsbt_sim::LaneStepper::step_faulted).
 /// Faulted lanes track every node as its own unit (silence is
 /// per-node), so the plan compiles over the identity unit layout;
-/// estimates are bit-identical to
-/// [`monte_carlo_parallel_faulted`](crate::probability::monte_carlo_parallel_faulted)
-/// for any thread count, and with a rate-zero spec bit-identical to the
-/// fault-free kernels (asserted by tests).
+/// estimates are bit-identical for any thread count, and with a rate-zero
+/// spec bit-identical to the fault-free kernel (asserted by tests).
+///
+/// A sample "solves" when its consistency partition solves at some
+/// round `≤ t` — crashed nodes keep their (listening) knowledge and stay
+/// in the partition; see `DESIGN.md` §4.9 for how this relates to the
+/// operational runner's `None` outputs.
 ///
 /// # Panics
 ///
-/// Same conditions as [`monte_carlo_bitsliced`].
+/// Same conditions as [`monte_carlo_bitsliced`], plus the
+/// [`FaultSpec::rates`] range panics if the spec was built with invalid
+/// rates, and a fixed schedule must cover `alpha.n()` nodes.
 #[allow(clippy::too_many_arguments)]
 pub fn monte_carlo_bitsliced_faulted<T>(
     model: &Model,
@@ -192,15 +199,20 @@ where
     (Estimate::from_counts(chunks.iter().sum(), samples), stats)
 }
 
-/// Bit-sliced `p̂(1), …, p̂(t_max)` from one sampling pass: bit-identical
-/// to
-/// [`monte_carlo_series_parallel`](crate::probability::monte_carlo_series_parallel)
-/// with the same `(seed, samples)`, for any thread count.
+/// The estimated series `p̂(1), …, p̂(t_max)` from **one** sampling pass:
+/// each sample's first solving round decides its verdict at every `t`
+/// simultaneously (monotonicity), the Monte-Carlo mirror of the exact
+/// engine's one-traversal series.
+///
+/// Sample `i` draws `t_max`-bit strings from stream `i`, so the estimate
+/// at each `t` is **bit-identical** to [`monte_carlo_bitsliced`]`(…, t,
+/// samples, seed, _)` (the per-source word draw does not depend on `t`;
+/// asserted by test), for any thread count, and the series is exactly
+/// monotone (common random numbers across the series).
 ///
 /// # Panics
 ///
-/// Same conditions as
-/// [`monte_carlo_series_parallel`](crate::probability::monte_carlo_series_parallel).
+/// Same conditions as [`monte_carlo_bitsliced`], plus `t_max ≥ 1`.
 pub fn monte_carlo_bitsliced_series<T>(
     model: &Model,
     task: &T,
@@ -237,7 +249,7 @@ where
     assert!(t_max >= 1, "need at least one round");
     check_mc_args(model, alpha, t_max, samples);
     // first_solved[r] = samples whose first solving round is exactly
-    // r + 1 (round 0 counts as round 1, matching the scalar series).
+    // r + 1 (round 0 counts as round 1: solved before any bits).
     let (chunks, stats) = fold_lane_chunks(
         model,
         task,
@@ -354,8 +366,7 @@ fn prefix_sum_series(
 /// The one sharded lane loop both bit-sliced estimators run on: per
 /// word-aligned chunk, either the compiled-plan path or the scalar peel,
 /// tallying `(first_solving_round, lane count)` pairs into a per-chunk
-/// accumulator. Mirrors the scalar `fold_sample_chunks` so the two
-/// entry-point families cannot drift apart structurally.
+/// accumulator.
 #[allow(clippy::too_many_arguments)]
 fn fold_lane_chunks<T, A, I, F>(
     model: &Model,
@@ -584,9 +595,7 @@ fn transpose_rows(a: &mut [u64; 64], rows: usize) {
 mod tests {
     use super::*;
     use crate::output_cache::build_output_table;
-    use crate::probability::{
-        monte_carlo_parallel, monte_carlo_parallel_with_stats, monte_carlo_series_parallel,
-    };
+    use crate::probability::oracle;
     use crate::solvability;
     use rsbt_tasks::{
         pair_count, pair_index, KLeaderElection, LeaderAndDeputy, LeaderElection,
@@ -675,11 +684,13 @@ mod tests {
 
     #[test]
     fn bitsliced_is_bit_identical_to_the_scalar_kernel() {
+        // Every lane fill around the word boundary, a count past 64 words,
+        // and every thread count must reproduce the serial oracle.
         for (model, task, alpha, t) in grid() {
-            for samples in [1usize, 63, 64, 65, 200] {
+            for samples in [1usize, 63, 64, 65, 200, 4097] {
                 let reference =
-                    monte_carlo_parallel(&model, task.as_ref(), &alpha, t, samples, 42, 1);
-                for threads in [1usize, 2, 3, 8] {
+                    oracle::estimate(&model, task.as_ref(), &alpha, t, samples, 42, None);
+                for threads in [1usize, 2, 3, 4, 8] {
                     let sliced = monte_carlo_bitsliced(
                         &model,
                         task.as_ref(),
@@ -703,8 +714,7 @@ mod tests {
     #[test]
     fn bitsliced_series_matches_the_scalar_series() {
         for (model, task, alpha, t_max) in grid() {
-            let reference =
-                monte_carlo_series_parallel(&model, task.as_ref(), &alpha, t_max, 130, 7, 1);
+            let reference = oracle::series(&model, task.as_ref(), &alpha, t_max, 130, 7, None);
             for threads in [1usize, 2, 4] {
                 let sliced = monte_carlo_bitsliced_series(
                     &model,
@@ -730,7 +740,6 @@ mod tests {
     /// cap.
     #[test]
     fn series_are_bit_identical_at_every_transpose_size() {
-        use crate::probability::monte_carlo_parallel_faulted;
         use rsbt_sim::PortNumbering;
         let cases: Vec<(Model, Box<dyn Task + Sync>, Assignment)> = vec![
             (
@@ -761,7 +770,7 @@ mod tests {
             let task = task.as_ref();
             for t in [1usize, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 63] {
                 let what = format!("{} {model} t={t}", task.name());
-                let reference = monte_carlo_series_parallel(model, task, alpha, t, 130, 17, 1);
+                let reference = oracle::series(model, task, alpha, t, 130, 17, None);
                 let sliced = monte_carlo_bitsliced_series(model, task, alpha, t, 130, 17, 2);
                 assert_eq!(sliced, reference, "{what}");
                 let silent = monte_carlo_bitsliced_series_faulted(
@@ -775,12 +784,10 @@ mod tests {
                     &FaultSpec::none(),
                 );
                 assert_eq!(silent, reference, "{what} rate zero");
-                // Faulted schedules are compiled at the series horizon, so
-                // only the tail is pinned to the scalar point kernel.
                 let faulted =
                     monte_carlo_bitsliced_series_faulted(model, task, alpha, t, 130, 17, 2, &spec);
-                let point = monte_carlo_parallel_faulted(model, task, alpha, t, 130, 17, 1, &spec);
-                assert_eq!(faulted[t - 1], point, "{what} faulted");
+                let serial = oracle::series(model, task, alpha, t, 130, 17, Some(&spec));
+                assert_eq!(faulted, serial, "{what} faulted");
             }
         }
     }
@@ -806,14 +813,13 @@ mod tests {
         assert_eq!(stats, McStats::default());
         assert_eq!(
             series,
-            monte_carlo_series_parallel(&Model::Blackboard, &LeaderElection, &alpha, 6, 200, 3, 1)
+            oracle::series(&Model::Blackboard, &LeaderElection, &alpha, 6, 200, 3, None)
         );
         assert!(series.iter().all(|e| e.solved == 0));
     }
 
     #[test]
     fn faulted_bitsliced_matches_the_faulted_scalar_kernel() {
-        use crate::probability::monte_carlo_parallel_faulted;
         let specs = [
             FaultSpec::rates(0.05, 0.15),
             FaultSpec::rates(0.0, 0.3),
@@ -822,16 +828,8 @@ mod tests {
         for (model, task, alpha, t) in grid() {
             for spec in &specs {
                 for samples in [63usize, 200] {
-                    let reference = monte_carlo_parallel_faulted(
-                        &model,
-                        task.as_ref(),
-                        &alpha,
-                        t,
-                        samples,
-                        42,
-                        1,
-                        spec,
-                    );
+                    let reference =
+                        oracle::estimate(&model, task.as_ref(), &alpha, t, samples, 42, Some(spec));
                     for threads in [1usize, 3] {
                         let sliced = monte_carlo_bitsliced_faulted(
                             &model,
@@ -859,6 +857,12 @@ mod tests {
     fn rate_zero_spec_is_bit_identical_to_the_fault_free_kernels() {
         let spec = FaultSpec::none();
         for (model, task, alpha, t) in grid() {
+            assert_eq!(
+                oracle::estimate(&model, task.as_ref(), &alpha, t, 200, 11, Some(&spec)),
+                oracle::estimate(&model, task.as_ref(), &alpha, t, 200, 11, None),
+                "{} {model} scalar",
+                task.name()
+            );
             let plain = monte_carlo_bitsliced(&model, task.as_ref(), &alpha, t, 200, 11, 2);
             let faulted =
                 monte_carlo_bitsliced_faulted(&model, task.as_ref(), &alpha, t, 200, 11, 2, &spec);
@@ -1012,17 +1016,16 @@ mod tests {
         assert!(stats.dense_scan_verdicts > 0, "no closed form, no plan");
         // Still bit-identical — and equal to the plan path on the
         // same underlying task.
-        let (want, scalar_stats) = monte_carlo_parallel_with_stats(
+        let want = oracle::estimate(
             &Model::Blackboard,
             &OpaqueLeaderElection,
             &alpha,
             4,
             100,
             5,
-            1,
+            None,
         );
         assert_eq!(est, want);
-        assert!(scalar_stats.dense_scan_verdicts > 0);
         assert_eq!(
             est,
             monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, 4, 100, 5, 3)

@@ -7,9 +7,9 @@
 //! realization even though realizations sharing a round prefix share the
 //! whole execution prefix. This module walks the **execution tree**
 //! instead: nodes at depth `s` are the `2^{k·s}` round-`s` knowledge
-//! vectors, children are the `2^k` per-round source-bit extensions
-//! (tree order — [`Realization::from_tree_index`]), and the DFS carries
-//! the time-`s` knowledge-id vector as its state. Each tree node costs
+//! vectors, children are the `2^k` per-round source-bit extensions (tree
+//! order — [`Realization::from_tree_index`]), and the DFS carries the
+//! time-`s` knowledge-id vector as its state. Each tree node costs
 //! *one* round of interning, so the total round-work over a full
 //! traversal is `Σ_{s≤t} 2^{k·s} = 2^{k·t}·(1 + 1/(2^k − 1))` versus
 //! `t·2^{k·t}` — and a whole `p(1..t_max)` series falls out of a single
@@ -36,25 +36,27 @@
 //!   are *exactly* those of the exhaustive walk, for every task.
 //!
 //! Parallelism is top-level-subtree sharding: prefixes at a small depth
-//! `D` are split into contiguous ranges (`[`solved_counts_shard`]`), each
+//! `D` are split into contiguous ranges ([`solved_counts_shard`]), each
 //! worker re-derives its prefix paths (negligible: `2^{k·D} ≈` worker
 //! count) and owns a tree node iff it owns the node's leftmost prefix, so
 //! per-depth tallies sum to the serial traversal's exactly.
 //!
-//! This engine is now the **reference path**: the production exact
-//! dispatch runs through the quotient engine ([`crate::engine_dp`]),
-//! which walks the same tree *up to knowledge-equality state* — per-round
-//! cost `O(states · 2^k)` instead of `O(2^{k·r})` — and is asserted
-//! bit-identical to these tallies across this engine's reachable range.
-//! The tallies here stay `u64` deliberately: with the enforced
-//! `k·t_max ≤ 62` every `1u64 << (k·d)` shift is in range (the 62-bit
-//! edge is pinned by test), and widening the reference would cost the
-//! before/after comparability of the `exp_perf_*` benches. The quotient
-//! engine carries `u128` counts and moves the integer-exact wall to
-//! `k·t ≤ 126`.
+//! This engine is now the **reference path** and crate-private: the
+//! production exact dispatch runs through the quotient engine
+//! ([`crate::engine_dp`]), which walks the same tree *up to
+//! knowledge-equality state* — per-round cost `O(states · 2^k)` instead
+//! of `O(2^{k·r})` — and is tested bit-identical to these tallies across
+//! this engine's reachable range. The dispatch still routes non-orbit
+//! queries with `k >` [`MAX_DP_K`](crate::engine_dp::MAX_DP_K) here. The
+//! tallies stay `u64`: with the enforced `k·t_max ≤ 62` every
+//! `1u64 << (k·d)` shift is in range (the 62-bit edge is pinned by test).
+//! The quotient engine carries `u128` counts and moves the integer-exact
+//! wall to `k·t ≤ 126`.
+//!
+//! [`Realization::from_tree_index`]: rsbt_random::Realization::from_tree_index
 
 use rsbt_complex::FacetTable;
-use rsbt_random::{Assignment, BitString, Realization};
+use rsbt_random::Assignment;
 use rsbt_sim::{FaultSchedule, FxHashMap, KnowledgeArena, KnowledgeId, Model, RoundStepper};
 use rsbt_tasks::Task;
 
@@ -71,7 +73,7 @@ use crate::solvability;
 /// ([`TaskKernel::closed_form_only`]): the output complex is never
 /// materialized in any form for them.
 #[derive(Debug)]
-pub struct TaskKernel<'a, T: Task + ?Sized> {
+pub(crate) struct TaskKernel<'a, T: Task + ?Sized> {
     task: &'a T,
     table: Option<&'a FacetTable>,
 }
@@ -79,7 +81,7 @@ pub struct TaskKernel<'a, T: Task + ?Sized> {
 impl<'a, T: Task + ?Sized> TaskKernel<'a, T> {
     /// Assembles a kernel from a task and its (already built) dense
     /// output table.
-    pub fn new(task: &'a T, table: &'a FacetTable) -> Self {
+    pub(crate) fn new(task: &'a T, table: &'a FacetTable) -> Self {
         TaskKernel {
             task,
             table: Some(table),
@@ -88,14 +90,8 @@ impl<'a, T: Task + ?Sized> TaskKernel<'a, T> {
 
     /// A kernel for a task whose [`Task::solves_partition`] always
     /// answers — no fallback table is carried.
-    pub fn closed_form_only(task: &'a T) -> Self {
+    pub(crate) fn closed_form_only(task: &'a T) -> Self {
         TaskKernel { task, table: None }
-    }
-
-    /// The dense output table the fallback scan runs over, if one was
-    /// attached.
-    pub fn table(&self) -> Option<&FacetTable> {
-        self.table
     }
 }
 
@@ -120,7 +116,7 @@ impl<T: Task + ?Sized> Copy for TaskKernel<'_, T> {}
 /// `u32` compare per cell; the only allocation is the memo insertion
 /// itself, once per distinct partition).
 #[derive(Clone, Debug, Default)]
-pub struct SolvabilityMemo {
+pub(crate) struct SolvabilityMemo {
     verdicts: FxHashMap<Vec<u8>, bool>,
     /// Scratch: canonical class label per node.
     labels: Vec<u8>,
@@ -135,29 +131,23 @@ pub struct SolvabilityMemo {
 
 impl SolvabilityMemo {
     /// Creates an empty memo.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SolvabilityMemo::default()
     }
 
-    /// The number of distinct partitions whose verdict has been computed
-    /// (bounded by Bell(`n`)).
-    pub fn entries(&self) -> usize {
-        self.verdicts.len()
-    }
-
     /// How many queries were answered from the partition memo.
-    pub fn memo_hits(&self) -> u64 {
+    pub(crate) fn memo_hits(&self) -> u64 {
         self.memo_hits
     }
 
     /// How many verdicts came from the task's closed form
     /// ([`Task::solves_partition`]).
-    pub fn closed_form_verdicts(&self) -> u64 {
+    pub(crate) fn closed_form_verdicts(&self) -> u64 {
         self.closed_form_verdicts
     }
 
     /// How many verdicts fell back to the dense facet scan.
-    pub fn dense_scan_verdicts(&self) -> u64 {
+    pub(crate) fn dense_scan_verdicts(&self) -> u64 {
         self.dense_scan_verdicts
     }
 
@@ -171,7 +161,7 @@ impl SolvabilityMemo {
     /// # Panics
     ///
     /// Panics if `ids.len() > 255`.
-    pub fn solves<T: Task + ?Sized>(
+    pub(crate) fn solves<T: Task + ?Sized>(
         &mut self,
         ids: &[KnowledgeId],
         kernel: &TaskKernel<'_, T>,
@@ -207,7 +197,7 @@ impl SolvabilityMemo {
     ///
     /// Panics if `labels.len() > 255` or if `labels` is not canonical
     /// (class `c`'s first occurrence must come after class `c − 1`'s).
-    pub fn solves_labels<T: Task + ?Sized>(
+    pub(crate) fn solves_labels<T: Task + ?Sized>(
         &mut self,
         labels: &[u8],
         kernel: &TaskKernel<'_, T>,
@@ -263,7 +253,7 @@ impl SolvabilityMemo {
 /// # Panics
 ///
 /// Panics if `k·t_max > 62`, or on a model/assignment node mismatch.
-pub fn solved_counts<T: Task + ?Sized>(
+pub(crate) fn solved_counts<T: Task + ?Sized>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
@@ -303,7 +293,7 @@ pub fn solved_counts<T: Task + ?Sized>(
 ///
 /// Same conditions as [`solved_counts`], plus a schedule/assignment
 /// node-count mismatch.
-pub fn solved_counts_faulted<T: Task + ?Sized>(
+pub(crate) fn solved_counts_faulted<T: Task + ?Sized>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
@@ -343,7 +333,7 @@ pub fn solved_counts_faulted<T: Task + ?Sized>(
 /// `solves_partition` uniformly `Some`/`None` per `(task, n)`). The probe
 /// uses the all-one-class partition, so it panics exactly where
 /// `output_complex(n)` would on an undefined `n`.
-pub fn fallback_table<T: Task + ?Sized>(task: &T, n: usize) -> Option<FacetTable> {
+pub(crate) fn fallback_table<T: Task + ?Sized>(task: &T, n: usize) -> Option<FacetTable> {
     if task.solves_partition(&vec![0u8; n]).is_some() {
         None
     } else {
@@ -366,7 +356,7 @@ pub fn fallback_table<T: Task + ?Sized>(task: &T, n: usize) -> Option<FacetTable
 /// Panics if `shard_depth > t_max`, `hi > 2^{k·shard_depth}`, `k·t_max >
 /// 62`, or on a model/assignment node mismatch.
 #[allow(clippy::too_many_arguments)]
-pub fn solved_counts_shard<T: Task + ?Sized>(
+pub(crate) fn solved_counts_shard<T: Task + ?Sized>(
     model: &Model,
     kernel: &TaskKernel<'_, T>,
     alpha: &Assignment,
@@ -549,63 +539,59 @@ impl<T: Task + ?Sized> TreeWalker<'_, T> {
     }
 }
 
-/// Visits every leaf of the execution tree in DFS order, yielding the
-/// leaf's tree index and its realization — built from the DFS path
-/// itself, not from the index, so this is the ground truth that the
-/// engine's traversal order equals
-/// [`Realization::enumerate_consistent`]'s (asserted by property test).
-///
-/// Diagnostic/test surface: the counting traversal ([`solved_counts`])
-/// prunes solved subtrees and never materializes realizations.
-///
-/// # Panics
-///
-/// Panics if `k·t > 62`.
-pub fn visit_leaves<F>(alpha: &Assignment, t: usize, mut f: F)
-where
-    F: FnMut(u64, &Realization),
-{
-    assert!(alpha.k() * t <= 62, "2^(k*t) enumeration too large");
-    let mut source_bits: Vec<Vec<bool>> = vec![Vec::with_capacity(t); alpha.k()];
-    let mut next_index = 0u64;
-    visit_rec(alpha, t, &mut source_bits, &mut next_index, &mut f);
-}
-
-fn visit_rec<F>(
-    alpha: &Assignment,
-    t: usize,
-    source_bits: &mut Vec<Vec<bool>>,
-    next_index: &mut u64,
-    f: &mut F,
-) where
-    F: FnMut(u64, &Realization),
-{
-    let depth = source_bits[0].len();
-    if depth == t {
-        let strings: Vec<BitString> = (0..alpha.n())
-            .map(|i| BitString::from_bits(source_bits[alpha.source_of(i)].iter().copied()))
-            .collect();
-        let rho = Realization::new(strings).expect("uniform length");
-        f(*next_index, &rho);
-        *next_index += 1;
-        return;
-    }
-    for digit in 0..1u64 << alpha.k() {
-        for (s, bits) in source_bits.iter_mut().enumerate() {
-            bits.push(digit >> s & 1 == 1);
-        }
-        visit_rec(alpha, t, source_bits, next_index, f);
-        for bits in source_bits.iter_mut() {
-            bits.pop();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solvability;
+    use rsbt_random::{BitString, Realization};
     use rsbt_tasks::{KLeaderElection, LeaderElection, Task};
+
+    /// Visits every leaf of the execution tree in DFS order, yielding the
+    /// leaf's tree index and its realization — built from the DFS path
+    /// itself, not from the index, so this is the ground truth that the
+    /// engine's traversal order equals
+    /// [`Realization::enumerate_consistent`]'s. The counting traversal
+    /// ([`solved_counts`]) prunes solved subtrees and never materializes
+    /// realizations, so this walk exists for the test below.
+    fn visit_leaves<F>(alpha: &Assignment, t: usize, mut f: F)
+    where
+        F: FnMut(u64, &Realization),
+    {
+        assert!(alpha.k() * t <= 62, "2^(k*t) enumeration too large");
+        let mut source_bits: Vec<Vec<bool>> = vec![Vec::with_capacity(t); alpha.k()];
+        let mut next_index = 0u64;
+        visit_rec(alpha, t, &mut source_bits, &mut next_index, &mut f);
+    }
+
+    fn visit_rec<F>(
+        alpha: &Assignment,
+        t: usize,
+        source_bits: &mut Vec<Vec<bool>>,
+        next_index: &mut u64,
+        f: &mut F,
+    ) where
+        F: FnMut(u64, &Realization),
+    {
+        let depth = source_bits[0].len();
+        if depth == t {
+            let strings: Vec<BitString> = (0..alpha.n())
+                .map(|i| BitString::from_bits(source_bits[alpha.source_of(i)].iter().copied()))
+                .collect();
+            let rho = Realization::new(strings).expect("uniform length");
+            f(*next_index, &rho);
+            *next_index += 1;
+            return;
+        }
+        for digit in 0..1u64 << alpha.k() {
+            for (s, bits) in source_bits.iter_mut().enumerate() {
+                bits.push(digit >> s & 1 == 1);
+            }
+            visit_rec(alpha, t, source_bits, next_index, f);
+            for bits in source_bits.iter_mut() {
+                bits.pop();
+            }
+        }
+    }
 
     #[test]
     fn leaf_order_matches_enumerate_consistent() {
@@ -654,10 +640,10 @@ mod tests {
                             assert_eq!(direct, memoized, "{model} n={n} t={t} {rho}");
                         }
                     }
-                    assert!(memo.entries() > 0);
+                    assert!(!memo.verdicts.is_empty());
                     // Built-ins answer in closed form; the dense scan
                     // never runs for them.
-                    assert_eq!(memo.closed_form_verdicts(), memo.entries() as u64);
+                    assert_eq!(memo.closed_form_verdicts(), memo.verdicts.len() as u64);
                     assert_eq!(memo.dense_scan_verdicts(), 0);
                     assert!(memo.memo_hits() > 0);
                 }
@@ -861,7 +847,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(via_ids.entries(), via_labels.entries());
+        assert_eq!(via_ids.verdicts.len(), via_labels.verdicts.len());
         assert!(via_labels.memo_hits() > 0);
     }
 

@@ -1,10 +1,10 @@
 //! The quotient exact engine: dynamic programming over knowledge-equality
 //! states instead of execution-tree prefixes.
 //!
-//! The prefix-sharing engine ([`crate::engine`]) walks the raw execution
-//! tree — `2^{k·r}` nodes at depth `r` — even though the task verdict at
-//! every node depends only on the *consistency partition* of the
-//! knowledge vector. `rsbt_sim::lanes` proved the key algebraic fact as
+//! The prefix-sharing tree engine (the crate-private `engine` module)
+//! walks the raw execution tree — `2^{k·r}` nodes at depth `r` — even
+//! though the task verdict at every node depends only on the
+//! *consistency partition* of the knowledge vector. `rsbt_sim::lanes` proved the key algebraic fact as
 //! code: the round-`(r+1)` equality relation is a pure function of the
 //! round-`r` equality relation and the **equality pattern** of the new
 //! source bits — never their values (the value-independence lemma; see
@@ -33,13 +33,13 @@
 //!   old `k·t ≤ 30` enumeration wall.
 //! * **Verdict & absorption** — a state's verdict comes from the task's
 //!   closed-form [`rsbt_tasks::Task::solves_partition`] with the dense
-//!   fallback through [`SolvabilityMemo::solves_labels`] (representatives
+//!   fallback through `SolvabilityMemo::solves_labels` (representatives
 //!   synthesized from the labels; no knowledge ids exist here). One round
 //!   only refines the partition, so verdicts are monotone and solved
 //!   states **absorb**: `solved(r) = solved(r−1)·2^k + newly(r)`, exactly
-//!   the [`crate::engine`] subtree-pruning tallies lifted to the quotient
-//!   (asserted bit-identical by property test and by the
-//!   `exp_perf_quotient` bench).
+//!   the tree engine's subtree-pruning tallies lifted to the quotient
+//!   (tested bit-identical on every profile with `n ≤ 4, t ≤ 3`, on deep
+//!   points, and on faulted schedules in both models).
 //!
 //! Per-round cost is `O(states · 2^k)` — flat in `t`, so whole exact
 //! series at `t` in the dozens are routine where the tree engine needed
@@ -96,13 +96,12 @@ const ROW_CACHE_MAX_K: usize = 12;
 /// build fans out to worker threads — below this the spawn cost dominates.
 const PAR_MIN_STATES: usize = 16;
 
-/// Counters from one quotient-DP sweep (the `exp_perf_quotient` bench
-/// commits these alongside the timings; the perf-gate CI step greps them
-/// non-zero).
+/// Counters from one quotient-DP sweep (perfbench's traced run reports
+/// them as `dp.*`, and CI gates those counts exactly).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DpStats {
-    /// Distinct equality states interned (`dp_states` in bench notes) —
-    /// bounded by Bell(units), or the orbit count on the orbit path.
+    /// Distinct equality states interned — bounded by Bell(units), or the
+    /// orbit count on the orbit path.
     pub states: usize,
     /// Largest unsolved frontier over all rounds.
     pub frontier_max: usize,
@@ -114,7 +113,7 @@ pub struct DpStats {
     /// State–digit edges walked (`frontier · 2^k` summed over rounds);
     /// on the orbit path, weighted row entries walked.
     pub transitions: u64,
-    /// Verdict-memo hits inside [`SolvabilityMemo`] (states whose node
+    /// Verdict-memo hits inside the partition memo (states whose node
     /// partition repeated an earlier state's).
     pub memo_hits: u64,
     /// Verdicts answered by the task's closed form.
@@ -124,11 +123,12 @@ pub struct DpStats {
 }
 
 /// Per-depth solved-node tallies from one DP sweep — the quotient twin of
-/// [`engine::solved_counts`], widened to `u128`: `counts[d − 1]` is the
-/// number of depth-`d` execution-tree nodes (time-`d` realizations) that
-/// solve `task`, for `d ∈ 1..=t_max`, so `p(d) = counts[d − 1]/2^{k·d}`.
+/// the tree engine's `solved_counts`, widened to `u128`: `counts[d − 1]`
+/// is the number of depth-`d` execution-tree nodes (time-`d`
+/// realizations) that solve `task`, for `d ∈ 1..=t_max`, so
+/// `p(d) = counts[d − 1]/2^{k·d}`.
 /// Bit-identical to the tree engine across its whole reachable range
-/// (property-tested and bench-asserted).
+/// (tested on every small profile, on deep points, and faulted).
 ///
 /// # Panics
 ///
@@ -145,7 +145,7 @@ pub fn solved_series<T: Task + ?Sized>(
 }
 
 /// [`solved_series`] with the sweep's [`DpStats`] and a worker-thread
-/// count: rounds whose frontier has at least [`PAR_MIN_STATES`] missing
+/// count: rounds whose frontier has at least `PAR_MIN_STATES` (16) missing
 /// transition rows compute them on `threads` workers (interning stays
 /// serial and ordered, so counts are bit-identical for every `threads`).
 ///
@@ -166,7 +166,7 @@ pub fn solved_series_with_stats<T: Task + ?Sized>(
 /// transition meets the state with both the digit's equality pattern and
 /// the schedule's silence pattern at `r` (deterministic per round, so the
 /// DP caches one row per `(state, silence mask)`). The quotient twin of
-/// [`engine::solved_counts_faulted`], and bit-identical to it.
+/// the tree engine's `solved_counts_faulted`, and bit-identical to it.
 ///
 /// # Panics
 ///
@@ -817,6 +817,30 @@ mod tests {
                 }
             }
         }
+        // Deep points past that grid: solvable profiles the tree engine
+        // prunes, and never-solving ones ([2, 2], [4]) it walks in full.
+        let deep: [(bool, &[usize], usize); 7] = [
+            (false, &[1, 2], 15),
+            (false, &[1, 3], 15),
+            (false, &[1, 1, 2], 8),
+            (true, &[1, 2], 15),
+            (true, &[1, 1, 2], 8),
+            (false, &[2, 2], 7),
+            (false, &[4], 12),
+        ];
+        for (mp, sizes, t_max) in deep {
+            let alpha = Assignment::from_group_sizes(sizes).unwrap();
+            let model = if mp {
+                Model::message_passing_cyclic(alpha.n())
+            } else {
+                Model::Blackboard
+            };
+            let mut arena = KnowledgeArena::new();
+            let tree = engine::solved_counts(&model, &LeaderElection, &alpha, t_max, &mut arena);
+            let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
+            let dp = solved_series(&model, &LeaderElection, &alpha, t_max);
+            assert_eq!(dp, widened, "{model} {alpha} t_max={t_max}");
+        }
     }
 
     #[test]
@@ -995,6 +1019,24 @@ mod tests {
         let mut sched = FaultSchedule::empty(3, t_max);
         sched.set_omission(0, 2);
         sched.set_crash(2, 2);
+        // A longer horizon with the faults mid-run: an omission in round
+        // 3 and a crash from round 5, ten rounds deep.
+        let mut late = FaultSchedule::empty(3, 10);
+        late.set_omission(0, 3);
+        late.set_crash(2, 5);
+        for model in models_for(3) {
+            let tree = engine::solved_counts_faulted(
+                &model,
+                &LeaderElection,
+                &alpha,
+                10,
+                &late,
+                &mut KnowledgeArena::new(),
+            );
+            let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
+            let dp = solved_series_faulted(&model, &LeaderElection, &alpha, 10, &late);
+            assert_eq!(dp, widened, "{model} omit(0@3) crash(2@5)");
+        }
         for model in models_for(3) {
             for task in tasks_for(3) {
                 let tree = engine::solved_counts_faulted(
@@ -1043,11 +1085,22 @@ mod tests {
         // exactly when their bit strings differ, so
         // counts[t−1] = 2^{2t} − 2^t. At t = 63 this is 2^126 − 2^63 —
         // exactly the 126-bit wall, far past u64.
-        let alpha = Assignment::private(2);
-        let series = solved_series(&Model::Blackboard, &LeaderElection, &alpha, 63);
-        for t in 1..=63usize {
-            assert_eq!(series[t - 1], (1u128 << (2 * t)) - (1u128 << t), "t={t}");
+        // Sizes [1, 2] share the closed form; sizes [2, 2] never elect on
+        // the blackboard, so their row stays zero to the edge.
+        for sizes in [&[1, 1][..], &[1, 2]] {
+            let alpha = Assignment::from_group_sizes(sizes).unwrap();
+            let series = solved_series(&Model::Blackboard, &LeaderElection, &alpha, 63);
+            for t in 1..=63usize {
+                assert_eq!(
+                    series[t - 1],
+                    (1u128 << (2 * t)) - (1u128 << t),
+                    "{sizes:?} t={t}"
+                );
+            }
         }
+        let pairs = Assignment::from_group_sizes(&[2, 2]).unwrap();
+        let series = solved_series(&Model::Blackboard, &LeaderElection, &pairs, 63);
+        assert!(series.iter().all(|&c| c == 0), "LE on [2, 2] is a zero row");
     }
 
     #[test]

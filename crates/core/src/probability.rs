@@ -12,23 +12,24 @@
 //! which has no `k` limit. Every other query with `k >`
 //! [`crate::engine_dp::MAX_DP_K`] (where the labeled DP's per-state `2^k`
 //! fan-out is unaffordable) falls back to the prefix-sharing
-//! execution-tree engine ([`crate::engine`]), which is also the reference
-//! path for bit-identity tests. A Monte-Carlo estimator covers the
-//! regimes where even the DP is out of reach.
+//! execution-tree engine (the crate-private `engine` module), which is
+//! also the reference path for bit-identity tests.
+//!
+//! Past the exact wall the estimate comes from one sampler,
+//! [`monte_carlo_bitsliced`] and its `_series`/`_faulted` forms: 64
+//! samples per `u64` lane word, sample `i` keyed to
+//! [`StreamRng`](rand::rngs::StreamRng)`(seed, i)`, bit-identical for every
+//! thread count. Its per-lane peel path, the scalar `SampleKernel`, also
+//! backs the generator-driven [`monte_carlo`] and serves as the serial
+//! test oracle the bit-sliced kernel is checked against.
 
-use rand::rngs::StreamRng;
 use rand::Rng;
 use rsbt_random::{Assignment, BitString, Realization};
-use rsbt_sim::{
-    pool, FaultSchedule, FaultSpec, FxHashMap, KnowledgeArena, KnowledgeId, Model, RoundStepper,
-};
+use rsbt_sim::{pool, FaultSchedule, FxHashMap, KnowledgeArena, KnowledgeId, Model, RoundStepper};
 use rsbt_tasks::Task;
-
-use rsbt_complex::FacetTable;
 
 use crate::engine::{self, SolvabilityMemo, TaskKernel};
 use crate::engine_dp;
-use crate::output_cache::OutputComplexCache;
 use crate::solvability;
 
 pub use crate::bitsliced::{
@@ -121,10 +122,9 @@ pub fn exact_with_arena<T: Task + ?Sized>(
 /// Random fault *rates* are deliberately not accepted here: enumerating
 /// them would weight realizations by fault-pattern probability and break
 /// Lemma B.1's equiprobability — rates belong to the Monte-Carlo
-/// estimators ([`monte_carlo_parallel_faulted`] and the bit-sliced
-/// family). For the solvability-law fine print (where the zero-one
-/// argument survives omission faults and where crashes break it) see
-/// `DESIGN.md` §4.9.
+/// estimator [`monte_carlo_bitsliced_faulted`] and its series form. For
+/// the solvability-law fine print (where the zero-one argument survives
+/// omission faults and where crashes break it) see `DESIGN.md` §4.9.
 ///
 /// # Panics
 ///
@@ -181,11 +181,11 @@ fn check_budget(model: &Model, alpha: &Assignment, t: usize) {
 /// labeled per-state `2^k` digit fan-out is affordable (`k ≤`
 /// [`engine_dp::MAX_DP_K`]), else from the prefix-sharing tree engine —
 /// whose `u64` tallies additionally require `k·t ≤ 62`. The two are
-/// bit-identical on the overlap (property-tested in [`crate::engine_dp`]
-/// and asserted in-process by the `exp_perf_quotient` bench). `arena` is
-/// consulted only on the tree path (the DP keeps no knowledge ids);
-/// `threads` only on the DP path (tree-path parallelism goes through
-/// [`exact_parallel`]'s subtree sharding instead).
+/// bit-identical on the overlap (tested in [`crate::engine_dp`], faulted
+/// grids included). `arena` is consulted only on the tree path (the DP
+/// keeps no knowledge ids); `threads` only on the DP path (tree-path
+/// parallelism goes through [`exact_parallel`]'s subtree sharding
+/// instead).
 fn dispatch_series<T: Task + ?Sized>(
     model: &Model,
     task: &T,
@@ -220,11 +220,10 @@ fn dispatch_series<T: Task + ?Sized>(
 
 /// The pre-engine reference path: leaf-by-leaf re-simulation over
 /// [`Realization::enumerate_consistent`], kept verbatim as the independent
-/// ground truth for the engine's bit-identity tests and the
-/// `exp_perf_enum` before/after benchmark — including the old per-leaf
-/// solvability cost model ([`solvability::solves_reference`] rebuilds the
-/// output complex and scans it per realization, exactly as `solves` did
-/// before the dense/closed-form rewrite). Not used by any production
+/// ground truth for the engine's bit-identity tests — including the old
+/// per-leaf solvability cost model ([`solvability::solves_reference`]
+/// rebuilds the output complex and scans it per realization, exactly as
+/// `solves` did before the dense/closed-form rewrite). Not used by any production
 /// caller — prefer [`exact`] / [`exact_with_arena`].
 ///
 /// # Panics
@@ -250,8 +249,8 @@ pub fn exact_reference<T: Task + ?Sized>(
 }
 
 /// Reference form of [`exact_series`]: one [`exact_reference`] per `t`
-/// over a shared arena — the pre-engine cost model `Σ_t t·2^{k·t}` the
-/// `exp_perf_enum` benchmark compares against.
+/// over a shared arena (the pre-engine cost model, `Σ_t t·2^{k·t}`
+/// rounds).
 ///
 /// # Panics
 ///
@@ -529,7 +528,7 @@ pub fn exact_series_cached<T: Task + ?Sized>(
 /// execution tree: the depth-`D` prefixes (smallest `D` with `2^{k·D} ≥
 /// threads`) are split into contiguous ranges, each worker runs the
 /// prefix-sharing engine on its range with a private arena/memo
-/// ([`engine::solved_counts_shard`]), and the per-shard tallies are
+/// (`engine::solved_counts_shard`), and the per-shard tallies are
 /// merged in index order via [`pool::map_with_arena`] — integer counts,
 /// so the merged probability is bit-identical to the serial walk.
 ///
@@ -696,12 +695,6 @@ impl Estimate {
         wilson_interval(self.solved, self.samples as u64, z)
     }
 
-    /// Half the width of the [`DEFAULT_Z`] Wilson interval (the adaptive
-    /// stopping rule's target quantity).
-    pub fn half_width(&self) -> f64 {
-        (self.ci_hi - self.ci_lo) / 2.0
-    }
-
     /// Whether `value` lies inside the Wilson interval at confidence
     /// coefficient `z`.
     ///
@@ -716,9 +709,9 @@ impl Estimate {
     }
 }
 
-/// Kernel-path statistics of one Monte-Carlo run: how the per-sample
-/// verdicts were decided. The counters mirror [`SolvabilityMemo`]'s; for
-/// the parallel entry points they are summed across workers.
+/// Kernel-path statistics of one bit-sliced Monte-Carlo run: how the
+/// verdicts were decided, summed across workers. The first three
+/// counters come from the scalar peel path's partition memo.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct McStats {
     /// Verdicts answered from the partition-signature memo.
@@ -729,8 +722,8 @@ pub struct McStats {
     /// task — they all carry closed forms).
     pub dense_scan_verdicts: u64,
     /// 64-sample lane words stepped by the bit-sliced kernel (each one
-    /// [`rsbt_tasks::VerdictPlan`] evaluation per round; zero on the
-    /// scalar entry points, and zero when the task's plan is the empty,
+    /// [`rsbt_tasks::VerdictPlan`] evaluation per round; zero when every
+    /// lane peels, and zero when the task's plan is the empty,
     /// constant-false program, which skips the word loop).
     pub lane_words: u64,
     /// Samples the bit-sliced kernel peeled to the scalar path because
@@ -827,7 +820,9 @@ impl<'a, T: Task + ?Sized> SampleKernel<'a, T> {
     /// Runs one sample drawn from `rng`: `true` iff it solves at time
     /// `t`. Consumes the generator exactly like [`Realization::sample`]
     /// (k `u64` draws, source order), so the verdict stream is
-    /// bit-comparable to [`monte_carlo_reference`]'s.
+    /// bit-comparable to a leaf-by-leaf decision of each sampled
+    /// realization (pinned by the test
+    /// `kernel_monte_carlo_bit_identical_to_reference`).
     fn sample<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -848,8 +843,7 @@ impl<'a, T: Task + ?Sized> SampleKernel<'a, T> {
     /// the sample's verdict at *every* time `t' ≤ t` is `first ≤ t'` —
     /// a whole estimated series from one pass — and at large `t` in the
     /// `p(t) → 1` regime the expected per-sample round count drops to
-    /// `O(1)`, the dominant term of the kernel's speedup over the
-    /// reference (which always steps all `t` rounds).
+    /// `O(1)` instead of `t`.
     pub(crate) fn first_solving_round<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -925,16 +919,15 @@ impl<'a, T: Task + ?Sized> SampleKernel<'a, T> {
     }
 }
 
-/// Monte-Carlo `Pr[S(t) | α]` from a caller-provided generator.
+/// Monte-Carlo `Pr[S(t) | α]` from a caller-provided generator: `samples`
+/// draws of [`Realization::sample`]'s shape (`k` `u64` words per sample,
+/// source order), each stepped through one reused [`RoundStepper`] and
+/// decided closed-form-first, stopping at its first solving round.
 ///
-/// Rewritten on the PR 4 verdict kernel: per-sample execution steps reuse
-/// one [`RoundStepper`] and two knowledge-vector buffers, and each
-/// verdict goes closed-form-first through a [`SolvabilityMemo`] — the
-/// old path (kept verbatim as [`monte_carlo_reference`]) allocated a
-/// `Realization`, a full `Execution` trace, and a consistency partition
-/// per sample. RNG consumption is identical to the reference's, so the
-/// two produce bit-identical estimates from equal generator states
-/// (asserted by test and by `exp_perf_mc`).
+/// The serial, generator-driven form of the estimator. Seeded sweeps use
+/// [`monte_carlo_bitsliced`] instead, which keys sample `i` to
+/// [`StreamRng`](rand::rngs::StreamRng)`(seed, i)` and is thread-count
+/// invariant.
 ///
 /// # Panics
 ///
@@ -948,22 +941,6 @@ pub fn monte_carlo<T: Task + ?Sized, R: Rng + ?Sized>(
     samples: usize,
     rng: &mut R,
 ) -> Estimate {
-    monte_carlo_with_stats(model, task, alpha, t, samples, rng).0
-}
-
-/// [`monte_carlo`] exposing the verdict-path statistics.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo`].
-pub fn monte_carlo_with_stats<T: Task + ?Sized, R: Rng + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    rng: &mut R,
-) -> (Estimate, McStats) {
     check_mc_args(model, alpha, t, samples);
     let table = engine::fallback_table(task, alpha.n());
     let kernel = match table.as_ref() {
@@ -979,482 +956,95 @@ pub fn monte_carlo_with_stats<T: Task + ?Sized, R: Rng + ?Sized>(
             solved += 1;
         }
     }
-    let mut stats = McStats::default();
-    stats.absorb(&memo);
-    (Estimate::from_counts(solved, samples), stats)
-}
-
-/// The pre-kernel reference path, kept verbatim: one [`Realization`]
-/// allocation, one full [`Execution`](rsbt_sim::Execution) trace, and one
-/// consistency-partition construction per sample, with the dense-table
-/// cache of PR 4. Ground truth for the kernel path's bit-identity tests
-/// and the `exp_perf_mc` before/after benchmark; not used by production
-/// callers.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo`].
-pub fn monte_carlo_reference<T: Task + ?Sized, R: Rng + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    rng: &mut R,
-) -> Estimate {
-    check_mc_args(model, alpha, t, samples);
-    let mut arena = KnowledgeArena::new();
-    // One dense table for all samples (take-or-build, never per draw).
-    let mut cache = OutputComplexCache::new();
-    let mut solved = 0u64;
-    for _ in 0..samples {
-        let rho = Realization::sample(alpha, t, rng);
-        if solvability::solves_with_cache(model, &rho, task, &mut arena, &mut cache) {
-            solved += 1;
-        }
-    }
     Estimate::from_counts(solved, samples)
 }
 
-/// Deterministic parallel Monte-Carlo `Pr[S(t) | α]`: sample `i` always
-/// draws from [`StreamRng`]`(seed, i)`, workers take contiguous
-/// index ranges ([`pool::map_sample_chunks`]), and the per-chunk solved
-/// counts merge by integer addition — so the estimate is **bit-identical
-/// for any `threads` value**, and equal to the serial stream-order loop
-/// (asserted by property test).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo`], plus `threads ≥ 1`.
-pub fn monte_carlo_parallel<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Estimate
-where
-    T: Task + Sync + ?Sized,
-{
-    monte_carlo_parallel_with_stats(model, task, alpha, t, samples, seed, threads).0
-}
+/// The serial test oracle of the bit-sliced estimators: sample `i` draws
+/// from `StreamRng(seed, i)` and is decided by one scalar [`SampleKernel`],
+/// in stream order on one thread — no lanes, no chunking, no plans.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use rand::rngs::StreamRng;
+    use rsbt_random::Assignment;
+    use rsbt_sim::{FaultSchedule, FaultSpec, KnowledgeArena, Model};
+    use rsbt_tasks::Task;
 
-/// [`monte_carlo_parallel`] exposing the verdict-path statistics (summed
-/// across workers).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_parallel`].
-pub fn monte_carlo_parallel_with_stats<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> (Estimate, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    check_mc_args(model, alpha, t, samples);
-    // At most one dense table for the run (none when the task's closed
-    // form answers), shared read-only across workers.
-    let table = engine::fallback_table(task, alpha.n());
-    let (solved, stats) = sample_stream_range(
-        model,
-        task,
-        table.as_ref(),
-        alpha,
-        t,
-        seed,
-        0,
-        samples,
-        threads,
-        None,
-    );
-    (Estimate::from_counts(solved, samples), stats)
-}
+    use super::{Estimate, McStats, SampleKernel};
+    use crate::engine::{self, SolvabilityMemo, TaskKernel};
 
-/// [`monte_carlo_parallel`] under a [`FaultSpec`]: sample `i` draws its
-/// source bits from [`StreamRng`]`(seed, i)` — exactly the fault-free
-/// discipline — and compiles its [`FaultSchedule`] from the salted fault
-/// substream [`rsbt_sim::faults::fault_stream`]`(seed, i)`, so the
-/// estimate is **bit-identical for any `threads` value**, and with a
-/// rate-zero spec bit-identical to [`monte_carlo_parallel`] itself
-/// (asserted by property test: the fault substream is never even
-/// constructed at rate zero, and the faulted step with no silence
-/// interns the same knowledge).
-///
-/// A sample "solves" when its consistency partition solves at some
-/// round `≤ t` — crashed nodes keep their (listening) knowledge and stay
-/// in the partition; see `DESIGN.md` §4.9 for how this relates to the
-/// operational runner's `None` outputs.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_parallel`], plus the
-/// [`FaultSpec::rates`] range panics if the spec was built with invalid
-/// rates, and a fixed schedule must cover `alpha.n()` nodes.
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_parallel_faulted<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-    faults: &FaultSpec,
-) -> Estimate
-where
-    T: Task + Sync + ?Sized,
-{
-    monte_carlo_parallel_faulted_with_stats(model, task, alpha, t, samples, seed, threads, faults).0
-}
-
-/// [`monte_carlo_parallel_faulted`] exposing the verdict-path statistics
-/// (summed across workers).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_parallel_faulted`].
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_parallel_faulted_with_stats<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-    faults: &FaultSpec,
-) -> (Estimate, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    check_mc_args(model, alpha, t, samples);
-    let table = engine::fallback_table(task, alpha.n());
-    let (solved, stats) = sample_stream_range(
-        model,
-        task,
-        table.as_ref(),
-        alpha,
-        t,
-        seed,
-        0,
-        samples,
-        threads,
-        Some(faults),
-    );
-    (Estimate::from_counts(solved, samples), stats)
-}
-
-/// The estimated series `p̂(1), …, p̂(t_max)` from **one** sampling pass:
-/// each sample's first solving round decides its verdict at every `t`
-/// simultaneously (monotonicity), the Monte-Carlo mirror of the exact
-/// engine's one-traversal series.
-///
-/// Per-sample draws use stream `i` of the family keyed by `seed` with
-/// `t_max`-bit strings, so the estimate at each `t` is **bit-identical**
-/// to [`monte_carlo_parallel`]`(…, t, samples, seed, _)` (the per-source
-/// word draw does not depend on `t`; asserted by test) — at a `t_max`×
-/// lower sampling cost — and the series is exactly monotone (sample `i`
-/// at time `t` is the prefix of sample `i` at `t + 1`: common random
-/// numbers across the series).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_parallel`], plus `t_max ≥ 1`.
-pub fn monte_carlo_series_parallel<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<Estimate>
-where
-    T: Task + Sync + ?Sized,
-{
-    monte_carlo_series_parallel_with_stats(model, task, alpha, t_max, samples, seed, threads).0
-}
-
-/// [`monte_carlo_series_parallel`] exposing the verdict-path statistics.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_series_parallel`].
-pub fn monte_carlo_series_parallel_with_stats<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> (Vec<Estimate>, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    assert!(t_max >= 1, "need at least one round");
-    check_mc_args(model, alpha, t_max, samples);
-    let table = engine::fallback_table(task, alpha.n());
-    // first_solved[r] = samples whose first solving round is exactly
-    // r + 1 (round 0 counts as round 1: solved before any bits).
-    let (chunks, stats) = fold_sample_chunks(
-        model,
-        task,
-        table.as_ref(),
-        alpha,
-        t_max,
-        seed,
-        0,
-        samples,
-        threads,
-        None,
-        || vec![0u64; t_max],
-        |first_solved, first| {
-            if let Some(r) = first {
-                first_solved[r.saturating_sub(1)] += 1;
-            }
-        },
-    );
-    let mut first_solved = vec![0u64; t_max];
-    for chunk in &chunks {
-        for (acc, c) in first_solved.iter_mut().zip(chunk) {
-            *acc += c;
-        }
-    }
-    // Prefix sums: solved-by-t from first-solved-at-r.
-    let mut solved = 0u64;
-    let series = first_solved
-        .iter()
-        .map(|&c| {
-            solved += c;
-            Estimate::from_counts(solved, samples)
-        })
-        .collect();
-    (series, stats)
-}
-
-/// Samples stream indices `[lo, hi)` of the family keyed by `seed` over
-/// `threads` workers; returns the solved count and merged kernel stats.
-/// `table` is the caller's dense fallback (built at most once per run —
-/// the adaptive loop reuses it across batches).
-#[allow(clippy::too_many_arguments)]
-fn sample_stream_range<T>(
-    model: &Model,
-    task: &T,
-    table: Option<&FacetTable>,
-    alpha: &Assignment,
-    t: usize,
-    seed: u64,
-    lo: usize,
-    hi: usize,
-    threads: usize,
-    faults: Option<&FaultSpec>,
-) -> (u64, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
-    let (chunks, stats) = fold_sample_chunks(
-        model,
-        task,
-        table,
-        alpha,
-        t,
-        seed,
-        lo,
-        hi - lo,
-        threads,
-        faults,
-        || 0u64,
-        |solved, first| {
-            if first.is_some() {
-                *solved += 1;
-            }
-        },
-    );
-    (chunks.iter().sum(), stats)
-}
-
-/// The one sharded sampling loop every parallel estimator runs on: folds
-/// the first-solving-round of each sample in `[lo, lo + count)` (streams
-/// keyed by `seed`) into a per-chunk accumulator, with the per-worker
-/// kernel/memo/sampler assembly in exactly one place — the count and
-/// series estimators differ only in their `tally`, so the stream keying
-/// and verdict dispatch that their documented bit-identity rests on
-/// cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-fn fold_sample_chunks<T, A, I, F>(
-    model: &Model,
-    task: &T,
-    table: Option<&FacetTable>,
-    alpha: &Assignment,
-    t: usize,
-    seed: u64,
-    lo: usize,
-    count: usize,
-    threads: usize,
-    faults: Option<&FaultSpec>,
-    init: I,
-    tally: F,
-) -> (Vec<A>, McStats)
-where
-    T: Task + Sync + ?Sized,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, Option<usize>) + Sync,
-{
-    let per_chunk = pool::map_sample_chunks(count, threads, |arena, range| {
-        let kernel = match table {
+    /// Each sample's first solving round at horizon `t` (`None` when it
+    /// does not solve by `t`), plus the memo's verdict counters. Under
+    /// `faults`, sample `i` compiles its schedule at horizon `t` from the
+    /// same `(seed, i)` key.
+    pub(crate) fn first_rounds<T: Task + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t: usize,
+        samples: usize,
+        seed: u64,
+        faults: Option<&FaultSpec>,
+    ) -> (Vec<Option<usize>>, McStats) {
+        let table = engine::fallback_table(task, alpha.n());
+        let kernel = match table.as_ref() {
             Some(table) => TaskKernel::new(task, table),
             None => TaskKernel::closed_form_only(task),
         };
+        let mut arena = KnowledgeArena::new();
         let mut memo = SolvabilityMemo::new();
-        let mut sampler = SampleKernel::new(model, kernel, alpha, t, arena);
-        let mut acc = init();
-        match faults {
-            None => {
-                for i in range {
-                    let mut rng = StreamRng::new(seed, (lo + i) as u64);
-                    tally(
-                        &mut acc,
-                        sampler.first_solving_round(&mut rng, &mut memo, arena),
-                    );
+        let mut sampler = SampleKernel::new(model, kernel, alpha, t, &mut arena);
+        let mut schedule = FaultSchedule::empty(alpha.n(), t);
+        let firsts = (0..samples as u64)
+            .map(|i| {
+                let mut rng = StreamRng::new(seed, i);
+                match faults {
+                    None => sampler.first_solving_round(&mut rng, &mut memo, &mut arena),
+                    Some(spec) => {
+                        spec.fill_schedule(alpha.n(), t, seed, i, &mut schedule);
+                        sampler
+                            .first_solving_round_faulted(&mut rng, &schedule, &mut memo, &mut arena)
+                    }
                 }
-            }
-            Some(spec) => {
-                // One schedule buffer per worker; sample i compiles its
-                // schedule from the salted fault substream keyed by the
-                // same (seed, stream index) pair its source draws use.
-                let mut schedule = FaultSchedule::empty(alpha.n(), t);
-                for i in range {
-                    let stream = (lo + i) as u64;
-                    spec.fill_schedule(alpha.n(), t, seed, stream, &mut schedule);
-                    let mut rng = StreamRng::new(seed, stream);
-                    tally(
-                        &mut acc,
-                        sampler.first_solving_round_faulted(&mut rng, &schedule, &mut memo, arena),
-                    );
-                }
-            }
-        }
+            })
+            .collect();
         let mut stats = McStats::default();
         stats.absorb(&memo);
-        (acc, stats)
-    });
-    let mut accs = Vec::with_capacity(per_chunk.len());
-    let mut stats = McStats::default();
-    for (acc, st) in per_chunk {
-        accs.push(acc);
-        stats.merge(&st);
+        (firsts, stats)
     }
-    (accs, stats)
-}
 
-/// Configuration of the adaptive estimator: sample in batches until the
-/// [`DEFAULT_Z`] Wilson half-width drops to `target_half_width`, or
-/// `max_samples` is reached.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Stop when the 95% Wilson half-width is at most this.
-    pub target_half_width: f64,
-    /// Hard cap on the total sample count.
-    pub max_samples: usize,
-    /// Samples added per batch (the stopping rule is evaluated between
-    /// batches only).
-    pub batch: usize,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            target_half_width: 5e-3,
-            max_samples: 1 << 20,
-            batch: 1 << 14,
-        }
+    /// The oracle's estimate at horizon `t`.
+    pub(crate) fn estimate<T: Task + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t: usize,
+        samples: usize,
+        seed: u64,
+        faults: Option<&FaultSpec>,
+    ) -> Estimate {
+        series(model, task, alpha, t, samples, seed, faults)[t - 1]
     }
-}
 
-/// Adaptive Monte-Carlo `Pr[S(t) | α]`: draws [`AdaptiveConfig::batch`]
-/// samples at a time (each batch parallel and deterministic) until the
-/// Wilson half-width target is met or the cap is reached.
-///
-/// **Determinism**: sample `i` always draws from stream `i`, and the
-/// stopping rule is a pure function of the running counts — so the
-/// number of samples drawn, and hence the estimate, is a pure function
-/// of `(model, task, α, t, cfg, seed)`, independent of `threads`.
-///
-/// **Why stopping does not bias the estimate in our use**: the rule
-/// stops at the first batch boundary where the *interval width* — a
-/// function of `(solved, samples)` only — meets the target. By Wald's
-/// identity `E[solved_N] = p·E[N]` for any such stopping time, so the
-/// ratio estimator's bias is `O(1/N)` — below the interval resolution at
-/// every reachable `N` (see `DESIGN.md` §4.6 for the accounting), and
-/// the committed Wilson interval at the stopping time retains its
-/// coverage for the cross-validation gates `exp_perf_mc` runs.
-///
-/// # Panics
-///
-/// Panics on the [`monte_carlo`] conditions (with `samples` read as
-/// `cfg.max_samples`), if `cfg.batch == 0`, if
-/// `cfg.target_half_width ≤ 0`, or if `threads == 0`.
-pub fn monte_carlo_adaptive<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    cfg: &AdaptiveConfig,
-    seed: u64,
-    threads: usize,
-) -> (Estimate, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    assert!(cfg.batch > 0, "batch size must be positive");
-    assert!(
-        cfg.target_half_width > 0.0,
-        "target half-width must be positive"
-    );
-    check_mc_args(model, alpha, t, cfg.max_samples);
-    // One dense fallback table for the whole adaptive run, shared across
-    // batches and workers (never rebuilt per batch).
-    let table = engine::fallback_table(task, alpha.n());
-    let mut solved = 0u64;
-    let mut samples = 0usize;
-    let mut stats = McStats::default();
-    while samples < cfg.max_samples {
-        let batch = cfg.batch.min(cfg.max_samples - samples);
-        let (s, st) = sample_stream_range(
-            model,
-            task,
-            table.as_ref(),
-            alpha,
-            t,
-            seed,
-            samples,
-            samples + batch,
-            threads,
-            None,
-        );
-        solved += s;
-        stats.merge(&st);
-        samples += batch;
-        let (lo, hi) = wilson_interval(solved, samples as u64, DEFAULT_Z);
-        if (hi - lo) / 2.0 <= cfg.target_half_width {
-            break;
-        }
+    /// The oracle's series `p̂(1), …, p̂(t_max)` from one pass at horizon
+    /// `t_max`: sample `i` counts at `t` iff its first solving round is
+    /// at most `t` (round 0 counts from `t = 1`).
+    pub(crate) fn series<T: Task + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t_max: usize,
+        samples: usize,
+        seed: u64,
+        faults: Option<&FaultSpec>,
+    ) -> Vec<Estimate> {
+        let (firsts, _) = first_rounds(model, task, alpha, t_max, samples, seed, faults);
+        (1..=t_max)
+            .map(|t| {
+                let solved = firsts.iter().filter(|f| f.is_some_and(|r| r <= t)).count();
+                Estimate::from_counts(solved as u64, samples)
+            })
+            .collect()
     }
-    (Estimate::from_counts(solved, samples), stats)
 }
 
 #[cfg(test)]
@@ -1462,7 +1052,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
-    use rsbt_tasks::{KLeaderElection, LeaderElection};
+    use rsbt_sim::FaultSpec;
+    use rsbt_tasks::{KLeaderElection, LeaderElection, WeakSymmetryBreaking};
 
     #[test]
     fn shared_source_never_solves() {
@@ -1582,21 +1173,37 @@ mod tests {
         let half = Estimate::from_counts(5_000, 10_000);
         assert!(half.is_consistent_with(0.5, 2.0));
         assert!(!half.is_consistent_with(0.6, 2.0));
-        assert!(half.half_width() > 0.0);
+        assert!(half.ci_hi > half.ci_lo);
     }
 
     #[test]
     fn kernel_monte_carlo_bit_identical_to_reference() {
         // Equal generator states must produce bit-identical estimates:
-        // the kernel path consumes the RNG exactly like the reference.
+        // the kernel path consumes the RNG exactly like a leaf-by-leaf
+        // loop that samples a whole `Realization` and decides it from
+        // its full execution trace.
         for (sizes, t) in [(vec![1usize, 2], 3), (vec![2, 2], 5), (vec![1, 1, 1], 2)] {
             let alpha = Assignment::from_group_sizes(&sizes).unwrap();
             for model in [Model::Blackboard, Model::message_passing_cyclic(alpha.n())] {
                 let mut rng_a = StdRng::seed_from_u64(99);
                 let mut rng_b = StdRng::seed_from_u64(99);
                 let kernel = monte_carlo(&model, &LeaderElection, &alpha, t, 2_000, &mut rng_a);
-                let reference =
-                    monte_carlo_reference(&model, &LeaderElection, &alpha, t, 2_000, &mut rng_b);
+                let mut arena = KnowledgeArena::new();
+                let mut cache = crate::output_cache::OutputComplexCache::new();
+                let mut solved = 0u64;
+                for _ in 0..2_000 {
+                    let rho = Realization::sample(&alpha, t, &mut rng_b);
+                    if solvability::solves_with_cache(
+                        &model,
+                        &rho,
+                        &LeaderElection,
+                        &mut arena,
+                        &mut cache,
+                    ) {
+                        solved += 1;
+                    }
+                }
+                let reference = Estimate::from_counts(solved, 2_000);
                 assert_eq!(kernel, reference, "{model} {sizes:?} t={t}");
                 // And the generators are left in identical states.
                 assert_eq!(rng_a.next_u64(), rng_b.next_u64());
@@ -1608,9 +1215,21 @@ mod tests {
     fn parallel_monte_carlo_is_thread_count_invariant() {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
         let serial =
-            monte_carlo_parallel(&Model::Blackboard, &LeaderElection, &alpha, 4, 5_000, 7, 1);
+            monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, 4, 5_000, 7, 1);
+        assert_eq!(
+            serial,
+            oracle::estimate(
+                &Model::Blackboard,
+                &LeaderElection,
+                &alpha,
+                4,
+                5_000,
+                7,
+                None
+            )
+        );
         for threads in [2usize, 3, 4, 8] {
-            let par = monte_carlo_parallel(
+            let par = monte_carlo_bitsliced(
                 &Model::Blackboard,
                 &LeaderElection,
                 &alpha,
@@ -1623,7 +1242,7 @@ mod tests {
         }
         // Different seeds give different (decorrelated) estimates.
         let other =
-            monte_carlo_parallel(&Model::Blackboard, &LeaderElection, &alpha, 4, 5_000, 8, 2);
+            monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, 4, 5_000, 8, 2);
         assert_ne!(other.solved, serial.solved, "seed must matter");
     }
 
@@ -1632,7 +1251,7 @@ mod tests {
         let alpha = Assignment::from_group_sizes(&[1, 2, 2]).unwrap();
         let t = 4;
         let exact_p = exact(&Model::Blackboard, &LeaderElection, &alpha, t);
-        let (est, stats) = monte_carlo_parallel_with_stats(
+        let (est, stats) = monte_carlo_bitsliced_with_stats(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
@@ -1645,10 +1264,45 @@ mod tests {
             est.is_consistent_with(exact_p, 4.0),
             "MC {est:?} vs exact {exact_p}"
         );
-        // Built-in tasks decide in closed form; the dense scan never runs.
+        // Built-in tasks compile lane plans: words run, nothing peels.
+        assert!(stats.lane_words > 0);
+        assert_eq!(stats.peeled_lanes, 0);
         assert_eq!(stats.dense_scan_verdicts, 0);
-        assert!(stats.closed_form_verdicts > 0);
-        assert!(stats.memo_hits > 0, "partition memo must absorb repeats");
+        // The scalar peel path decides in closed form; the dense scan
+        // never runs, and the partition memo absorbs repeats.
+        let (_, scalar) = oracle::first_rounds(
+            &Model::Blackboard,
+            &LeaderElection,
+            &alpha,
+            t,
+            2_000,
+            2021,
+            None,
+        );
+        assert_eq!(scalar.dense_scan_verdicts, 0);
+        assert!(scalar.closed_form_verdicts > 0);
+        assert!(scalar.memo_hits > 0, "partition memo must absorb repeats");
+        // A cross-validation grid over every built-in symmetric task.
+        let two_le = KLeaderElection::new(2);
+        let grid: [(&(dyn Task + Sync), &[usize], usize); 7] = [
+            (&LeaderElection, &[1, 2], 6),
+            (&LeaderElection, &[1, 2, 2], 5),
+            (&LeaderElection, &[2, 2], 8),
+            (&two_le, &[2, 2], 8),
+            (&two_le, &[1, 1, 2], 5),
+            (&WeakSymmetryBreaking, &[2, 2], 8),
+            (&WeakSymmetryBreaking, &[1, 3], 6),
+        ];
+        for (task, sizes, t) in grid {
+            let alpha = Assignment::from_group_sizes(sizes).unwrap();
+            let exact_p = exact(&Model::Blackboard, task, &alpha, t);
+            let est = monte_carlo_bitsliced(&Model::Blackboard, task, &alpha, t, 30_000, 2021, 2);
+            assert!(
+                est.is_consistent_with(exact_p, 4.0),
+                "{} {sizes:?} t={t}: MC {est:?} vs exact {exact_p}",
+                task.name()
+            );
+        }
     }
 
     #[test]
@@ -1671,9 +1325,10 @@ mod tests {
 
     #[test]
     fn faulted_monte_carlo_brackets_faulted_exact() {
-        // A fixed schedule evaluated two independent ways: the pruning
-        // engine's enumeration and the sampling kernels must agree within
-        // the Wilson interval, and the two MC kernels bit-for-bit.
+        // A fixed schedule evaluated two independent ways: the exact
+        // enumeration and the sampler must agree within the Wilson
+        // interval, and the bit-sliced sampler must match the serial
+        // oracle bit-for-bit.
         let alpha = Assignment::from_group_sizes(&[1, 2, 2]).unwrap();
         let t = 4;
         let mut sched = FaultSchedule::empty(5, t);
@@ -1682,21 +1337,7 @@ mod tests {
         let spec = FaultSpec::fixed(sched.clone());
         for model in [Model::Blackboard, Model::message_passing_cyclic(5)] {
             let p = exact_faulted(&model, &LeaderElection, &alpha, t, &sched);
-            let est = monte_carlo_parallel_faulted(
-                &model,
-                &LeaderElection,
-                &alpha,
-                t,
-                40_000,
-                2021,
-                4,
-                &spec,
-            );
-            assert!(
-                est.is_consistent_with(p, 4.0),
-                "{model}: MC {est:?} vs exact {p}"
-            );
-            let sliced = monte_carlo_bitsliced_faulted(
+            let est = monte_carlo_bitsliced_faulted(
                 &model,
                 &LeaderElection,
                 &alpha,
@@ -1706,7 +1347,20 @@ mod tests {
                 3,
                 &spec,
             );
-            assert_eq!(sliced, est, "{model}");
+            assert!(
+                est.is_consistent_with(p, 4.0),
+                "{model}: MC {est:?} vs exact {p}"
+            );
+            let serial = oracle::estimate(
+                &model,
+                &LeaderElection,
+                &alpha,
+                t,
+                40_000,
+                2021,
+                Some(&spec),
+            );
+            assert_eq!(serial, est, "{model}");
         }
     }
 
@@ -1720,9 +1374,9 @@ mod tests {
         let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
         let t = 4;
         let plain =
-            monte_carlo_parallel(&Model::Blackboard, &LeaderElection, &alpha, t, 4_000, 3, 2);
+            monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, t, 4_000, 3, 2);
         assert_eq!(plain.solved, 0, "fault-free [2,2] blackboard is dead");
-        let faulted = monte_carlo_parallel_faulted(
+        let faulted = monte_carlo_bitsliced_faulted(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
@@ -1739,47 +1393,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_monte_carlo_stops_early_and_stays_deterministic() {
-        // Shared source: p = 0 exactly, so one batch meets any sane
-        // half-width target.
-        let alpha = Assignment::shared(3);
-        let cfg = AdaptiveConfig {
-            target_half_width: 0.01,
-            max_samples: 1 << 16,
-            batch: 1 << 12,
-        };
-        let (est, _) =
-            monte_carlo_adaptive(&Model::Blackboard, &LeaderElection, &alpha, 3, &cfg, 1, 2);
-        assert_eq!(est.samples, cfg.batch, "one batch suffices at p = 0");
-        assert_eq!(est.p, 0.0);
-        assert!(est.half_width() <= cfg.target_half_width);
-        // Thread-count invariance extends to the adaptive loop, and the
-        // result equals the fixed-size estimator at the stopped count.
-        for threads in [1usize, 3, 8] {
-            let (again, _) = monte_carlo_adaptive(
-                &Model::Blackboard,
-                &LeaderElection,
-                &alpha,
-                3,
-                &cfg,
-                1,
-                threads,
-            );
-            assert_eq!(again, est, "threads={threads}");
-        }
-        let fixed = monte_carlo_parallel(
-            &Model::Blackboard,
-            &LeaderElection,
-            &alpha,
-            3,
-            est.samples,
-            1,
-            2,
-        );
-        assert_eq!(fixed, est);
-    }
-
-    #[test]
     fn one_pass_series_equals_per_t_estimates() {
         // The single sampling pass must reproduce each fixed-t estimate
         // bit-for-bit (the per-source word draw does not depend on t),
@@ -1788,11 +1401,11 @@ mod tests {
             let alpha = Assignment::from_group_sizes(&sizes).unwrap();
             for model in [Model::Blackboard, Model::message_passing_cyclic(alpha.n())] {
                 let series =
-                    monte_carlo_series_parallel(&model, &LeaderElection, &alpha, 5, 2_000, 13, 3);
+                    monte_carlo_bitsliced_series(&model, &LeaderElection, &alpha, 5, 2_000, 13, 3);
                 assert_eq!(series.len(), 5);
                 for (i, est) in series.iter().enumerate() {
                     let per_t =
-                        monte_carlo_parallel(&model, &LeaderElection, &alpha, i + 1, 2_000, 13, 2);
+                        monte_carlo_bitsliced(&model, &LeaderElection, &alpha, i + 1, 2_000, 13, 2);
                     assert_eq!(est, &per_t, "{model} {sizes:?} t={}", i + 1);
                 }
                 for w in series.windows(2) {
@@ -1800,21 +1413,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn adaptive_monte_carlo_respects_the_cap() {
-        // A sub-resolution target can never be met: the cap must stop the
-        // loop (hard sample cap, satellite of the adaptive design).
-        let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let cfg = AdaptiveConfig {
-            target_half_width: 1e-9,
-            max_samples: 3_000,
-            batch: 1_024,
-        };
-        let (est, _) =
-            monte_carlo_adaptive(&Model::Blackboard, &LeaderElection, &alpha, 2, &cfg, 5, 2);
-        assert_eq!(est.samples, cfg.max_samples, "cap reached exactly");
     }
 
     #[test]
@@ -1846,7 +1444,7 @@ mod tests {
         // t = 64 > MAX_BITS = 63: rejected up front with a clear message
         // instead of panicking deep inside BitString::sample mid-run.
         let alpha = Assignment::private(2);
-        let _ = monte_carlo_parallel(&Model::Blackboard, &LeaderElection, &alpha, 64, 10, 0, 1);
+        let _ = monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, 64, 10, 0, 1);
     }
 
     #[test]
@@ -1868,7 +1466,7 @@ mod tests {
         let alpha = Assignment::from_group_sizes(&[1, 7, 7, 7]).unwrap();
         let t = 32;
         assert!(alpha.k() * t > MAX_EXACT_BITS);
-        let est = monte_carlo_parallel(
+        let est = monte_carlo_bitsliced(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,

@@ -21,7 +21,7 @@
 //! enough to enumerate. [`solves_execution_reference`] preserves the
 //! pre-dense path (rebuild `output_complex`, scan `Simplex::value_of` by
 //! binary search) verbatim as the independent ground truth for the
-//! bit-identity tests and the `exp_perf_solv` benchmark.
+//! bit-identity tests.
 //!
 //! Checkers that run in a loop over realizations of one `(task, n)` pair
 //! should thread an [`OutputComplexCache`] through the `_with_cache`
@@ -113,8 +113,8 @@ pub fn solves_execution_with_cache<T: Task + ?Sized>(
 
 /// The pre-dense reference path, kept verbatim: rebuild the output
 /// complex and scan its facets with per-vertex binary-search lookups.
-/// Ground truth for the closed-form/dense paths' agreement tests and the
-/// `exp_perf_solv` before/after benchmark; not used by production callers.
+/// Ground truth for the closed-form/dense paths' agreement tests; not used
+/// by production callers.
 pub fn solves_execution_reference<T: Task + ?Sized>(exec: &Execution, task: &T) -> bool {
     let classes = exec.consistency_partition(exec.time());
     task.output_complex(exec.n())

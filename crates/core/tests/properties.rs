@@ -144,11 +144,11 @@ proptest! {
         prop_assert_eq!(wa, replay);
     }
 
-    /// The deterministic parallel estimator is bit-identical for every
-    /// thread count AND to an independently-written serial loop in stream
-    /// order whose verdicts come from the pre-kernel reference path — so
-    /// the property pins the sharding, the stream keying, and the kernel
-    /// verdicts at once.
+    /// The deterministic parallel estimator (the bit-sliced sampler) is
+    /// bit-identical for every thread count AND to an independently-written
+    /// serial loop in stream order whose verdicts come from the
+    /// leaf-by-leaf solvability path — so the property pins the sharding,
+    /// the stream keying, the lane layout, and the verdicts at once.
     #[test]
     fn monte_carlo_parallel_thread_invariance(
         seed in any::<u64>(),
@@ -174,7 +174,7 @@ proptest! {
             }
         }
         for threads in [1usize, 2, 3, 4, 8] {
-            let est = probability::monte_carlo_parallel(
+            let est = probability::monte_carlo_bitsliced(
                 &Model::Blackboard, &LeaderElection, &alpha, t, samples, seed, threads,
             );
             prop_assert_eq!(est.solved, solved, "threads={}", threads);
@@ -182,12 +182,12 @@ proptest! {
         }
     }
 
-    /// A rate-zero fault spec is bit-identical to the fault-free kernels
-    /// — scalar, bit-sliced, and bit-sliced series — for any thread
-    /// count. The fault plumbing constructs no RNG at rate zero and the
-    /// faulted steppers intern/track exactly the fault-free relation, so
-    /// this is structural, not coincidental; the property pins it for
-    /// random seeds, profiles, and horizons.
+    /// A rate-zero fault spec is bit-identical to the fault-free sampler
+    /// — point estimates and series — for any thread count. The fault
+    /// plumbing constructs no RNG at rate zero and the faulted stepper
+    /// tracks exactly the fault-free relation, so this is structural, not
+    /// coincidental; the property pins it for random seeds, profiles, and
+    /// horizons.
     #[test]
     fn rate_zero_faults_are_bit_identical_to_fault_free(
         seed in any::<u64>(),
@@ -199,9 +199,6 @@ proptest! {
         let spec = rsbt_sim::FaultSpec::none();
         let samples = 192usize;
         for model in [Model::Blackboard, Model::message_passing_cyclic(alpha.n())] {
-            let plain = probability::monte_carlo_parallel(
-                &model, &LeaderElection, &alpha, t, samples, seed, 1,
-            );
             let sliced = probability::monte_carlo_bitsliced(
                 &model, &LeaderElection, &alpha, t, samples, seed, 1,
             );
@@ -209,13 +206,6 @@ proptest! {
                 &model, &LeaderElection, &alpha, t, samples, seed, 1,
             );
             for threads in [1usize, 2, 3, 8] {
-                prop_assert_eq!(
-                    probability::monte_carlo_parallel_faulted(
-                        &model, &LeaderElection, &alpha, t, samples, seed, threads, &spec,
-                    ),
-                    plain,
-                    "scalar threads={}", threads
-                );
                 prop_assert_eq!(
                     probability::monte_carlo_bitsliced_faulted(
                         &model, &LeaderElection, &alpha, t, samples, seed, threads, &spec,
@@ -234,7 +224,7 @@ proptest! {
         }
     }
 
-    /// The faulted estimators are thread-count invariant at nonzero rates
+    /// The faulted estimator is thread-count invariant at nonzero rates
     /// too: per-sample schedules come from the salted per-sample
     /// substream, never from worker-local state.
     #[test]
@@ -247,25 +237,18 @@ proptest! {
         let alpha = Assignment::from_group_sizes(profiles[sizes_idx]).unwrap();
         let spec = rsbt_sim::FaultSpec::rates(0.1, 0.2);
         let samples = 192usize;
-        let reference = probability::monte_carlo_parallel_faulted(
+        let reference = probability::monte_carlo_bitsliced_faulted(
             &Model::Blackboard, &LeaderElection, &alpha, t, samples, seed, 1, &spec,
         );
-        for threads in [2usize, 3, 8] {
+        for threads in [2usize, 3, 4, 8] {
             prop_assert_eq!(
-                probability::monte_carlo_parallel_faulted(
+                probability::monte_carlo_bitsliced_faulted(
                     &Model::Blackboard, &LeaderElection, &alpha, t, samples, seed, threads, &spec,
                 ),
                 reference,
                 "threads={}", threads
             );
         }
-        prop_assert_eq!(
-            probability::monte_carlo_bitsliced_faulted(
-                &Model::Blackboard, &LeaderElection, &alpha, t, samples, seed, 4, &spec,
-            ),
-            reference,
-            "bitsliced"
-        );
     }
 
     /// Wilson intervals bracket the sample mean, stay inside [0, 1], and
@@ -285,24 +268,31 @@ proptest! {
     }
 }
 
-/// The acceptance-criterion regime of the `exp_perf_enum` benchmark,
-/// replayed under tier-1: a `k·t = 16` series point where the engine's
-/// one-pass traversal must reproduce the pre-engine leaf-by-leaf
-/// reference bit for bit (2^16 realizations, 8 rounds each on the old
-/// path).
+/// `k·t = 16` series points where the production exact path must
+/// reproduce the pre-engine leaf-by-leaf reference bit for bit (2^16
+/// realizations, 8 rounds each on the old path), for leader election and
+/// for the facet-heavier 2-LE and WSB.
 #[test]
 fn engine_matches_reference_at_sixteen_bits() {
-    let alpha = Assignment::from_group_sizes(&[1, 3]).unwrap();
-    let reference = probability::exact_series_reference(
-        &Model::Blackboard,
-        &LeaderElection,
-        &alpha,
-        8,
-        &mut KnowledgeArena::new(),
-    );
-    let engine = probability::exact_series(&Model::Blackboard, &LeaderElection, &alpha, 8);
-    assert_eq!(engine.len(), reference.len());
-    for (i, (p, q)) in engine.iter().zip(&reference).enumerate() {
-        assert_eq!(p.to_bits(), q.to_bits(), "t={}", i + 1);
+    let two_le = KLeaderElection::new(2);
+    let cases: [(&dyn rsbt_tasks::Task, &[usize]); 3] = [
+        (&LeaderElection, &[1, 3]),
+        (&two_le, &[2, 2]),
+        (&WeakSymmetryBreaking, &[2, 2]),
+    ];
+    for (task, sizes) in cases {
+        let alpha = Assignment::from_group_sizes(sizes).unwrap();
+        let reference = probability::exact_series_reference(
+            &Model::Blackboard,
+            task,
+            &alpha,
+            8,
+            &mut KnowledgeArena::new(),
+        );
+        let engine = probability::exact_series(&Model::Blackboard, task, &alpha, 8);
+        assert_eq!(engine.len(), reference.len());
+        for (i, (p, q)) in engine.iter().zip(&reference).enumerate() {
+            assert_eq!(p.to_bits(), q.to_bits(), "{} t={}", task.name(), i + 1);
+        }
     }
 }

@@ -8,7 +8,7 @@
 //!   ([`rsbt_sim::runner::run_nodes_with`]), single seeded run;
 //! * [`McBackend`] — protocol-level Monte-Carlo estimation: many
 //!   independent seeded runs over per-sample
-//!   [`StreamRng`](rand::rngs::StreamRng) streams, fanned out over the
+//!   [`StreamRng`] streams, fanned out over the
 //!   deterministic thread pool, summarized with Wilson intervals. The
 //!   estimate is invariant under the thread count;
 //! * [`SocketBackend`] — real processes: each node is its own OS process

@@ -81,7 +81,7 @@ pub trait BoardRole {
     }
 
     /// Bytes charged per message; see
-    /// [`Protocol::msg_bytes`](rsbt_sim::runner::Protocol::msg_bytes).
+    /// [`Protocol::msg_bytes`].
     fn msg_bytes(msg: &Self::Msg) -> usize {
         std::mem::size_of_val(msg)
     }

@@ -5,7 +5,7 @@
 //! onto a concrete [`Model`](rsbt_sim::Model) and system size. Projection
 //! validates the description (totality of roles per phase, action/model
 //! compatibility, participation discipline) and yields per-role
-//! [`LocalSpec`](global::LocalSpec)s that the typed machines in
+//! [`LocalSpec`]s that the typed machines in
 //! [`machine`] enforce at run time: a role that emits an action its
 //! projection does not allow panics with protocol/role/phase context
 //! instead of silently diverging from the paper.
@@ -13,13 +13,13 @@
 //! The same projected protocol then runs on any of three backends
 //! ([`backend`]):
 //!
-//! - [`SimBackend`](backend::SimBackend) — the in-process lockstep
+//! - [`SimBackend`] — the in-process lockstep
 //!   simulator ([`rsbt_sim::runner`]), bit-identical to the legacy
 //!   hand-rolled nodes under the same RNG stream;
-//! - [`McBackend`](backend::McBackend) — protocol-level Monte-Carlo
-//!   estimation with per-sample [`StreamRng`](rand::StreamRng) streams
+//! - [`McBackend`] — protocol-level Monte-Carlo
+//!   estimation with per-sample [`StreamRng`](rand::rngs::StreamRng) streams
 //!   and Wilson confidence intervals, thread-count invariant;
-//! - [`SocketBackend`](backend::SocketBackend) — real processes (or
+//! - [`SocketBackend`] — real processes (or
 //!   threads) over local TCP via [`rsbt_sim::net`], with a coordinator
 //!   distributing assignment bits and enforcing round barriers.
 //!

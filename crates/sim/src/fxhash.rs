@@ -1,7 +1,7 @@
 //! A small, vendored Fx-style hasher for the hot interning index.
 //!
-//! The arena's content-addressed index hashes every [`KnowledgeNode`]
-//! (`crate::KnowledgeNode`) on each intern; the standard library's SipHash
+//! The arena's content-addressed index hashes every
+//! [`KnowledgeNode`](crate::KnowledgeNode) on each intern; the standard library's SipHash
 //! is keyed and DoS-resistant but several times slower than needed for
 //! process-local, trusted keys. This module vendors the multiply-rotate
 //! hash popularized by the Firefox/rustc `FxHasher` — no dependency, no

@@ -66,7 +66,8 @@
 //!   `eq'[a,b] = eq[a,b] & !(b[a] ^ b[b]) & AND_p term(x, y)`.
 //!
 //! Both faulted rules remain exact, verified lane-by-lane against 64
-//! scalar [`Execution::run_with_faults`] runs in the tests.
+//! scalar [`Execution::run_with_faults`](crate::Execution::run_with_faults)
+//! runs in the tests.
 
 use rsbt_random::Assignment;
 
