@@ -6,8 +6,9 @@
 //!   rules over the scrubbed sources ([`lexer`]) — no std hash-map
 //!   iteration feeding results, no ambient RNG, no wall-clock reads
 //!   outside bench timing, count-width discipline in `rsbt-core`, an
-//!   `unwrap`/`expect` ratchet, mandatory crate-root attributes, and a
-//!   ratchet on the kernel's public entry points. Existing debt is pinned
+//!   `unwrap`/`expect` ratchet, mandatory crate-root attributes, a
+//!   ratchet on the kernel's public entry points, and a ban on protocol
+//!   nodes outside the choreography layer. Existing debt is pinned
 //!   by a committed ratchet baseline (`ANALYZE_BASELINE.json`); only
 //!   regressions fail.
 //!

@@ -1,6 +1,6 @@
 //! Layer 1: token-level determinism lints over the workspace sources.
 //!
-//! Seven rules, each with a stable ID, `file:line` findings, inline
+//! Eight rules, each with a stable ID, `file:line` findings, inline
 //! `// rsbt-analyze: allow(RULE)` escapes, and — for the three rules whose
 //! existing occurrences are audited rather than banned — a committed
 //! ratchet baseline (`ANALYZE_BASELINE.json`):
@@ -14,6 +14,7 @@
 //! | `RSBT-L005` | `.unwrap()`/`.expect(` in library crates: ratcheted, no new occurrences |
 //! | `RSBT-L006` | every crate root carries `#![forbid(unsafe_code)]` and `#![deny(deprecated)]` |
 //! | `RSBT-L007` | top-level `pub fn` entry points in the kernel entry-point files ([`ENTRY_POINT_FILES`]): ratcheted, so deleted entry points stay deleted |
+//! | `RSBT-L008` | `impl … Protocol for` in `crates/protocols/src` outside `choreo/`: the choreography is the only implementation of each protocol, so hand-rolled nodes stay deleted |
 //!
 //! Rules exempt `#[cfg(test)]` items and `tests/` trees; ratchet rules
 //! compare per-file counts against the committed baseline and fail only
@@ -175,6 +176,8 @@ pub fn run(files: &[SourceFile]) -> LintOutcome {
         let bench = rel.starts_with("crates/bench/");
         let core = rel.starts_with("crates/core/");
         let entry_points = ENTRY_POINT_FILES.contains(&rel);
+        let hand_rolled_zone = rel.starts_with("crates/protocols/src/")
+            && !rel.starts_with("crates/protocols/src/choreo/");
 
         rule_l006(rel, &file.scrubbed, &mut findings);
         if vendor {
@@ -240,6 +243,17 @@ pub fn run(files: &[SourceFile]) -> LintOutcome {
                             .to_string(),
                     );
                 }
+            }
+
+            // RSBT-L008: protocol nodes outside the choreography layer.
+            if hand_rolled_zone && implements_protocol(code) {
+                emit(
+                    "RSBT-L008",
+                    "`impl Protocol for` outside `choreo/`: write the protocol as a \
+                     choreography in `choreo/protocols.rs`, the one implementation of \
+                     each protocol"
+                        .to_string(),
+                );
             }
 
             // RSBT-L004: count-width discipline in rsbt-core.
@@ -321,6 +335,26 @@ fn rule_l006(rel: &str, scrubbed: &Scrubbed, findings: &mut Vec<Finding>) {
             ));
         }
     }
+}
+
+/// Whether a code line opens an `impl … Protocol for …` block: the trait
+/// named right before the `for` keyword is `Protocol` (bare or by path).
+/// A `Protocol` bound on a generic parameter does not count.
+fn implements_protocol(code: &str) -> bool {
+    if !code.trim_start().starts_with("impl") {
+        return false;
+    }
+    let mut from = 0;
+    while let Some(at) = lexer::find_ident(code, "for", from) {
+        from = at + 3;
+        let before = code[..at].trim_end();
+        if let Some(head) = before.strip_suffix("Protocol") {
+            if !head.ends_with(|c: char| c.is_alphanumeric() || c == '_') {
+                return true;
+            }
+        }
+    }
+    false
 }
 
 /// Counts `1u64 <<` / `1usize <<` narrow power-of-two constructions.
@@ -512,6 +546,37 @@ mod tests {
         assert_eq!(
             out.ratchet.get("RSBT-L007", "crates/core/src/eventual.rs"),
             0
+        );
+        assert_eq!(out.suppressed, 1);
+    }
+
+    #[test]
+    fn protocol_impls_outside_choreo_are_findings() {
+        let src = concat!(
+            "impl Protocol for Node {\n",
+            "impl<L: Protocol<Output = Role>> rsbt_sim::runner::Protocol for Via<L> {\n",
+            "impl<N: Protocol<Output = Role>> DualRole for Wrap<N> {\n",
+            "impl MyProtocol for Node {\n",
+            "// impl Protocol for Commented {\n",
+            "impl Protocol for Allowed {} // rsbt-analyze: allow(RSBT-L008)\n",
+            "#[cfg(test)]\nmod tests { impl Protocol for Mock {} }\n",
+        );
+        let out = run(&[
+            file("crates/protocols/src/legacy.rs", src),
+            file("crates/protocols/src/choreo/machine.rs", src),
+            file("crates/sim/src/runner.rs", src),
+        ]);
+        let hits: Vec<_> = out
+            .findings
+            .iter()
+            .map(|f| (f.rule, f.file.as_str(), f.line))
+            .collect();
+        assert_eq!(
+            hits,
+            vec![
+                ("RSBT-L008", "crates/protocols/src/legacy.rs", 1),
+                ("RSBT-L008", "crates/protocols/src/legacy.rs", 2),
+            ]
         );
         assert_eq!(out.suppressed, 1);
     }

@@ -13,9 +13,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsbt_bench::{fmt_p, run_experiment, Table};
 use rsbt_core::{bounds, eventual};
-use rsbt_protocols::{leader_count, BlackboardLeaderElection};
+use rsbt_protocols::choreo::{run_with, BleChoreo};
+use rsbt_protocols::leader_count;
 use rsbt_random::Assignment;
-use rsbt_sim::runner::run;
 use rsbt_sim::Model;
 
 /// Samples a device population: each of `n` devices draws a "key" from a
@@ -49,13 +49,8 @@ fn main() -> ExitCode {
                     let alpha = sample_population(n, pool, &mut rng);
                     if eventual::blackboard_eventually_solvable(&alpha) {
                         solvable += 1;
-                        let out = run(
-                            &Model::Blackboard,
-                            &alpha,
-                            256,
-                            BlackboardLeaderElection::new,
-                            &mut rng,
-                        );
+                        let out = run_with(&BleChoreo, &Model::Blackboard, &alpha, 256, &mut rng)
+                            .expect("blackboard election projects");
                         if out.completed && leader_count(&out.outputs) == 1 {
                             elected += 1;
                             rounds.push(out.rounds);

@@ -10,9 +10,10 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsbt_bench::{fmt_sizes, run_experiment, Table};
-use rsbt_protocols::{leader_count, EuclidLeaderElection};
+use rsbt_protocols::choreo::{run_with, EuclidChoreo};
+use rsbt_protocols::leader_count;
 use rsbt_random::Assignment;
-use rsbt_sim::runner::{run, RunStats};
+use rsbt_sim::runner::RunStats;
 use rsbt_sim::{Model, PortNumbering};
 
 fn trial(
@@ -30,13 +31,14 @@ fn trial(
     } else {
         PortNumbering::random(n, &mut rng)
     };
-    let out = run(
+    let out = run_with(
+        &EuclidChoreo { k },
         &Model::MessagePassing(ports),
         &alpha,
         cap,
-        || EuclidLeaderElection::new(k),
         &mut rng,
-    );
+    )
+    .expect("euclid election projects under message passing");
     (
         out.completed,
         leader_count(&out.outputs),

@@ -7,25 +7,15 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsbt_bench::{run_experiment, Table};
-use rsbt_protocols::matching::{CreateMatching, MatchStatus};
+use rsbt_protocols::choreo::{run_with, MatchStatus, MatchingChoreo};
 use rsbt_random::Assignment;
-use rsbt_sim::runner::{run_nodes, RunStats};
+use rsbt_sim::runner::RunStats;
 use rsbt_sim::{Model, PortNumbering};
 
 fn run_once(a: usize, b: usize, shared_sources: bool, seed: u64) -> (bool, usize, RunStats) {
     let n = a + b;
     let mut rng = StdRng::seed_from_u64(seed);
     let ports = PortNumbering::random(n, &mut rng);
-    let nodes: Vec<CreateMatching> = (0..n)
-        .map(|i| {
-            if i < a {
-                let b_ports = (a..n).map(|t| ports.port_towards(i, t)).collect();
-                CreateMatching::new_a(a, b_ports)
-            } else {
-                CreateMatching::new_b(a)
-            }
-        })
-        .collect();
     let alpha = if shared_sources {
         let mut sources = vec![0usize; a];
         sources.extend(std::iter::repeat_n(1, b));
@@ -33,7 +23,9 @@ fn run_once(a: usize, b: usize, shared_sources: bool, seed: u64) -> (bool, usize
     } else {
         Assignment::private(n)
     };
-    let out = run_nodes(&Model::MessagePassing(ports), &alpha, 5000, nodes, &mut rng);
+    let model = Model::MessagePassing(ports);
+    let out = run_with(&MatchingChoreo { a, b }, &model, &alpha, 5000, &mut rng)
+        .expect("matching projects under message passing");
     if !out.completed {
         return (false, out.rounds, out.stats);
     }

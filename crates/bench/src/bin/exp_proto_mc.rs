@@ -13,8 +13,7 @@
 //!   job: one worker and the CLI's worker count produce bit-identical
 //!   rows (per-sample `StreamRng` streams are keyed by `(seed, sample)`,
 //!   never by the executing thread);
-//! * **exact bracketing** — the equivalence + cross-validation suites
-//!   prove a projected election completes by round `t + 1` iff the task
+//! * **exact bracketing** — the cross-validation suite proves a projected election completes by round `t + 1` iff the task
 //!   is solvable at time `t`; here the *estimated* completion
 //!   probability must bracket `probability::exact` within its Wilson
 //!   interval at every exact-reachable point;

@@ -10,10 +10,11 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsbt_bench::{fmt_sizes, run_experiment, Table};
-use rsbt_protocols::consensus::{check_consensus, consensus_node};
-use rsbt_protocols::{BlackboardLeaderElection, EuclidLeaderElection};
+use rsbt_protocols::choreo::{
+    check_consensus, consensus_choreo, run_with, BleChoreo, EuclidChoreo,
+};
 use rsbt_random::Assignment;
-use rsbt_sim::runner::{run_nodes, RunStats};
+use rsbt_sim::runner::RunStats;
 use rsbt_sim::{Model, PortNumbering};
 
 fn main() -> ExitCode {
@@ -43,11 +44,9 @@ fn main() -> ExitCode {
                 for seed in 0..TRIALS {
                     let mut rng = StdRng::seed_from_u64(seed);
                     let inputs: Vec<u64> = (0..alpha.n()).map(|_| rng.gen_range(0..10)).collect();
-                    let nodes: Vec<_> = inputs
-                        .iter()
-                        .map(|&v| consensus_node(BlackboardLeaderElection::new(), v))
-                        .collect();
-                    let out = run_nodes(&Model::Blackboard, &alpha, 512, nodes, &mut rng);
+                    let choreo = consensus_choreo(BleChoreo, inputs.clone());
+                    let out = run_with(&choreo, &Model::Blackboard, &alpha, 512, &mut rng)
+                        .expect("consensus projects on the blackboard");
                     stats.posts += out.stats.posts;
                     stats.sends += out.stats.sends;
                     stats.max_msg_bytes = stats.max_msg_bytes.max(out.stats.max_msg_bytes);
@@ -80,12 +79,10 @@ fn main() -> ExitCode {
                     let mut rng = StdRng::seed_from_u64(seed + 1000);
                     let ports = PortNumbering::random(alpha.n(), &mut rng);
                     let inputs: Vec<u64> = (0..alpha.n()).map(|_| rng.gen_range(0..10)).collect();
-                    let nodes: Vec<_> = inputs
-                        .iter()
-                        .map(|&v| consensus_node(EuclidLeaderElection::new(k), v))
-                        .collect();
-                    let out =
-                        run_nodes(&Model::MessagePassing(ports), &alpha, 8000, nodes, &mut rng);
+                    let choreo = consensus_choreo(EuclidChoreo { k }, inputs.clone());
+                    let model = Model::MessagePassing(ports);
+                    let out = run_with(&choreo, &model, &alpha, 8000, &mut rng)
+                        .expect("consensus projects under message passing");
                     stats.posts += out.stats.posts;
                     stats.sends += out.stats.sends;
                     stats.max_msg_bytes = stats.max_msg_bytes.max(out.stats.max_msg_bytes);

@@ -24,7 +24,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use rand::rngs::{StdRng, StreamRng};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rsbt_core::probability::wilson_interval;
 use rsbt_random::Assignment;
 use rsbt_sim::net::{run_coordinator, run_coordinator_ft, run_node, FtConfig, NetError, Wire};
@@ -212,6 +212,42 @@ pub trait Backend {
         NodeOutput<C>: Wire + Send;
 }
 
+/// Projects `choreo` onto `model` and `alpha.n()` nodes, builds the
+/// nodes and runs them once on the caller's `rng`.
+///
+/// This is the one way to execute a choreography outside the backends:
+/// callers that draw port numberings or task inputs from the same RNG
+/// before the run pass it here, so the run continues that stream.
+///
+/// # Errors
+///
+/// [`ProjectionError`] when the description is invalid for the model or
+/// system size.
+pub fn run_with<C, R>(
+    choreo: &C,
+    model: &Model,
+    alpha: &Assignment,
+    max_rounds: usize,
+    rng: &mut R,
+) -> Result<RunOutcome<NodeOutput<C>>, ProjectionError>
+where
+    C: Choreography,
+    R: Rng + ?Sized,
+{
+    let projection = choreo.global().project(model, alpha.n())?;
+    let nodes: Vec<C::Node> = (0..alpha.n())
+        .map(|i| choreo.node(i, model, &projection))
+        .collect();
+    Ok(run_nodes_with(
+        model,
+        alpha,
+        max_rounds,
+        nodes,
+        rng,
+        projection.options(),
+    ))
+}
+
 /// Backend 1: the in-simulator lockstep runner. One seeded run.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct SimBackend;
@@ -228,19 +264,8 @@ impl SimBackend {
         choreo: &C,
         job: &RunJob<'_>,
     ) -> Result<RunOutcome<NodeOutput<C>>, ProjectionError> {
-        let projection = choreo.global().project(job.model, job.alpha.n())?;
-        let nodes: Vec<C::Node> = (0..job.alpha.n())
-            .map(|i| choreo.node(i, job.model, &projection))
-            .collect();
         let mut rng = StdRng::seed_from_u64(job.seed);
-        Ok(run_nodes_with(
-            job.model,
-            job.alpha,
-            job.max_rounds,
-            nodes,
-            &mut rng,
-            projection.options(),
-        ))
+        run_with(choreo, job.model, job.alpha, job.max_rounds, &mut rng)
     }
 }
 

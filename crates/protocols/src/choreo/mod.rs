@@ -14,8 +14,8 @@
 //! ([`backend`]):
 //!
 //! - [`SimBackend`] — the in-process lockstep
-//!   simulator ([`rsbt_sim::runner`]), bit-identical to the legacy
-//!   hand-rolled nodes under the same RNG stream;
+//!   simulator ([`rsbt_sim::runner`]), one seeded run; [`run_with`] is the
+//!   same run on a caller's RNG;
 //! - [`McBackend`] — protocol-level Monte-Carlo
 //!   estimation with per-sample [`StreamRng`](rand::rngs::StreamRng) streams
 //!   and Wilson confidence intervals, thread-count invariant;
@@ -23,7 +23,8 @@
 //!   threads) over local TCP via [`rsbt_sim::net`], with a coordinator
 //!   distributing assignment bits and enforcing round barriers.
 //!
-//! [`protocols`] ports all of the paper's protocols onto this layer.
+//! [`protocols`] holds all of the paper's protocols, written on this
+//! layer.
 
 pub mod backend;
 pub mod global;
@@ -31,8 +32,8 @@ pub mod machine;
 pub mod protocols;
 
 pub use backend::{
-    Backend, BackendError, BackendReport, Choreography, KillPlan, Launcher, McBackend, NodeMsg,
-    NodeOutput, ProtocolEstimate, RunJob, SimBackend, SocketBackend, SpawnFn,
+    run_with, Backend, BackendError, BackendReport, Choreography, KillPlan, Launcher, McBackend,
+    NodeMsg, NodeOutput, ProtocolEstimate, RunJob, SimBackend, SocketBackend, SpawnFn,
 };
 pub use global::{
     ActionKind, GlobalProtocol, LocalPhase, LocalSpec, ModelClass, Participation, PhaseExit,
@@ -43,7 +44,8 @@ pub use machine::{
     PortMachine, PortRole, View,
 };
 pub use protocols::{
-    consensus_choreo, consensus_shared_solver, registered_globals, BleChoreo, BleRole,
-    DeputyChoreo, DeputyElectRole, EuclidChoreo, EuclidRole, KLeaderChoreo, KLeaderRole,
-    MatchingChoreo, MatchingRole, ReductionChoreo, ReductionRole, SharedSolver, WsbChoreo, WsbRole,
+    check_consensus, consensus_choreo, consensus_shared_solver, registered_globals, BleChoreo,
+    BleRole, DeputyChoreo, DeputyElectRole, DeputyRole, EuclidChoreo, EuclidMsg, EuclidRole,
+    KLeaderChoreo, KLeaderRole, MatchMsg, MatchStatus, MatchingChoreo, MatchingRole,
+    ReductionChoreo, ReductionMsg, ReductionRole, SharedSolver, WsbChoreo, WsbRole,
 };

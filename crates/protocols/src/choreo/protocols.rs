@@ -1,18 +1,25 @@
 //! The paper's protocols as choreographies: global descriptions plus
 //! projected role implementations.
 //!
-//! Each protocol here is a port of the corresponding hand-rolled node in
-//! the crate root onto the choreography layer: the *logic* is identical
-//! round for round (the equivalence test suite pins bit-identical
-//! [`RunOutcome`](rsbt_sim::runner::RunOutcome)s under a shared RNG
-//! stream), but the send/receive discipline is now declared once in a
-//! [`GlobalProtocol`] and enforced by the projected machines instead of
-//! living implicitly in each `round()` body.
+//! This module is the only implementation of the paper's constructive
+//! results: the blackboard election of Theorem 4.1 ([`BleChoreo`]) and its
+//! k-leader, weak-symmetry-breaking and leader-and-deputy variants,
+//! Algorithm 1 ([`MatchingChoreo`]), the Euclid-style election of
+//! Theorem 4.2 ([`EuclidChoreo`]), and the Appendix C reduction
+//! ([`ReductionChoreo`], with consensus as its example). Each protocol
+//! declares its send/receive discipline once in a [`GlobalProtocol`], and
+//! the projected machines enforce it at run time. Run one on a caller's
+//! RNG with [`run_with`](super::run_with), or through a
+//! [`Backend`](super::Backend).
+//!
+//! All protocols draw their randomness through the run's
+//! [`Assignment`](rsbt_random::Assignment), so nodes sharing a source draw
+//! identical bits, the correlated regime the paper studies.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rsbt_sim::net::Wire;
+use rsbt_sim::net::{Wire, WireError};
 use rsbt_sim::runner::{BoardView, Incoming, Outgoing, PortsView, Protocol, RoundCtx};
 use rsbt_sim::Model;
 
@@ -25,10 +32,6 @@ use super::machine::{
     AnyAction, BoardAction, BoardMachine, BoardRole, DualMachine, DualRole, PortAction,
     PortMachine, PortRole, View,
 };
-use crate::deputy_bb::DeputyRole;
-use crate::euclid_le::EuclidMsg;
-use crate::matching::{MatchMsg, MatchStatus};
-use crate::reduction::ReductionMsg;
 use crate::role::Role;
 
 /// The shared single-role, single-phase, full-participation shape of the
@@ -50,11 +53,35 @@ fn board_election_global(name: &'static str) -> GlobalProtocol {
     }
 }
 
+/// The common multiset of the previous round's strings (the board plus
+/// this node's own) as equality classes in lexicographic order: each
+/// distinct string with its multiplicity. Every node computes the same
+/// classes, which is what lets the blackboard rules agree.
+fn board_classes<'a>(board: &'a [Vec<bool>], mine: &'a Vec<bool>) -> Vec<(&'a Vec<bool>, usize)> {
+    let mut all: Vec<&Vec<bool>> = board.iter().chain(std::iter::once(mine)).collect();
+    all.sort();
+    let mut classes: Vec<(&Vec<bool>, usize)> = Vec::new();
+    for s in all {
+        match classes.last_mut() {
+            Some((rep, count)) if *rep == s => *count += 1,
+            _ => classes.push((s, 1)),
+        }
+    }
+    classes
+}
+
 // ---------------------------------------------------------------------------
 // Blackboard leader election (Theorem 4.1)
 // ---------------------------------------------------------------------------
 
-/// Projected role of [`crate::BlackboardLeaderElection`].
+/// Projected role of [`BleChoreo`].
+///
+/// Every round, each node posts the bit string it has received from its
+/// randomness source so far. At the start of round `r + 1` every node sees
+/// the same multiset of `n` length-`r` strings (the `n − 1` board entries
+/// plus its own). As soon as some string is *unique* in that multiset, all
+/// nodes agree deterministically on the leader: the holder of the
+/// lexicographically smallest unique string. A lone node leads at once.
 #[derive(Clone, Debug, Default)]
 pub struct BleRole {
     history: Vec<bool>,
@@ -67,26 +94,11 @@ impl BoardRole for BleRole {
 
     fn step(&mut self, ctx: RoundCtx, board: BoardView<'_, Vec<bool>>) -> BoardAction<Vec<bool>> {
         if ctx.round > 1 {
-            let mine: Vec<bool> = self.history.clone();
-            let mut all: Vec<&Vec<bool>> = board.iter().collect();
-            all.push(&mine);
-            all.sort();
+            let classes = board_classes(&board, &self.history);
             // Lexicographically smallest string occurring exactly once.
-            let winner = all
-                .iter()
-                .enumerate()
-                .find(|(i, s)| {
-                    let prev_same = *i > 0 && all[i - 1] == **s;
-                    let next_same = *i + 1 < all.len() && all[i + 1] == **s;
-                    !prev_same && !next_same
-                })
-                .map(|(_, s)| (*s).clone());
-            if let Some(w) = winner {
-                self.decided = Some(if w == mine {
-                    Role::Leader
-                } else {
-                    Role::Follower
-                });
+            if let Some(&(winner, _)) = classes.iter().find(|&&(_, count)| count == 1) {
+                let leads = *winner == self.history;
+                self.decided = Some(if leads { Role::Leader } else { Role::Follower });
                 return BoardAction::Silent;
             }
         } else if ctx.n == 1 {
@@ -106,7 +118,31 @@ impl BoardRole for BleRole {
     }
 }
 
-/// Blackboard leader election as a choreography.
+/// Blackboard leader election (Theorem 4.1, 'if' direction) as a
+/// choreography; the node logic is [`BleRole`].
+///
+/// Under a configuration with a singleton source some string becomes
+/// unique with probability 1, so the election terminates; with no
+/// singleton source no string is ever unique and the protocol runs
+/// forever. That is exactly the dichotomy of Theorem 4.1.
+///
+/// # Example
+///
+/// ```
+/// use rand::SeedableRng;
+/// use rsbt_protocols::choreo::{run_with, BleChoreo};
+/// use rsbt_protocols::{leader_count, Role};
+/// use rsbt_random::Assignment;
+/// use rsbt_sim::Model;
+///
+/// let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+/// let out = run_with(&BleChoreo, &Model::Blackboard, &alpha, 64, &mut rng).unwrap();
+/// assert!(out.completed);
+/// assert_eq!(leader_count(&out.outputs), 1);
+/// // Nodes 1 and 2 share a source, so they always hold equal strings.
+/// assert_eq!(out.outputs[0], Some(Role::Leader));
+/// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BleChoreo;
 
@@ -130,7 +166,14 @@ impl Choreography for BleChoreo {
 // Blackboard k-leader election
 // ---------------------------------------------------------------------------
 
-/// Projected role of [`crate::KLeaderBlackboard`].
+/// Projected role of [`KLeaderChoreo`].
+///
+/// Generalizes [`BleRole`]. Every node posts its randomness string each
+/// round; all nodes see the same multiset of `n` strings and hence the
+/// same partition into equality classes. As soon as some sub-collection of
+/// classes has sizes summing to exactly `k`, everyone agrees on the
+/// lexicographically first such sub-collection, and its members are the
+/// leaders.
 #[derive(Clone, Debug)]
 pub struct KLeaderRole {
     k: usize,
@@ -149,6 +192,9 @@ impl KLeaderRole {
         }
     }
 
+    /// Finds the lexicographically first set of classes with sizes
+    /// summing to `k`. `sizes` lists the classes sorted by their string;
+    /// the result is the indices of the chosen classes.
     fn choose_classes(sizes: &[usize], k: usize) -> Option<Vec<usize>> {
         fn rec(sizes: &[usize], k: usize, from: usize, chosen: &mut Vec<usize>) -> bool {
             if k == 0 {
@@ -176,25 +222,12 @@ impl BoardRole for KLeaderRole {
 
     fn step(&mut self, ctx: RoundCtx, board: BoardView<'_, Vec<bool>>) -> BoardAction<Vec<bool>> {
         if ctx.round > 1 {
-            let mine = self.history.clone();
-            let mut all: Vec<&Vec<bool>> = board.iter().collect();
-            all.push(&mine);
-            all.sort();
-            let mut reps: Vec<&Vec<bool>> = Vec::new();
-            let mut sizes: Vec<usize> = Vec::new();
-            for s in &all {
-                match reps.last() {
-                    Some(last) if *last == *s => *sizes.last_mut().expect("non-empty") += 1,
-                    _ => {
-                        reps.push(s);
-                        sizes.push(1);
-                    }
-                }
-            }
+            let classes = board_classes(&board, &self.history);
+            let sizes: Vec<usize> = classes.iter().map(|&(_, count)| count).collect();
             if let Some(chosen) = KLeaderRole::choose_classes(&sizes, self.k) {
-                let my_class = reps
+                let my_class = classes
                     .iter()
-                    .position(|r| **r == mine)
+                    .position(|&(s, _)| *s == self.history)
                     .expect("own string present");
                 self.decided = Some(if chosen.contains(&my_class) {
                     Role::Leader
@@ -220,7 +253,31 @@ impl BoardRole for KLeaderRole {
     }
 }
 
-/// Blackboard exactly-`k`-leaders election as a choreography.
+/// Blackboard exactly-`k`-leaders election as a choreography; the node
+/// logic is [`KLeaderRole`].
+///
+/// This realizes the framework's characterization that `exp_two_leader`
+/// exercises: blackboard `k`-leader election is eventually solvable iff
+/// the group sizes admit a sub-multiset that sums to `k`. For `k = 2` that
+/// means a source of size 2 or two singleton sources.
+///
+/// # Example
+///
+/// ```
+/// use rand::SeedableRng;
+/// use rsbt_protocols::choreo::{run_with, KLeaderChoreo};
+/// use rsbt_protocols::leader_count;
+/// use rsbt_random::Assignment;
+/// use rsbt_sim::Model;
+///
+/// // Sizes [2, 2]: a whole pair can be elected as the 2 leaders.
+/// let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let choreo = KLeaderChoreo { k: 2 };
+/// let out = run_with(&choreo, &Model::Blackboard, &alpha, 128, &mut rng).unwrap();
+/// assert!(out.completed);
+/// assert_eq!(leader_count(&out.outputs), 2);
+/// ```
 #[derive(Clone, Copy, Debug)]
 pub struct KLeaderChoreo {
     /// Number of leaders to elect.
@@ -247,7 +304,13 @@ impl Choreography for KLeaderChoreo {
 // Blackboard weak symmetry breaking
 // ---------------------------------------------------------------------------
 
-/// Projected role of [`crate::WeakSymmetryBreakingBlackboard`].
+/// Projected role of [`WsbChoreo`]. Outputs a bit.
+///
+/// Every node posts its randomness string each round. As soon as at least
+/// two distinct strings exist, the nodes holding the lexicographically
+/// smallest string output `0` and everyone else outputs `1`: a
+/// deterministic rule on the common multiset, so outputs are consistent
+/// and never all equal.
 #[derive(Clone, Debug, Default)]
 pub struct WsbRole {
     history: Vec<bool>,
@@ -281,7 +344,29 @@ impl BoardRole for WsbRole {
     }
 }
 
-/// Blackboard weak symmetry breaking as a choreography.
+/// Blackboard weak symmetry breaking as a choreography; the node logic is
+/// [`WsbRole`].
+///
+/// This is the algorithmic counterpart of `exp_wsb`'s framework
+/// characterization: the task is eventually solvable iff `k ≥ 2` (two
+/// distinct sources), even with no singleton source.
+///
+/// # Example
+///
+/// ```
+/// use rand::SeedableRng;
+/// use rsbt_protocols::choreo::{run_with, WsbChoreo};
+/// use rsbt_random::Assignment;
+/// use rsbt_sim::Model;
+///
+/// // k = 2 suffices even with no singleton source.
+/// let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+/// let out = run_with(&WsbChoreo, &Model::Blackboard, &alpha, 64, &mut rng).unwrap();
+/// assert!(out.completed);
+/// let bits: Vec<u8> = out.outputs.iter().map(|o| o.unwrap()).collect();
+/// assert!(bits.contains(&0) && bits.contains(&1));
+/// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WsbChoreo;
 
@@ -305,7 +390,46 @@ impl Choreography for WsbChoreo {
 // Blackboard leader-and-deputy election
 // ---------------------------------------------------------------------------
 
-/// Projected role of [`crate::LeaderAndDeputyBlackboard`].
+/// Roles of the leader-and-deputy election.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum DeputyRole {
+    /// The elected leader.
+    Leader,
+    /// The deputy (immediate backup).
+    Deputy,
+    /// Everyone else.
+    Follower,
+}
+
+impl Wire for DeputyRole {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            DeputyRole::Leader => 0,
+            DeputyRole::Deputy => 1,
+            DeputyRole::Follower => 2,
+        });
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::decode(buf)? {
+            0 => Ok(DeputyRole::Leader),
+            1 => Ok(DeputyRole::Deputy),
+            2 => Ok(DeputyRole::Follower),
+            _ => Err(WireError::new("invalid DeputyRole tag")),
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        1
+    }
+}
+
+/// Projected role of [`DeputyChoreo`].
+///
+/// Keep posting randomness strings; decide once the common multiset
+/// contains **two distinct unique strings**. Their holders become leader
+/// (the smaller string) and deputy (the next unique string), and everyone
+/// else follows.
 #[derive(Clone, Debug, Default)]
 pub struct DeputyElectRole {
     history: Vec<bool>,
@@ -318,24 +442,16 @@ impl BoardRole for DeputyElectRole {
 
     fn step(&mut self, ctx: RoundCtx, board: BoardView<'_, Vec<bool>>) -> BoardAction<Vec<bool>> {
         if ctx.round > 1 {
-            let mine = self.history.clone();
-            let mut all: Vec<&Vec<bool>> = board.iter().collect();
-            all.push(&mine);
-            all.sort();
-            let uniques: Vec<&Vec<bool>> = all
+            let classes = board_classes(&board, &self.history);
+            let mut uniques = classes
                 .iter()
-                .enumerate()
-                .filter(|(i, s)| {
-                    let prev_same = *i > 0 && all[i - 1] == **s;
-                    let next_same = *i + 1 < all.len() && all[i + 1] == **s;
-                    !prev_same && !next_same
-                })
-                .map(|(_, s)| *s)
-                .collect();
-            if uniques.len() >= 2 {
-                self.decided = Some(if mine == *uniques[0] {
+                .filter(|&&(_, count)| count == 1)
+                .map(|&(s, _)| s);
+            if let (Some(leader), Some(deputy)) = (uniques.next(), uniques.next()) {
+                let mine = &self.history;
+                self.decided = Some(if leader == mine {
                     DeputyRole::Leader
-                } else if mine == *uniques[1] {
+                } else if deputy == mine {
                     DeputyRole::Deputy
                 } else {
                     DeputyRole::Follower
@@ -356,7 +472,30 @@ impl BoardRole for DeputyElectRole {
     }
 }
 
-/// Blackboard leader-and-deputy election as a choreography.
+/// Blackboard leader-and-deputy election (unconstrained roles) as a
+/// choreography; the node logic is [`DeputyElectRole`].
+///
+/// This is the algorithmic side of the paper's Section 5 future-work
+/// example. On a blackboard the equality classes are exactly the source
+/// groups merged by string collisions, so the task is eventually solvable
+/// iff **at least two sources are singletons**. That is a strictly
+/// stronger requirement than Theorem 4.1's single singleton.
+///
+/// # Example
+///
+/// ```
+/// use rand::SeedableRng;
+/// use rsbt_protocols::choreo::{run_with, DeputyChoreo, DeputyRole};
+/// use rsbt_random::Assignment;
+/// use rsbt_sim::Model;
+///
+/// let alpha = Assignment::from_group_sizes(&[1, 1, 2]).unwrap();
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+/// let out = run_with(&DeputyChoreo, &Model::Blackboard, &alpha, 128, &mut rng).unwrap();
+/// assert!(out.completed);
+/// let count = |r| out.outputs.iter().filter(|o| **o == Some(r)).count();
+/// assert_eq!((count(DeputyRole::Leader), count(DeputyRole::Deputy)), (1, 1));
+/// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeputyChoreo;
 
@@ -380,18 +519,90 @@ impl Choreography for DeputyChoreo {
 // Euclid leader election (Theorem 4.2)
 // ---------------------------------------------------------------------------
 
-/// Projected role of [`crate::EuclidLeaderElection`]: discovery phase
-/// (broadcast histories until `k` distinct strings freeze the groups),
-/// then the subtractive Euclid loop of matchings.
+/// Messages of the Euclid leader election.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum EuclidMsg {
+    /// Discovery phase: the sender's random string so far.
+    Hist(Vec<bool>),
+    /// Matching: `A → B` request.
+    Req,
+    /// Matching: `B → A` accept.
+    Ack,
+    /// Matching: matched `B`-node announcement.
+    AnnB,
+    /// Matching: matched `A`-node announcement.
+    AnnA,
+}
+
+impl Wire for EuclidMsg {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            EuclidMsg::Hist(h) => {
+                out.push(0);
+                h.encode(out);
+            }
+            EuclidMsg::Req => out.push(1),
+            EuclidMsg::Ack => out.push(2),
+            EuclidMsg::AnnB => out.push(3),
+            EuclidMsg::AnnA => out.push(4),
+        }
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::decode(buf)? {
+            0 => Ok(EuclidMsg::Hist(Vec::decode(buf)?)),
+            1 => Ok(EuclidMsg::Req),
+            2 => Ok(EuclidMsg::Ack),
+            3 => Ok(EuclidMsg::AnnB),
+            4 => Ok(EuclidMsg::AnnA),
+            _ => Err(WireError::new("invalid EuclidMsg tag")),
+        }
+    }
+}
+
+/// Uniform index in `0..m` by rejection sampling from a node's bit
+/// buffer. Returns `None` when the buffer cannot decide yet; a rejected
+/// draw still consumes its bits. Nodes sharing a source hold the same
+/// buffer and so draw the same index, by design.
+fn draw_index(bit_buffer: &mut Vec<bool>, m: usize) -> Option<usize> {
+    if m == 1 {
+        return Some(0);
+    }
+    let needed = usize::BITS as usize - (m - 1).leading_zeros() as usize;
+    if bit_buffer.len() < needed {
+        return None;
+    }
+    let v = bit_buffer
+        .drain(..needed)
+        .fold(0usize, |acc, b| acc << 1 | usize::from(b));
+    (v < m).then_some(v)
+}
+
+/// Projected role of [`EuclidChoreo`]. The protocol has two phases:
+///
+/// 1. **Discovery.** Every node broadcasts its accumulated random string
+///    each round. All nodes see the same multiset of `n` strings, so once
+///    `k` distinct strings appear (`k` = number of sources, common
+///    knowledge) everyone agrees on the partition into source groups, on
+///    each group's size, and on which local port leads into which group.
+/// 2. **Euclid loop.** Repeatedly pick the two smallest active groups
+///    `A, B` (`|A| ≤ |B|`, ties broken by group id), run Algorithm 1's
+///    matching ([`MatchingRole`]) between them, and deactivate the
+///    matched `B`-members. Group sizes evolve as
+///    `(|A|, |B|) → (|A|, |B| − |A|)`: the subtractive Euclid step.
 #[derive(Clone, Debug)]
 pub struct EuclidRole {
+    /// Number of randomness sources (common knowledge).
     k: usize,
     history: Vec<bool>,
     freeze_round: Option<usize>,
     my_group: usize,
+    /// Group of the node behind each port (valid after freeze).
     port_group: Vec<usize>,
+    /// Whether the node behind each port is still active.
     port_active: Vec<bool>,
     self_active: bool,
+    /// Active size of each group.
     sizes: Vec<usize>,
     pair: Option<(usize, usize)>,
     matched_self: bool,
@@ -421,6 +632,8 @@ impl EuclidRole {
         }
     }
 
+    /// Deterministic pair selection: the two smallest non-empty groups,
+    /// ties broken by group id. Returns `(A, B)` with `|A| ≤ |B|`.
     fn select_pair(&self) -> Option<(usize, usize)> {
         let mut live: Vec<usize> = (0..self.sizes.len())
             .filter(|&g| self.sizes[g] > 0)
@@ -432,10 +645,12 @@ impl EuclidRole {
         }
     }
 
+    /// The smallest group id of size exactly one, if any.
     fn winner_group(&self) -> Option<usize> {
         (0..self.sizes.len()).find(|&g| self.sizes[g] == 1)
     }
 
+    /// Concludes the election once a singleton group exists.
     fn try_decide(&mut self) -> bool {
         if let Some(g) = self.winner_group() {
             self.decided = Some(if self.self_active && self.my_group == g {
@@ -449,6 +664,8 @@ impl EuclidRole {
         }
     }
 
+    /// Starts the next matching iteration (or decides), after group sizes
+    /// changed.
     fn next_iteration(&mut self) -> bool {
         if self.try_decide() {
             return true;
@@ -459,21 +676,7 @@ impl EuclidRole {
         false
     }
 
-    fn draw_index(&mut self, m: usize) -> Option<usize> {
-        if m == 1 {
-            return Some(0);
-        }
-        let needed = usize::BITS as usize - (m - 1).leading_zeros() as usize;
-        if self.bit_buffer.len() < needed {
-            return None;
-        }
-        let bits: Vec<bool> = self.bit_buffer.drain(..needed).collect();
-        let v = bits
-            .iter()
-            .fold(0usize, |acc, &b| acc << 1 | usize::from(b));
-        (v < m).then_some(v)
-    }
-
+    /// Ports of this node leading to active members of group `g`.
     fn active_ports_of_group(&self, g: usize) -> Vec<usize> {
         self.port_group
             .iter()
@@ -539,6 +742,8 @@ impl EuclidRole {
             None => return PortAction::Silent, // stuck: gcd > 1 dead end
         };
         match (ctx.round - freeze - 1) % 3 {
+            // R1: count AnnA; close the iteration when A is exhausted;
+            // otherwise unmatched A-members request a random B-port.
             0 => {
                 self.matched_a_count += ports
                     .iter()
@@ -557,12 +762,13 @@ impl EuclidRole {
                 if self.self_active && self.my_group == ga && !self.matched_self {
                     let targets = self.active_ports_of_group(gb);
                     debug_assert!(!targets.is_empty(), "B side exhausted prematurely");
-                    if let Some(i) = self.draw_index(targets.len()) {
+                    if let Some(i) = draw_index(&mut self.bit_buffer, targets.len()) {
                         return PortAction::Send(vec![(targets[i], EuclidMsg::Req)]);
                     }
                 }
                 PortAction::Silent
             }
+            // R2: unmatched active B-members accept the minimal requester.
             1 => {
                 if self.self_active && self.my_group == gb && !self.matched_self {
                     let requesters: Vec<usize> = ports
@@ -573,7 +779,7 @@ impl EuclidRole {
                         .collect();
                     if let Some(&min_port) = requesters.first() {
                         self.matched_self = true;
-                        self.self_active = false;
+                        self.self_active = false; // deactivated for good
                         let mut out = vec![(min_port, EuclidMsg::Ack)];
                         for p in 1..ctx.n {
                             if p != min_port {
@@ -585,6 +791,8 @@ impl EuclidRole {
                 }
                 PortAction::Silent
             }
+            // R3: record deactivated B-members; acknowledged A-members
+            // announce their match.
             _ => {
                 let mut acked = false;
                 for (i, m) in ports.iter().enumerate() {
@@ -635,7 +843,37 @@ impl PortRole for EuclidRole {
     }
 }
 
-/// Euclid leader election as a choreography.
+/// Message-passing leader election by imitating Euclid's algorithm
+/// (Theorem 4.2, 'if' direction) as a choreography; the node logic is
+/// [`EuclidRole`].
+///
+/// The gcd of the active group sizes is invariant under the subtractive
+/// step, so when `gcd(n_1, …, n_k) = 1` a singleton group eventually
+/// appears, and its unique active member becomes the leader. When the gcd
+/// exceeds 1 the loop bottoms out at one group of gcd-many
+/// mutually-consistent nodes and never terminates, matching the
+/// impossibility direction. Nodes sharing a randomness source draw
+/// identical bits throughout, including during the matching's random port
+/// choices, and the protocol still works for *any* port numbering, which
+/// is exactly the content of Theorem 4.2.
+///
+/// # Example
+///
+/// ```
+/// use rand::SeedableRng;
+/// use rsbt_protocols::choreo::{run_with, EuclidChoreo};
+/// use rsbt_protocols::leader_count;
+/// use rsbt_random::Assignment;
+/// use rsbt_sim::{Model, PortNumbering};
+///
+/// // Group sizes [2, 3]: gcd 1, so election succeeds for any ports.
+/// let alpha = Assignment::from_group_sizes(&[2, 3]).unwrap();
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+/// let model = Model::MessagePassing(PortNumbering::random(5, &mut rng));
+/// let out = run_with(&EuclidChoreo { k: 2 }, &model, &alpha, 4000, &mut rng).unwrap();
+/// assert!(out.completed);
+/// assert_eq!(leader_count(&out.outputs), 1);
+/// ```
 #[derive(Clone, Copy, Debug)]
 pub struct EuclidChoreo {
     /// Number of randomness sources (common knowledge).
@@ -682,6 +920,79 @@ impl Choreography for EuclidChoreo {
 // CreateMatching (Algorithm 1)
 // ---------------------------------------------------------------------------
 
+/// Messages of the matching procedure.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum MatchMsg {
+    /// `A → B`: "match with me".
+    Req,
+    /// `B → A`: "accepted" (sent to exactly one requester).
+    Ack,
+    /// `B → all`: "I am matched, stop targeting me".
+    AnnB,
+    /// `A → all`: "I am matched" (progress counting).
+    AnnA,
+}
+
+impl Wire for MatchMsg {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            MatchMsg::Req => 0,
+            MatchMsg::Ack => 1,
+            MatchMsg::AnnB => 2,
+            MatchMsg::AnnA => 3,
+        });
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::decode(buf)? {
+            0 => Ok(MatchMsg::Req),
+            1 => Ok(MatchMsg::Ack),
+            2 => Ok(MatchMsg::AnnB),
+            3 => Ok(MatchMsg::AnnA),
+            _ => Err(WireError::new("invalid MatchMsg tag")),
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        1
+    }
+}
+
+/// Final status of a node after the matching completes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MatchStatus {
+    /// An `A`-node (always matched on termination) or a matched `B`-node.
+    Matched,
+    /// A `B`-node that no `A`-node claimed (`b − a` of them).
+    Unmatched,
+    /// A node outside both groups.
+    Bystander,
+}
+
+impl Wire for MatchStatus {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            MatchStatus::Matched => 0,
+            MatchStatus::Unmatched => 1,
+            MatchStatus::Bystander => 2,
+        });
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::decode(buf)? {
+            0 => Ok(MatchStatus::Matched),
+            1 => Ok(MatchStatus::Unmatched),
+            2 => Ok(MatchStatus::Bystander),
+            _ => Err(WireError::new("invalid MatchStatus tag")),
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        1
+    }
+}
+
+/// Which side of the matching a node is on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum MatchSide {
     A,
@@ -689,14 +1000,23 @@ enum MatchSide {
     Bystander,
 }
 
-/// Projected role of [`crate::matching::CreateMatching`]. The same state
-/// machine serves all three global roles; the projection assigns each
-/// node the local spec of its side.
+/// Projected role of [`MatchingChoreo`]. The same state machine serves
+/// all three global roles; the projection assigns each node the local
+/// spec of its side. Each iteration takes three rounds:
+///
+/// 1. every unmatched `A`-node picks a uniformly random *active* `B`-port
+///    and sends a request;
+/// 2. every `B`-node that received requests acknowledges the minimal
+///    requesting port and announces itself matched to everyone else;
+/// 3. acknowledged `A`-nodes announce themselves matched.
 #[derive(Clone, Debug)]
 pub struct MatchingRole {
     side: MatchSide,
+    /// |A|: how many `AnnA` announcements signal termination.
     a_total: usize,
+    /// For `A`-nodes: ports leading to currently-active `B`-nodes.
     active_b_ports: Vec<usize>,
+    /// Fresh random bits accumulated for target selection.
     bit_buffer: Vec<bool>,
     matched_self: bool,
     matched_count: usize,
@@ -704,63 +1024,42 @@ pub struct MatchingRole {
 }
 
 impl MatchingRole {
+    fn on_side(side: MatchSide, a_total: usize, active_b_ports: Vec<usize>) -> Self {
+        MatchingRole {
+            side,
+            a_total,
+            active_b_ports,
+            bit_buffer: Vec::new(),
+            matched_self: false,
+            matched_count: 0,
+            decided: None,
+        }
+    }
+
     /// An `A`-side node; `b_ports` are its ports into `B`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a_total == 0` or `b_ports.len() < a_total` (the procedure
+    /// requires `|A| ≤ |B|`).
     pub fn new_a(a_total: usize, b_ports: Vec<usize>) -> Self {
         assert!(a_total >= 1, "matching needs a non-empty A side");
         assert!(
             b_ports.len() >= a_total,
             "CreateMatching requires |A| ≤ |B|"
         );
-        MatchingRole {
-            side: MatchSide::A,
-            a_total,
-            active_b_ports: b_ports,
-            bit_buffer: Vec::new(),
-            matched_self: false,
-            matched_count: 0,
-            decided: None,
-        }
+        MatchingRole::on_side(MatchSide::A, a_total, b_ports)
     }
 
     /// A `B`-side node.
     pub fn new_b(a_total: usize) -> Self {
-        MatchingRole {
-            side: MatchSide::B,
-            a_total,
-            active_b_ports: Vec::new(),
-            bit_buffer: Vec::new(),
-            matched_self: false,
-            matched_count: 0,
-            decided: None,
-        }
+        MatchingRole::on_side(MatchSide::B, a_total, Vec::new())
     }
 
-    /// A node in neither group.
+    /// A node in neither group (it still observes announcements so that
+    /// every node terminates with a status).
     pub fn bystander(a_total: usize) -> Self {
-        MatchingRole {
-            side: MatchSide::Bystander,
-            a_total,
-            active_b_ports: Vec::new(),
-            bit_buffer: Vec::new(),
-            matched_self: false,
-            matched_count: 0,
-            decided: None,
-        }
-    }
-
-    fn draw_index(&mut self, m: usize) -> Option<usize> {
-        if m == 1 {
-            return Some(0);
-        }
-        let needed = usize::BITS as usize - (m - 1).leading_zeros() as usize;
-        if self.bit_buffer.len() < needed {
-            return None;
-        }
-        let bits: Vec<bool> = self.bit_buffer.drain(..needed).collect();
-        let v = bits
-            .iter()
-            .fold(0usize, |acc, &b| acc << 1 | usize::from(b));
-        (v < m).then_some(v)
+        MatchingRole::on_side(MatchSide::Bystander, a_total, Vec::new())
     }
 
     fn finish(&mut self) {
@@ -785,6 +1084,8 @@ impl PortRole for MatchingRole {
     fn step(&mut self, ctx: RoundCtx, ports: PortsView<'_, MatchMsg>) -> PortAction<MatchMsg> {
         self.bit_buffer.push(ctx.bit);
         match (ctx.round - 1) % 3 {
+            // R1: count AnnA from the previous block; unmatched A-nodes
+            // request a random active B-port.
             0 => {
                 self.matched_count += ports.iter().filter(|m| **m == Some(MatchMsg::AnnA)).count();
                 if self.matched_count >= self.a_total {
@@ -794,12 +1095,13 @@ impl PortRole for MatchingRole {
                 if self.side == MatchSide::A && !self.matched_self {
                     let m = self.active_b_ports.len();
                     debug_assert!(m > 0, "A-node ran out of active B targets");
-                    if let Some(i) = self.draw_index(m) {
+                    if let Some(i) = draw_index(&mut self.bit_buffer, m) {
                         return PortAction::Send(vec![(self.active_b_ports[i], MatchMsg::Req)]);
                     }
                 }
                 PortAction::Silent
             }
+            // R2: unmatched B-nodes accept the minimal requesting port.
             1 => {
                 if self.side == MatchSide::B && !self.matched_self {
                     let requesters: Vec<usize> = ports
@@ -821,6 +1123,7 @@ impl PortRole for MatchingRole {
                 }
                 PortAction::Silent
             }
+            // R3: process Ack/AnnB; acknowledged A-nodes announce.
             _ => {
                 let mut acked = false;
                 for (i, m) in ports.iter().enumerate() {
@@ -839,6 +1142,7 @@ impl PortRole for MatchingRole {
                     self.matched_self = true;
                     self.matched_count += 1;
                     if self.matched_count >= self.a_total {
+                        // Still announce so everyone else can finish.
                         self.finish();
                     }
                     return PortAction::Broadcast(MatchMsg::AnnA);
@@ -858,7 +1162,20 @@ impl PortRole for MatchingRole {
 }
 
 /// Algorithm 1 (`CreateMatching`) as a choreography: the first `a` nodes
-/// are side `A`, the next `b` are side `B`, the rest are bystanders.
+/// are side `A`, the next `b` are side `B`, the rest are bystanders. The
+/// node logic is [`MatchingRole`].
+///
+/// The procedure matches all of `A` into `B`. Each iteration matches at
+/// least one pair, so it terminates after at most `a` iterations
+/// (Lemma 4.8). Nodes whose group shares one randomness source draw
+/// *identical* random choices, yet the procedure still works because port
+/// numbers are local: the same random index points different nodes at
+/// different targets.
+///
+/// Group membership and the ports leading into `B` are fixed by the
+/// layout, mirroring the paper's premise that "this separation is already
+/// known to all the participating parties". [`EuclidRole`] derives that
+/// information on-line from the nodes' randomness instead.
 #[derive(Clone, Copy, Debug)]
 pub struct MatchingChoreo {
     /// Size of side `A` (`a ≤ b`).
@@ -927,16 +1244,64 @@ impl Choreography for MatchingChoreo {
 }
 
 // ---------------------------------------------------------------------------
-// Appendix C reduction (ViaLeader) and consensus
+// Appendix C reduction and consensus
 // ---------------------------------------------------------------------------
 
-/// The centralized solver of the reduction, shareable across threads (the
-/// Monte-Carlo backend builds nodes from worker threads, so unlike the
-/// legacy [`crate::reduction::TableSolver`] this one is `Send + Sync`).
+/// The centralized solver the leader applies to the multiset of inputs:
+/// maps the sorted input multiset to an input-value → output-value table.
+/// It is `Send + Sync` because the Monte-Carlo backend builds nodes from
+/// worker threads.
 pub type SharedSolver = Arc<dyn Fn(&[u64]) -> BTreeMap<u64, u64> + Send + Sync>;
 
-/// Projected role of [`crate::reduction::ViaLeader`]: run the inner
-/// election, publish inputs, leader publishes the table, decide.
+/// Messages of the reduction: inner election messages, then task phases.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum ReductionMsg<M> {
+    /// A message of the inner leader-election protocol.
+    Inner(M),
+    /// Phase 1: a node's input value.
+    Input(u64),
+    /// Phase 2: the leader's input → output table, as sorted pairs.
+    Table(Vec<(u64, u64)>),
+}
+
+impl<M: Wire> Wire for ReductionMsg<M> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            ReductionMsg::Inner(m) => {
+                out.push(0);
+                m.encode(out);
+            }
+            ReductionMsg::Input(v) => {
+                out.push(1);
+                v.encode(out);
+            }
+            ReductionMsg::Table(t) => {
+                out.push(2);
+                t.encode(out);
+            }
+        }
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::decode(buf)? {
+            0 => Ok(ReductionMsg::Inner(M::decode(buf)?)),
+            1 => Ok(ReductionMsg::Input(u64::decode(buf)?)),
+            2 => Ok(ReductionMsg::Table(Vec::decode(buf)?)),
+            _ => Err(WireError::new("invalid ReductionMsg tag")),
+        }
+    }
+}
+
+/// Projected role of [`ReductionChoreo`]: run the inner election, publish
+/// inputs, the leader publishes the table, decide.
+///
+/// The inner elections of this crate decide in the same round at every
+/// node, so the three task phases run in lockstep after it:
+///
+/// 1. every node publishes its input value;
+/// 2. the leader computes an input-value → output-value table from the
+///    input multiset (the centralized solve) and publishes it;
+/// 3. every node outputs the table entry for its own input.
 pub struct ReductionRole<N: Protocol<Output = Role>> {
     inner: N,
     input: u64,
@@ -1110,8 +1475,16 @@ where
     }
 }
 
-/// The Appendix C reduction as a choreography: any name-independent task
-/// over an inner leader-election choreography.
+/// The Appendix C reduction (Theorem C.1) as a choreography: any
+/// name-independent task over an inner leader-election choreography. The
+/// node logic is [`ReductionRole`].
+///
+/// A task `(I, O, Δ)` is *name-independent* when parties holding the same
+/// input value must produce the same output value. Publishing the *table*
+/// rather than per-node outputs keeps the reduction anonymous: nobody
+/// needs to address anybody. The construction is generic over the inner
+/// election, so it runs in both the blackboard and the message-passing
+/// model, and it stalls exactly when the inner election does.
 pub struct ReductionChoreo<C: Choreography>
 where
     C::Node: Protocol<Output = Role>,
@@ -1201,7 +1574,8 @@ where
 }
 
 /// The consensus solver as a [`SharedSolver`]: every input maps to the
-/// minimal input.
+/// minimal input (validity: the decision is someone's input; agreement:
+/// the table is constant).
 pub fn consensus_shared_solver() -> SharedSolver {
     Arc::new(|inputs: &[u64]| {
         let decision = *inputs.iter().min().expect("at least one input");
@@ -1210,6 +1584,12 @@ pub fn consensus_shared_solver() -> SharedSolver {
 }
 
 /// Consensus via the reduction over an inner election choreography.
+///
+/// Consensus (everyone outputs the same value, which must be some party's
+/// input) is name-independent: parties with equal inputs trivially agree.
+/// The paper notes (footnote 3) that consensus is deterministically
+/// solvable in the fault-free setting; here it serves as the canonical
+/// demonstration of Theorem C.1. Check a run with [`check_consensus`].
 pub fn consensus_choreo<C: Choreography>(inner: C, inputs: Vec<u64>) -> ReductionChoreo<C>
 where
     C::Node: Protocol<Output = Role>,
@@ -1220,6 +1600,31 @@ where
         inputs,
         consensus_shared_solver(),
     )
+}
+
+/// Checks the two consensus properties on a complete output vector and
+/// returns the decision.
+///
+/// # Errors
+///
+/// A description of the first violation:
+///
+/// * completeness — some node is undecided;
+/// * agreement — two nodes decided different values;
+/// * validity — the decision is not among the inputs.
+pub fn check_consensus(inputs: &[u64], outputs: &[Option<u64>]) -> Result<u64, String> {
+    let decided: Vec<u64> = outputs
+        .iter()
+        .map(|o| o.ok_or_else(|| "undecided node".to_string()))
+        .collect::<Result<_, _>>()?;
+    let first = decided[0];
+    if decided.iter().any(|&d| d != first) {
+        return Err(format!("agreement violated: {decided:?}"));
+    }
+    if !inputs.contains(&first) {
+        return Err(format!("validity violated: {first} not among inputs"));
+    }
+    Ok(first)
 }
 
 /// Every global protocol registered on the choreography layer, one entry
@@ -1280,6 +1685,71 @@ mod registry_tests {
             assert_eq!(r.name, d.name);
             assert_eq!(r.model, d.model);
             assert_eq!(r.phases.len(), d.phases.len());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rsbt_random::gcd;
+
+    use super::*;
+
+    #[test]
+    fn euclid_subtractive_sizes_keep_the_gcd_and_reach_a_singleton() {
+        // The pair-selection arithmetic alone, without a run.
+        let mut node = EuclidRole::new(3);
+        node.sizes = vec![4, 6, 9];
+        let g0 = gcd::gcd_many(&[4, 6, 9]);
+        while let Some((a, b)) = node.select_pair() {
+            assert!(node.sizes[a] <= node.sizes[b], "A is the smaller group");
+            if node.sizes[a] == 1 || node.sizes[b] == 1 {
+                break;
+            }
+            node.sizes[b] -= node.sizes[a];
+            let live: Vec<u64> = node
+                .sizes
+                .iter()
+                .filter(|&&s| s > 0)
+                .map(|&s| s as u64)
+                .collect();
+            assert_eq!(gcd::gcd_many(&live), g0, "gcd invariant");
+        }
+        assert_eq!(node.winner_group(), Some(2));
+    }
+
+    #[test]
+    fn draw_index_rejection_samples_and_consumes_rejected_bits() {
+        let mut buffer = Vec::new();
+        // m = 1 needs no bits.
+        assert_eq!(draw_index(&mut buffer, 1), Some(0));
+        // m = 3 needs 2 bits, and cannot decide on fewer.
+        buffer = vec![true];
+        assert_eq!(draw_index(&mut buffer, 3), None);
+        assert_eq!(buffer, [true], "an undecided draw keeps its bits");
+        // "11" = 3 is rejected, and its bits are spent.
+        buffer = vec![true, true];
+        assert_eq!(draw_index(&mut buffer, 3), None);
+        assert!(buffer.is_empty(), "rejected bits are consumed");
+        buffer = vec![true, false, true];
+        assert_eq!(draw_index(&mut buffer, 3), Some(2));
+        assert_eq!(buffer, [true]);
+    }
+
+    #[test]
+    fn k_leader_chooses_the_lexicographically_first_classes() {
+        for (sizes, k, want) in [
+            (&[1, 1, 3][..], 2, Some(vec![0, 1])),
+            (&[3, 2], 2, Some(vec![1])),
+            (&[3, 1], 2, None),
+            (&[2, 1, 1], 4, Some(vec![0, 1, 2])),
+            (&[], 1, None),
+        ] {
+            assert_eq!(
+                KLeaderRole::choose_classes(sizes, k),
+                want,
+                "{sizes:?} k={k}"
+            );
         }
     }
 }

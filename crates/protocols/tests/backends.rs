@@ -3,7 +3,7 @@
 //! * The socket backend (real TCP over loopback, thread-per-node) must
 //!   reproduce the simulator backend's outcome bit for bit on the same
 //!   seed — same outputs, rounds, and counters (`msg_bytes` is the wire
-//!   length for every ported protocol, so byte counters transfer).
+//!   length for every protocol, so byte counters transfer).
 //! * The Monte-Carlo backend must be invariant under the worker thread
 //!   count: per-sample RNG streams are keyed by `(seed, sample)`, never
 //!   by the executing thread.

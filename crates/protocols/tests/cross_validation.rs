@@ -10,7 +10,8 @@
 //!   realization's bits, completes within `t + 1` rounds **iff**
 //!   [`solvability::solves`] says leader election is solvable at time `t`
 //!   on that realization;
-//! * same for weak symmetry breaking;
+//! * same for weak symmetry breaking, exactly-2-leader election and
+//!   leader-and-deputy election;
 //! * the per-α completion counts therefore reproduce
 //!   [`probability::exact`] exactly (as a ratio of integers, not within a
 //!   tolerance).
@@ -18,16 +19,18 @@
 //! The `t + 1` horizon is the protocols' decision structure: decisions at
 //! round `t + 1` read the round-`t` board, and both "has a unique string"
 //! (leader election) and "has two distinct strings" (symmetry breaking)
-//! are monotone under extension, so earlier decisions never disagree with
-//! the time-`t` verdict.
+//! are monotone under extension, as are "some classes sum to `k`"
+//! (k-leader election) and "has two unique strings" (leader and deputy),
+//! so earlier decisions never disagree with the time-`t` verdict.
 
 use rand::RngCore;
 use rsbt_core::{probability, solvability};
-use rsbt_protocols::choreo::{BleChoreo, Choreography, WsbChoreo};
+use rsbt_protocols::choreo::{
+    run_with, BleChoreo, Choreography, DeputyChoreo, KLeaderChoreo, WsbChoreo,
+};
 use rsbt_random::{Assignment, Realization};
-use rsbt_sim::runner::{run_nodes_with, Protocol, RunOutcome};
 use rsbt_sim::{KnowledgeArena, Model};
-use rsbt_tasks::{LeaderElection, WeakSymmetryBreaking};
+use rsbt_tasks::{KLeaderElection, LeaderAndDeputy, LeaderElection, Task, WeakSymmetryBreaking};
 
 /// Replays one realization's bits in the runner's draw order (round-major,
 /// source-minor); zero bits afterwards (the final round's draws are dead:
@@ -54,43 +57,28 @@ impl RngCore for TapeRng {
     }
 }
 
-fn run_choreo_on_tape<C: Choreography>(
-    choreo: &C,
-    alpha: &Assignment,
-    t: usize,
-    index: u64,
-) -> RunOutcome<<C::Node as Protocol>::Output> {
-    let model = Model::Blackboard;
-    let projection = choreo
-        .global()
-        .project(&model, alpha.n())
-        .expect("blackboard protocols project");
-    let nodes: Vec<C::Node> = (0..alpha.n())
-        .map(|i| choreo.node(i, &model, &projection))
-        .collect();
-    let mut rng = TapeRng::from_tree_index(alpha.k(), t, index);
-    run_nodes_with(&model, alpha, t + 1, nodes, &mut rng, projection.options())
-}
-
 /// Shared sweep: for every profile and horizon, check the protocol's
-/// completion against per-realization solvability, and the completion
-/// count against the exact probability.
-fn cross_validate<C, T>(choreo: &C, task: &T, n_min: usize, what: &str)
+/// completion against per-realization solvability of `task(n)`, and the
+/// completion count against the exact probability.
+fn cross_validate<C, T>(choreo: &C, task: impl Fn(usize) -> T, n_min: usize, what: &str)
 where
     C: Choreography,
-    T: rsbt_tasks::Task + ?Sized,
+    T: Task,
 {
     let model = Model::Blackboard;
     let mut arena = KnowledgeArena::new();
     for n in n_min..=4usize {
+        let task = task(n);
         for alpha in Assignment::iter_profiles(n) {
             let k = alpha.k();
             for t in 1..=3usize {
                 let mut completed_runs = 0u64;
                 for (index, rho) in Realization::enumerate_consistent(&alpha, t).enumerate() {
                     let index = index as u64;
-                    let out = run_choreo_on_tape(choreo, &alpha, t, index);
-                    let solvable = solvability::solves(&model, &rho, task, &mut arena);
+                    let mut tape = TapeRng::from_tree_index(k, t, index);
+                    let out = run_with(choreo, &model, &alpha, t + 1, &mut tape)
+                        .expect("blackboard protocols project");
+                    let solvable = solvability::solves(&model, &rho, &task, &mut arena);
                     assert_eq!(
                         out.completed,
                         solvable,
@@ -104,7 +92,7 @@ where
                 }
                 let total = 1u64 << (k * t);
                 let p_protocol = completed_runs as f64 / total as f64;
-                let p_exact = probability::exact(&model, task, &alpha, t);
+                let p_exact = probability::exact(&model, &task, &alpha, t);
                 assert_eq!(
                     p_protocol,
                     p_exact,
@@ -119,12 +107,29 @@ where
 
 #[test]
 fn ble_agrees_with_solvability_kernel_and_exact_probability() {
-    cross_validate(&BleChoreo, &LeaderElection, 1, "ble");
+    cross_validate(&BleChoreo, |_| LeaderElection, 1, "ble");
 }
 
 #[test]
 fn wsb_agrees_with_solvability_kernel_and_exact_probability() {
     // The WSB task is undefined for n = 1 (a single node cannot break
     // symmetry with itself), so the sweep starts at n = 2.
-    cross_validate(&WsbChoreo, &WeakSymmetryBreaking, 2, "wsb");
+    cross_validate(&WsbChoreo, |_| WeakSymmetryBreaking, 2, "wsb");
+}
+
+#[test]
+fn k_leader_agrees_with_solvability_kernel_and_exact_probability() {
+    // Two leaders need at least two nodes.
+    cross_validate(
+        &KLeaderChoreo { k: 2 },
+        |_| KLeaderElection::new(2),
+        2,
+        "k-leader",
+    );
+}
+
+#[test]
+fn deputy_agrees_with_solvability_kernel_and_exact_probability() {
+    // A leader and a distinct deputy need at least two nodes.
+    cross_validate(&DeputyChoreo, LeaderAndDeputy::unconstrained, 2, "deputy");
 }

@@ -12,9 +12,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsbt::core::eventual;
-use rsbt::protocols::{leader_count, BlackboardLeaderElection};
+use rsbt::protocols::choreo::{run_with, BleChoreo};
+use rsbt::protocols::leader_count;
 use rsbt::random::Assignment;
-use rsbt::sim::{runner, Model};
+use rsbt::sim::Model;
 use rsbt_bench::Table;
 
 fn main() {
@@ -35,13 +36,8 @@ fn main() {
                 impossible += 1;
                 continue;
             }
-            let out = runner::run(
-                &Model::Blackboard,
-                &alpha,
-                256,
-                BlackboardLeaderElection::new,
-                &mut rng,
-            );
+            let out = run_with(&BleChoreo, &Model::Blackboard, &alpha, 256, &mut rng)
+                .expect("blackboard election projects");
             assert!(out.completed, "Theorem 4.1: a singleton source elects a.s.");
             assert_eq!(leader_count(&out.outputs), 1);
             ok += 1;

@@ -9,9 +9,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsbt::protocols::{leader_count, EuclidLeaderElection};
+use rsbt::protocols::choreo::{run_with, EuclidChoreo};
+use rsbt::protocols::leader_count;
 use rsbt::random::Assignment;
-use rsbt::sim::{runner, Model, PortNumbering};
+use rsbt::sim::{Model, PortNumbering};
 use rsbt_bench::{fmt_sizes, Table};
 
 fn demo(sizes: &[usize], adversarial: bool, rng: &mut StdRng, table: &mut Table) {
@@ -24,13 +25,14 @@ fn demo(sizes: &[usize], adversarial: bool, rng: &mut StdRng, table: &mut Table)
     } else {
         PortNumbering::random(n, rng)
     };
-    let out = runner::run(
+    let out = run_with(
+        &EuclidChoreo { k },
         &Model::MessagePassing(ports),
         &alpha,
         4000,
-        || EuclidLeaderElection::new(k),
         rng,
-    );
+    )
+    .expect("euclid election projects under message passing");
     let kind = if adversarial { "adversarial" } else { "random" };
     let outcome = if out.completed {
         format!(

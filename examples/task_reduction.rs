@@ -3,15 +3,15 @@
 //!
 //! Run with `cargo run --example task_reduction`.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsbt::protocols::consensus::{check_consensus, consensus_node};
-use rsbt::protocols::reduction::{TableSolver, ViaLeader};
-use rsbt::protocols::BlackboardLeaderElection;
+use rsbt::protocols::choreo::{
+    check_consensus, consensus_choreo, run_with, BleChoreo, ReductionChoreo, SharedSolver,
+};
 use rsbt::random::Assignment;
-use rsbt::sim::{runner, Model};
+use rsbt::sim::Model;
 use rsbt_bench::Table;
 
 fn main() {
@@ -21,11 +21,9 @@ fn main() {
 
     // --- consensus ---
     let inputs = [12u64, 7, 31, 7];
-    let nodes: Vec<_> = inputs
-        .iter()
-        .map(|&v| consensus_node(BlackboardLeaderElection::new(), v))
-        .collect();
-    let out = runner::run_nodes(&Model::Blackboard, &alpha, 512, nodes, &mut rng);
+    let choreo = consensus_choreo(BleChoreo, inputs.to_vec());
+    let out = run_with(&choreo, &Model::Blackboard, &alpha, 512, &mut rng)
+        .expect("consensus projects on the blackboard");
     let decision = check_consensus(&inputs, &out.outputs).expect("consensus holds");
     table.row(vec![
         "consensus(min)".into(),
@@ -36,7 +34,7 @@ fn main() {
 
     // --- a custom name-independent task: "am I holding a modal value?" ---
     // Output 1 iff your input is among the most frequent input values.
-    let solver: TableSolver = Rc::new(|inputs: &[u64]| {
+    let solver: SharedSolver = Arc::new(|inputs: &[u64]| {
         let mut counts = std::collections::BTreeMap::new();
         for &v in inputs {
             *counts.entry(v).or_insert(0usize) += 1;
@@ -48,11 +46,9 @@ fn main() {
             .collect()
     });
     let inputs = [5u64, 9, 5, 9];
-    let nodes: Vec<_> = inputs
-        .iter()
-        .map(|&v| ViaLeader::new(BlackboardLeaderElection::new(), v, solver.clone()))
-        .collect();
-    let out = runner::run_nodes(&Model::Blackboard, &alpha, 512, nodes, &mut rng);
+    let choreo = ReductionChoreo::new("modal-value", BleChoreo, inputs.to_vec(), solver);
+    let out = run_with(&choreo, &Model::Blackboard, &alpha, 512, &mut rng)
+        .expect("the reduction projects on the blackboard");
     table.row(vec![
         "modal-value".into(),
         format!("{inputs:?}"),

@@ -147,20 +147,15 @@ fn lemma_4_3_sweep() {
 fn protocol_agrees_with_framework_blackboard() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rsbt::protocols::{leader_count, BlackboardLeaderElection};
-    use rsbt::sim::runner;
+    use rsbt::protocols::choreo::{run_with, BleChoreo};
+    use rsbt::protocols::leader_count;
 
     let mut rng = StdRng::seed_from_u64(77);
     for n in 2..=5usize {
         for alpha in Assignment::iter_profiles(n) {
             let solvable = eventual::blackboard_eventually_solvable(&alpha);
-            let out = runner::run(
-                &Model::Blackboard,
-                &alpha,
-                256,
-                BlackboardLeaderElection::new,
-                &mut rng,
-            );
+            let out = run_with(&BleChoreo, &Model::Blackboard, &alpha, 256, &mut rng)
+                .expect("blackboard election projects");
             if solvable {
                 assert!(out.completed, "profile {:?}", alpha.group_sizes());
                 assert_eq!(leader_count(&out.outputs), 1);
@@ -177,8 +172,8 @@ fn protocol_agrees_with_framework_blackboard() {
 fn protocol_agrees_with_framework_message_passing() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rsbt::protocols::{leader_count, EuclidLeaderElection};
-    use rsbt::sim::runner;
+    use rsbt::protocols::choreo::{run_with, EuclidChoreo};
+    use rsbt::protocols::leader_count;
 
     let mut rng = StdRng::seed_from_u64(99);
     for sizes in [
@@ -192,13 +187,15 @@ fn protocol_agrees_with_framework_message_passing() {
         let n = alpha.n();
         let g = alpha.gcd_of_group_sizes();
         let ports = PortNumbering::adversarial(n, g as usize);
-        let out = runner::run(
+        let choreo = EuclidChoreo { k: sizes.len() };
+        let out = run_with(
+            &choreo,
             &Model::MessagePassing(ports),
             &alpha,
             6000,
-            || EuclidLeaderElection::new(sizes.len()),
             &mut rng,
-        );
+        )
+        .expect("euclid election projects under message passing");
         if eventual::message_passing_worst_case_solvable(&alpha) {
             assert!(out.completed, "sizes {sizes:?}");
             assert_eq!(leader_count(&out.outputs), 1, "sizes {sizes:?}");
