@@ -6,8 +6,7 @@
 //! framework yields: blackboard leader+deputy is eventually solvable ⟺
 //! **at least two sources are singletons** — strictly stronger than
 //! Theorem 4.1's single singleton. The `DeputyChoreo` protocol realizes
-//! the positive side; its report section keeps the historical title
-//! "protocol (LeaderAndDeputyBlackboard)" so the output bytes stay fixed.
+//! the positive side (report section "protocol (DeputyChoreo)").
 //! Constrained roles (only some nodes may lead) break output symmetry,
 //! which is exactly why the paper defers the general theory.
 
@@ -77,8 +76,7 @@ fn main() -> ExitCode {
                     format!("{mean:.1}"),
                 ]);
             }
-            rep.section("protocol (LeaderAndDeputyBlackboard)")
-                .table(proto);
+            rep.section("protocol (DeputyChoreo)").table(proto);
 
             // Constrained roles break symmetry — flagged, not silently
             // accepted.

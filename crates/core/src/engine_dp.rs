@@ -19,12 +19,15 @@
 //!   Bell(`k`) states — 203 for `k = 6`. Message passing and every
 //!   faulted run: the units are the `n` nodes, bounded by Bell(`n`).
 //! * **Transition** — for each of the `2^k` round digits, *meet* the
-//!   state with the digit's induced equality pattern, mirroring the
-//!   `LaneStepper` rules exactly (shared term lists via
-//!   [`rsbt_sim::lanes::aligned_terms`]): blackboard is a per-unit key
-//!   refinement, message passing evaluates the port-aligned pairwise rule
-//!   and relabels, and faulted runs thread the round's silence mask
-//!   through the faulted variants of both.
+//!   state with the digit's induced equality pattern. The rules are
+//!   [`rsbt_sim::LaneStepper`]'s, run on the stepper itself: a row loads
+//!   the state into every lane, steps 64 digits per word (faulted runs
+//!   pass the round's silence mask as constant per-node words), and reads
+//!   each lane's child back with [`rsbt_sim::LaneStepper::lane_labels`].
+//!   Every rule compares source bits and never reads their values, so
+//!   digit `d` and its complement `d ^ (2^k − 1)` reach the same child:
+//!   only the digits below `2^(k−1)` are stepped, and each child fills
+//!   both of its entries in the `2^k`-entry row.
 //! * **Weight** — each state carries the exact number of depth-`r` tree
 //!   nodes sitting in it, as a `u128`. All `2^{k·r}` nodes are accounted:
 //!   `frontier mass + solved mass = 2^{k·r}` at every depth (the dyadic
@@ -65,8 +68,7 @@
 //! tree engine, which also stays as the reference path.
 
 use rsbt_random::Assignment;
-use rsbt_sim::lanes::{self, pair_index};
-use rsbt_sim::{pool, FaultSchedule, FxHashMap, Model};
+use rsbt_sim::{pool, FaultSchedule, FxHashMap, LaneStepper, Model};
 use rsbt_tasks::Task;
 
 use crate::engine::{self, SolvabilityMemo, TaskKernel};
@@ -110,8 +112,9 @@ pub struct DpStats {
     /// Frontier expansions answered from the cached row table — the
     /// transposition-table hits.
     pub row_hits: u64,
-    /// State–digit edges walked (`frontier · 2^k` summed over rounds);
-    /// on the orbit path, weighted row entries walked.
+    /// State–digit edges walked (`frontier · 2^k` summed over rounds),
+    /// every digit counted although rows step only the digits below
+    /// `2^(k−1)`; on the orbit path, weighted row entries walked.
     pub transitions: u64,
     /// Verdict-memo hits inside the partition memo (states whose node
     /// partition repeated an earlier state's).
@@ -206,197 +209,69 @@ pub fn solved_series_faulted_with_stats<T: Task + ?Sized>(
     run(model, task, alpha, t_max, Some(faults), threads)
 }
 
-/// The transition structure of one quotient DP: everything immutable the
-/// per-digit child computation needs, separated from the mutable tables
-/// so row building can fan out over read-only borrows.
-struct Geometry {
+/// Lane words of the sources `s < 6` in a 64-digit chunk: lane `l` carries
+/// digit `base + l` with `base` a multiple of 64, so bit `l` of source
+/// `s`'s word is bit `s` of `l`. Sources `s ≥ 6` read bit `s` of `base`,
+/// the same in every lane.
+const LANE_DIGIT_BITS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The children of state `labels` under the round digits `d < 2^(k−1)`,
+/// in digit order, `units` labels each, written to `out`. `silence` is
+/// the round's silence mask on a faulted stepper and `None` on a
+/// fault-free one.
+///
+/// Each chunk of 64 digits is one lane step: `labels` goes into every
+/// lane, lane `l` reads digit `base + l`, and each lane's relation comes
+/// back as canonical labels. The digits `d ≥ 2^(k−1)` are left out: every
+/// step rule compares source bits and never reads their values, so `d`
+/// and its complement `d ^ (2^k − 1)` reach the same child.
+fn half_row(
+    stepper: &mut LaneStepper,
     k: usize,
-    /// Knowledge units: the `k` sources (fault-free blackboard) or the
-    /// `n` nodes (everything else).
-    units: usize,
-    /// The source feeding each unit's round bit.
-    unit_source: Vec<usize>,
-    /// Node `i`'s unit — the pullback for verdicts on source-unit states.
-    node_unit: Vec<usize>,
-    /// Whether verdicts must pull the state back from sources to nodes.
-    node_pullback: bool,
-    mp: bool,
-    faulted: bool,
-    /// Fault-free message-passing term lists ([`lanes::aligned_terms`]).
-    terms: Vec<u32>,
-    /// Faulted message-passing term lists
-    /// ([`lanes::aligned_fault_terms`]).
-    fault_terms: Vec<[u32; 3]>,
-    term_offsets: Vec<u32>,
-}
-
-impl Geometry {
-    fn new(model: &Model, alpha: &Assignment, faulted: bool) -> Self {
-        let n = alpha.n();
-        let k = alpha.k();
-        let node_source: Vec<usize> = (0..n).map(|i| alpha.source_of(i)).collect();
-        let (units, unit_source, node_unit, node_pullback) = match (model, faulted) {
-            (Model::Blackboard, false) => (k, (0..k).collect(), node_source.clone(), true),
-            _ => (n, node_source.clone(), (0..n).collect(), false),
+    labels: &[u8],
+    silence: Option<u64>,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    let mut lane = Vec::with_capacity(labels.len());
+    let half = 1u64 << (k - 1);
+    for base in (0..half).step_by(64) {
+        // `0u64.wrapping_sub(bit)` spreads a bit over a whole word.
+        let bits = |s: usize| match LANE_DIGIT_BITS.get(s) {
+            Some(&word) => word,
+            None => 0u64.wrapping_sub(base >> s & 1),
         };
-        let (mp, terms, fault_terms, term_offsets) = match model {
-            Model::Blackboard => (false, Vec::new(), Vec::new(), Vec::new()),
-            Model::MessagePassing(ports) => {
-                assert_eq!(
-                    ports.n(),
-                    n,
-                    "port numbering is for {} nodes, assignment for {n}",
-                    ports.n()
-                );
-                if faulted {
-                    let (ft, off) = lanes::aligned_fault_terms(ports);
-                    (true, Vec::new(), ft, off)
-                } else {
-                    let (t, off) = lanes::aligned_terms(ports);
-                    (true, t, Vec::new(), off)
-                }
-            }
-        };
-        Geometry {
-            k,
-            units,
-            unit_source,
-            node_unit,
-            node_pullback,
-            mp,
-            faulted,
-            terms,
-            fault_terms,
-            term_offsets,
+        stepper.load_relation(labels);
+        match silence {
+            None => stepper.step(bits),
+            Some(mask) => stepper.step_faulted(bits, |i| 0u64.wrapping_sub(mask >> i & 1)),
         }
-    }
-
-    /// Fills the packed previous-round pair-equality vector for a state
-    /// (message passing only; the blackboard meet needs no pair view).
-    fn fill_pair_eq(&self, labels: &[u8], pair_eq: &mut Vec<bool>) {
-        pair_eq.clear();
-        if !self.mp {
-            return;
-        }
-        for a in 0..self.units {
-            for b in a + 1..self.units {
-                pair_eq.push(labels[a] == labels[b]);
-            }
-        }
-    }
-
-    /// One transition: the canonical labels of the child state reached
-    /// from `labels` under round digit `digit` and silence mask `silence`
-    /// (0 when fault-free). `pair_eq` must be [`Geometry::fill_pair_eq`]
-    /// of `labels`; `new_eq`/`seen` are scratch. Mirrors the
-    /// [`rsbt_sim::LaneStepper`] update rules exactly — the shared ground
-    /// truth, cross-checked one state at a time by property test.
-    #[allow(clippy::too_many_arguments)]
-    fn child(
-        &self,
-        labels: &[u8],
-        pair_eq: &[bool],
-        digit: u64,
-        silence: u64,
-        new_eq: &mut Vec<bool>,
-        seen: &mut Vec<u32>,
-        out: &mut Vec<u8>,
-    ) {
-        out.clear();
-        let bit = |u: usize| digit >> self.unit_source[u] & 1;
-        if !self.mp {
-            // Blackboard meet: unit u's new class is keyed by its old
-            // class, its round bit, and (faulted) its silence status —
-            // `eq'[u,v] = eq[u,v] & !(b[u]^b[v]) & !(S[u]^S[v])`.
-            seen.clear();
-            for (u, &label) in labels.iter().enumerate() {
-                let key = label as u32 | (bit(u) as u32) << 8 | ((silence >> u & 1) as u32) << 9;
-                match seen.iter().position(|&s| s == key) {
-                    Some(c) => out.push(c as u8),
-                    None => {
-                        out.push(seen.len() as u8);
-                        seen.push(key);
-                    }
-                }
-            }
-            return;
-        }
-        // Message passing: evaluate the pairwise rule, then relabel.
-        new_eq.clear();
-        let mut p = 0;
-        for a in 0..self.units {
-            for b in a + 1..self.units {
-                let lo = self.term_offsets[p] as usize;
-                let hi = self.term_offsets[p + 1] as usize;
-                let w = if self.faulted {
-                    // `eq'[a,b] = eq[a,b] & !(b[a]^b[b]) & AND_p
-                    // (!(S[x]^S[y]) & (S[x] | eq[x,y]))` — the
-                    // own-previous conjunct is explicit under faults.
-                    let mut w = labels[a] == labels[b] && bit(a) == bit(b);
-                    if w {
-                        for &[q, x, y] in &self.fault_terms[lo..hi] {
-                            let (sx, sy) = (silence >> x & 1, silence >> y & 1);
-                            if sx != sy || (sx == 0 && !pair_eq[q as usize]) {
-                                w = false;
-                                break;
-                            }
-                        }
-                    }
-                    w
-                } else {
-                    // `eq'[a,b] = !(b[a]^b[b]) & AND_p eq[nbr(a,p),
-                    // nbr(b,p)]` — own-previous is implied by multiset
-                    // cancellation (see `rsbt_sim::lanes` docs).
-                    let mut w = bit(a) == bit(b);
-                    if w {
-                        for &q in &self.terms[lo..hi] {
-                            if !pair_eq[q as usize] {
-                                w = false;
-                                break;
-                            }
-                        }
-                    }
-                    w
-                };
-                new_eq.push(w);
-                p += 1;
-            }
-        }
-        // First-match relabel: knowledge equality is an equivalence on
-        // reachable states, so the first equal predecessor fixes the
-        // class (asserted in debug builds).
-        let mut next = 0u8;
-        for a in 0..self.units {
-            let mut assigned = None;
-            for b in 0..a {
-                if new_eq[pair_index(self.units, b, a)] {
-                    assigned = Some(out[b]);
-                    break;
-                }
-            }
-            match assigned {
-                Some(label) => {
-                    debug_assert!(
-                        (0..a)
-                            .filter(|&b| new_eq[pair_index(self.units, b, a)])
-                            .all(|b| out[b] == label),
-                        "transition relation is not an equivalence"
-                    );
-                    out.push(label);
-                }
-                None => {
-                    out.push(next);
-                    next += 1;
-                }
-            }
+        for l in 0..(half - base).min(64) {
+            stepper.lane_labels(l as usize, &mut lane);
+            out.extend_from_slice(&lane);
         }
     }
 }
 
 /// The mutable DP tables: interned states, verdicts, cached transition
-/// rows, and the shared solvability memo.
+/// rows, the shared solvability memo, and the lane stepper that computes
+/// every transition.
 struct Dp<'a, T: Task + ?Sized> {
-    geom: Geometry,
+    k: usize,
+    units: usize,
+    /// Fault-free blackboard only: node `i`'s source unit, through which
+    /// verdicts pull a source-unit state back to nodes.
+    node_unit: Option<Vec<usize>>,
+    /// The step rule: fault-free or faulted, over the same units as the
+    /// states.
+    stepper: LaneStepper,
     kernel: TaskKernel<'a, T>,
     memo: SolvabilityMemo,
     /// Interned states, by id (canonical first-occurrence labels).
@@ -404,15 +279,12 @@ struct Dp<'a, T: Task + ?Sized> {
     index: FxHashMap<Box<[u8]>, u32>,
     /// Verdict per state, computed once at intern time.
     verdicts: Vec<bool>,
-    /// Fault-free transition rows (`2^k` child ids), by state id.
+    /// Transition rows for silence mask 0 (`2^k` child ids), by state id.
     rows: Vec<Option<Box<[u32]>>>,
     /// Faulted transition rows, keyed by `(state, silence mask)`.
     fault_rows: FxHashMap<(u32, u64), Box<[u32]>>,
     // Scratch buffers (reused across transitions).
-    pair_eq: Vec<bool>,
-    new_eq: Vec<bool>,
-    seen: Vec<u32>,
-    out: Vec<u8>,
+    children: Vec<u8>,
     node_labels: Vec<u8>,
     remap: Vec<u8>,
     rows_built: u64,
@@ -420,7 +292,44 @@ struct Dp<'a, T: Task + ?Sized> {
     transitions: u64,
 }
 
-impl<T: Task + ?Sized> Dp<'_, T> {
+impl<'a, T: Task + ?Sized> Dp<'a, T> {
+    /// An empty DP for `model` under `alpha`. Fault-free blackboard states
+    /// are over the `k` sources; message passing and every faulted run are
+    /// over the `n` nodes.
+    fn new(model: &Model, alpha: &Assignment, kernel: TaskKernel<'a, T>, faulted: bool) -> Self {
+        let stepper = if faulted {
+            LaneStepper::new_faulted(model, alpha)
+        } else {
+            LaneStepper::new(model, alpha)
+        };
+        let units = stepper.units();
+        assert!(
+            units <= u8::MAX as usize,
+            "too many knowledge units for u8 labels"
+        );
+        let node_unit =
+            (model.is_blackboard() && !faulted).then(|| stepper.unit_of_node().to_vec());
+        Dp {
+            k: alpha.k(),
+            units,
+            node_unit,
+            stepper,
+            kernel,
+            memo: SolvabilityMemo::new(),
+            states: Vec::new(),
+            index: FxHashMap::default(),
+            verdicts: Vec::new(),
+            rows: Vec::new(),
+            fault_rows: FxHashMap::default(),
+            children: Vec::new(),
+            node_labels: Vec::new(),
+            remap: Vec::new(),
+            rows_built: 0,
+            row_hits: 0,
+            transitions: 0,
+        }
+    }
+
     /// Interns a state, computing its verdict on first sight: node-unit
     /// states ask [`SolvabilityMemo::solves_labels`] directly; source-unit
     /// states (fault-free blackboard) pull the partition back to nodes
@@ -434,12 +343,12 @@ impl<T: Task + ?Sized> Dp<'_, T> {
         self.index.insert(boxed.clone(), id);
         self.states.push(boxed);
         self.rows.push(None);
-        let verdict = if self.geom.node_pullback {
+        let verdict = if let Some(node_unit) = &self.node_unit {
             self.node_labels.clear();
             self.remap.clear();
-            self.remap.resize(self.geom.units, u8::MAX);
+            self.remap.resize(self.units, u8::MAX);
             let mut next = 0u8;
-            for &u in &self.geom.node_unit {
+            for &u in node_unit {
                 let class = labels[u] as usize;
                 if self.remap[class] == u8::MAX {
                     self.remap[class] = next;
@@ -456,48 +365,45 @@ impl<T: Task + ?Sized> Dp<'_, T> {
     }
 
     /// Expands one state under `silence`: child ids for all `2^k` digits,
-    /// in digit order, appended to `row`.
-    fn expand(&mut self, labels: &[u8], silence: u64, row: &mut Vec<u32>) {
+    /// in digit order, written to `row`.
+    fn expand(&mut self, labels: &[u8], silence: Option<u64>, row: &mut Vec<u32>) {
+        let mut children = std::mem::take(&mut self.children);
+        half_row(&mut self.stepper, self.k, labels, silence, &mut children);
+        self.intern_row(&children, row);
+        self.children = children;
+    }
+
+    /// Interns a [`half_row`] in digit order and writes the full `2^k`-entry
+    /// row: digit `d` and its complement share a child. Each child's first
+    /// occurrence in digit order is at some `d < 2^(k−1)`, so the state ids
+    /// are those of interning all `2^k` digits in order.
+    fn intern_row(&mut self, children: &[u8], row: &mut Vec<u32>) {
+        let mask = (1usize << self.k) - 1;
         row.clear();
-        let mut pair_eq = std::mem::take(&mut self.pair_eq);
-        let mut new_eq = std::mem::take(&mut self.new_eq);
-        let mut seen = std::mem::take(&mut self.seen);
-        let mut out = std::mem::take(&mut self.out);
-        self.geom.fill_pair_eq(labels, &mut pair_eq);
-        for digit in 0..1u64 << self.geom.k {
-            self.geom.child(
-                labels,
-                &pair_eq,
-                digit,
-                silence,
-                &mut new_eq,
-                &mut seen,
-                &mut out,
-            );
-            let child = self.intern(&out);
-            row.push(child);
+        row.resize(mask + 1, 0);
+        for (d, child) in children.chunks_exact(self.units).enumerate() {
+            let id = self.intern(child);
+            row[d] = id;
+            row[d ^ mask] = id;
         }
-        self.pair_eq = pair_eq;
-        self.new_eq = new_eq;
-        self.seen = seen;
-        self.out = out;
     }
 
     /// Ensures every frontier state has its transition row for `silence`,
-    /// fanning the missing child-label computations out to `threads`
-    /// workers when the frontier is large. Interning always happens
-    /// serially in `(frontier order × digit order)`, so state ids — and
-    /// therefore every downstream count — are identical for any thread
-    /// count.
-    fn build_rows(&mut self, frontier: &[(u32, u128)], silence: u64, threads: usize) {
+    /// fanning the missing rows' child labels out to `threads` workers
+    /// (one stepper clone each) when the frontier is large. Interning
+    /// always happens serially in `(frontier order × digit order)`, so
+    /// state ids — and therefore every downstream count — are identical
+    /// for any thread count.
+    fn build_rows(&mut self, frontier: &[(u32, u128)], silence: Option<u64>, threads: usize) {
+        let key = silence.unwrap_or(0);
         let missing: Vec<u32> = frontier
             .iter()
             .map(|&(sid, _)| sid)
             .filter(|&sid| {
-                if silence == 0 {
+                if key == 0 {
                     self.rows[sid as usize].is_none()
                 } else {
-                    !self.fault_rows.contains_key(&(sid, silence))
+                    !self.fault_rows.contains_key(&(sid, key))
                 }
             })
             .collect();
@@ -505,42 +411,36 @@ impl<T: Task + ?Sized> Dp<'_, T> {
             return;
         }
         self.rows_built += missing.len() as u64;
+        let mut row = Vec::new();
         if threads > 1 && missing.len() >= PAR_MIN_STATES {
-            let geom = &self.geom;
-            let states = &self.states;
-            let label_rows: Vec<Vec<Vec<u8>>> =
-                pool::map_with_arena(&missing, threads, |_, &sid| {
-                    let labels = &states[sid as usize];
-                    let mut pair_eq = Vec::new();
-                    let mut new_eq = Vec::new();
-                    let mut seen = Vec::new();
-                    let mut out = Vec::new();
-                    geom.fill_pair_eq(labels, &mut pair_eq);
-                    (0..1u64 << geom.k)
-                        .map(|digit| {
-                            geom.child(
-                                labels,
-                                &pair_eq,
-                                digit,
-                                silence,
-                                &mut new_eq,
-                                &mut seen,
-                                &mut out,
-                            );
-                            out.clone()
-                        })
-                        .collect()
-                });
-            for (child_labels, &sid) in label_rows.iter().zip(&missing) {
-                let row: Box<[u32]> = child_labels.iter().map(|l| self.intern(l)).collect();
-                self.store_row(sid, silence, row);
+            let (stepper, states, k) = (&self.stepper, &self.states, self.k);
+            let shards: Vec<&[u32]> = missing.chunks(missing.len().div_ceil(threads)).collect();
+            let halves: Vec<Vec<Vec<u8>>> = pool::map_with_arena(&shards, threads, |_, shard| {
+                let mut stepper = stepper.clone();
+                shard
+                    .iter()
+                    .map(|&sid| {
+                        let mut children = Vec::new();
+                        half_row(
+                            &mut stepper,
+                            k,
+                            &states[sid as usize],
+                            silence,
+                            &mut children,
+                        );
+                        children
+                    })
+                    .collect()
+            });
+            for (children, &sid) in halves.iter().flatten().zip(&missing) {
+                self.intern_row(children, &mut row);
+                self.store_row(sid, key, row.as_slice().into());
             }
         } else {
-            let mut row = Vec::with_capacity(1usize << self.geom.k);
             for &sid in &missing {
                 let labels = self.states[sid as usize].clone();
                 self.expand(&labels, silence, &mut row);
-                self.store_row(sid, silence, row.clone().into_boxed_slice());
+                self.store_row(sid, key, row.as_slice().into());
             }
         }
     }
@@ -665,31 +565,8 @@ fn run_labeled<T: Task + ?Sized>(
 ) -> (Vec<u128>, DpStats) {
     let k = alpha.k();
     let n = alpha.n();
-    let geom = Geometry::new(model, alpha, faults.is_some());
-    assert!(
-        geom.units <= u8::MAX as usize,
-        "too many knowledge units for u8 labels"
-    );
-    let units = geom.units;
-    let mut dp = Dp {
-        geom,
-        kernel,
-        memo: SolvabilityMemo::new(),
-        states: Vec::new(),
-        index: FxHashMap::default(),
-        verdicts: Vec::new(),
-        rows: Vec::new(),
-        fault_rows: FxHashMap::default(),
-        pair_eq: Vec::new(),
-        new_eq: Vec::new(),
-        seen: Vec::new(),
-        out: Vec::new(),
-        node_labels: Vec::new(),
-        remap: Vec::new(),
-        rows_built: 0,
-        row_hits: 0,
-        transitions: 0,
-    };
+    let mut dp = Dp::new(model, alpha, kernel, faults.is_some());
+    let units = dp.units;
     let root = vec![0u8; units];
     let root_id = dp.intern(&root);
     if dp.verdicts[root_id as usize] {
@@ -704,7 +581,7 @@ fn run_labeled<T: Task + ?Sized>(
     let mut frontier_max = 1usize;
     let mut solved: u128 = 0;
     for r in 1..=t_max {
-        let silence = faults.map_or(0, |f| silence_mask(f, n, r));
+        let silence = faults.map(|f| silence_mask(f, n, r));
         let mut next: FxHashMap<u32, u128> = FxHashMap::default();
         let mut newly: u128 = 0;
         if cache_rows {
@@ -712,10 +589,9 @@ fn run_labeled<T: Task + ?Sized>(
             dp.build_rows(&frontier, silence, threads);
             dp.row_hits += frontier.len() as u64 - (dp.rows_built - before);
             for &(sid, cnt) in &frontier {
-                let row: &[u32] = if silence == 0 {
-                    dp.rows[sid as usize].as_deref().expect("row built above")
-                } else {
-                    &dp.fault_rows[&(sid, silence)]
+                let row: &[u32] = match silence {
+                    Some(mask) if mask != 0 => &dp.fault_rows[&(sid, mask)],
+                    _ => dp.rows[sid as usize].as_deref().expect("row built above"),
                 };
                 for &child in row {
                     if dp.verdicts[child as usize] {
@@ -729,7 +605,7 @@ fn run_labeled<T: Task + ?Sized>(
             // Streaming mode for very wide digit fan-outs: expand each
             // frontier state into a scratch row instead of caching
             // `2^k`-entry rows per state.
-            let mut row = Vec::with_capacity(1usize << k);
+            let mut row = Vec::new();
             for &(sid, cnt) in &frontier {
                 let labels = dp.states[sid as usize].clone();
                 dp.expand(&labels, silence, &mut row);
@@ -763,7 +639,8 @@ fn run_labeled<T: Task + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsbt_sim::{KnowledgeArena, LaneStepper};
+    use rsbt_sim::lanes::pair_index;
+    use rsbt_sim::KnowledgeArena;
     use rsbt_tasks::{
         KLeaderElection, LeaderAndDeputy, LeaderElection, Task, WeakSymmetryBreaking,
     };
@@ -859,91 +736,74 @@ mod tests {
 
     #[test]
     fn transitions_match_lane_stepper_from_every_reachable_state() {
-        // The equality-relation rule is the shared ground truth: seed a
-        // LaneStepper with each reachable DP state via `load_relation`,
-        // step one round (each lane one digit), and require the lane
-        // relation to equal the DP child's labels — for both models,
-        // fault-free and faulted.
+        // Rows come from the lane stepper, 64 digits per step, each lane
+        // read back by `lane_labels`, and only the digits below 2^(k−1)
+        // are stepped. This guards that extraction and the complement
+        // shortcut: from every reachable state, under every silence mask,
+        // each row entry's labels must induce exactly the pair bits of an
+        // independent stepper whose lane d took digit d, and digits d and
+        // d ^ (2^k − 1) must share a child — both models, fault-free and
+        // faulted.
         let alpha = Assignment::from_group_sizes(&[1, 1, 2]).unwrap();
-        let n = alpha.n();
         let k = alpha.k();
-        for model in models_for(n) {
+        let mask = (1usize << k) - 1;
+        // Source s's word: bit d = digit d's bit for s.
+        let words: Vec<u64> = (0..k)
+            .map(|s| (0..1u64 << k).fold(0u64, |w, d| w | (d >> s & 1) << d))
+            .collect();
+        for model in models_for(alpha.n()) {
             for faulted in [false, true] {
-                let geom = Geometry::new(&model, &alpha, faulted);
-                // Collect the reachable states by breadth-first expansion.
-                let mut states: Vec<Vec<u8>> = vec![vec![0u8; geom.units]];
-                let mut seen_states = states.clone();
-                let silences: Vec<u64> = if faulted {
-                    vec![0, 0b0101, 0b1000]
+                let kernel = TaskKernel::closed_form_only(&LeaderElection);
+                let mut dp = Dp::new(&model, &alpha, kernel, faulted);
+                let (mut lanes, silences) = if faulted {
+                    let silences = vec![Some(0), Some(0b0101), Some(0b1000)];
+                    (LaneStepper::new_faulted(&model, &alpha), silences)
                 } else {
-                    vec![0]
+                    (LaneStepper::new(&model, &alpha), vec![None])
                 };
-                let (mut pair_eq, mut new_eq, mut seen, mut out) =
-                    (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-                for _round in 0..3 {
-                    let mut next_states = Vec::new();
-                    for labels in &states {
-                        geom.fill_pair_eq(labels, &mut pair_eq);
-                        for &silence in &silences {
-                            // Lane check: lane d carries digit d.
-                            let mut stepper = if faulted {
-                                LaneStepper::new_faulted(&model, &alpha)
-                            } else {
-                                LaneStepper::new(&model, &alpha)
-                            };
-                            stepper.load_relation(labels);
-                            // Source s's word: bit d = digit d's bit for s.
-                            let words: Vec<u64> = (0..k)
-                                .map(|s| (0..1u64 << k).fold(0u64, |w, d| w | (d >> s & 1) << d))
-                                .collect();
-                            if faulted {
-                                let sil = |u: usize| {
-                                    if silence >> u & 1 == 1 {
+                dp.intern(&vec![0u8; dp.units]);
+                let mut row = Vec::new();
+                // Expanding in id order reaches every reachable state.
+                let mut sid = 0;
+                while sid < dp.states.len() {
+                    let labels = dp.states[sid].clone();
+                    for &silence in &silences {
+                        dp.expand(&labels, silence, &mut row);
+                        assert_eq!(row.len(), mask + 1);
+                        lanes.load_relation(&labels);
+                        match silence {
+                            None => lanes.step(|s| words[s]),
+                            Some(m) => lanes.step_faulted(
+                                |s| words[s],
+                                |u| {
+                                    if m >> u & 1 == 1 {
                                         u64::MAX
                                     } else {
                                         0
                                     }
-                                };
-                                stepper.step_faulted(|s| words[s], sil);
-                            } else {
-                                stepper.step(|s| words[s]);
-                            }
-                            for digit in 0..1u64 << k {
-                                geom.child(
-                                    labels,
-                                    &pair_eq,
-                                    digit,
-                                    silence,
-                                    &mut new_eq,
-                                    &mut seen,
-                                    &mut out,
-                                );
-                                // Compare pairwise relations.
-                                for a in 0..geom.units {
-                                    for b in a + 1..geom.units {
-                                        let lane = stepper.eq_words()
-                                            [lanes::pair_index(geom.units, a, b)]
-                                            >> digit
-                                            & 1
+                                },
+                            ),
+                        }
+                        for (digit, &child) in row.iter().enumerate() {
+                            let context = format!(
+                                "{model} faulted={faulted} state={labels:?} \
+                                 silence={silence:?} digit={digit}"
+                            );
+                            assert_eq!(child, row[digit ^ mask], "complement: {context}");
+                            let out = &dp.states[child as usize];
+                            for a in 0..dp.units {
+                                for b in a + 1..dp.units {
+                                    let lane =
+                                        lanes.eq_words()[pair_index(dp.units, a, b)] >> digit & 1
                                             == 1;
-                                        let dp = out[a] == out[b];
-                                        assert_eq!(
-                                            dp, lane,
-                                            "{model} faulted={faulted} state={labels:?} \
-                                             silence={silence:#b} digit={digit} pair=({a},{b})"
-                                        );
-                                    }
-                                }
-                                if !seen_states.contains(&out) {
-                                    seen_states.push(out.clone());
-                                    next_states.push(out.clone());
+                                    assert_eq!(out[a] == out[b], lane, "{context} pair=({a},{b})");
                                 }
                             }
                         }
                     }
-                    states = next_states;
+                    sid += 1;
                 }
-                assert!(seen_states.len() > 1, "{model} explored no states");
+                assert!(dp.states.len() > 1, "{model} explored no states");
             }
         }
     }
@@ -959,29 +819,9 @@ mod tests {
         for model in models_for(3) {
             let absorbing = solved_series(&model, &LeaderElection, &alpha, t_max);
             // Reference: expand *every* state, verdict each child.
-            let geom = Geometry::new(&model, &alpha, false);
             let kernel = TaskKernel::closed_form_only(&LeaderElection);
-            let mut memo = SolvabilityMemo::new();
-            let mut dp = Dp {
-                geom,
-                kernel,
-                memo: SolvabilityMemo::new(),
-                states: Vec::new(),
-                index: FxHashMap::default(),
-                verdicts: Vec::new(),
-                rows: Vec::new(),
-                fault_rows: FxHashMap::default(),
-                pair_eq: Vec::new(),
-                new_eq: Vec::new(),
-                seen: Vec::new(),
-                out: Vec::new(),
-                node_labels: Vec::new(),
-                remap: Vec::new(),
-                rows_built: 0,
-                row_hits: 0,
-                transitions: 0,
-            };
-            let root = dp.intern(&vec![0u8; dp.geom.units]);
+            let mut dp = Dp::new(&model, &alpha, kernel, false);
+            let root = dp.intern(&vec![0u8; dp.units]);
             let mut weights: FxHashMap<u32, u128> = FxHashMap::default();
             weights.insert(root, 1);
             let mut row = Vec::new();
@@ -992,7 +832,7 @@ mod tests {
                 for sid in ids {
                     let cnt = weights[&sid];
                     let labels = dp.states[sid as usize].clone();
-                    dp.expand(&labels, 0, &mut row);
+                    dp.expand(&labels, None, &mut row);
                     for &child in &row {
                         *next.entry(child).or_insert(0) += cnt;
                     }
@@ -1005,10 +845,45 @@ mod tests {
                     .sum();
                 assert_eq!(solved, absorbing[t - 1], "{model} t={t}");
             }
-            // The reference used fresh verdicts per state, like the
-            // absorbing run; sanity-check the memo actually engaged.
-            let _ = &mut memo;
             assert!(dp.states.len() > 1, "{model}");
+        }
+    }
+
+    #[test]
+    fn cyclic_le_counters_are_pinned() {
+        // Rows keep all 2^k entries, so the counters keep their meaning:
+        // cyclic LE on [1; 8] at t = 6.
+        let alpha = Assignment::private(8);
+        let model = Model::message_passing_cyclic(8);
+        let (_, stats) = solved_series_with_stats(&model, &LeaderElection, &alpha, 6, 1);
+        assert_eq!(
+            (
+                stats.states,
+                stats.rows_built,
+                stats.row_hits,
+                stats.transitions
+            ),
+            (206, 135, 526, 169_216),
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn parallel_rows_match_serial_rows() {
+        // Frontiers past `PAR_MIN_STATES` missing rows take the
+        // parallel branch: counts and every counter must equal the
+        // serial run's, fault-free and faulted.
+        let alpha = Assignment::private(7);
+        let model = Model::message_passing_cyclic(7);
+        let t_max = 4;
+        let mut sched = FaultSchedule::empty(7, t_max);
+        sched.set_omission(0, 2);
+        sched.set_crash(4, 3);
+        for faults in [None, Some(&sched)] {
+            let series = |threads| run(&model, &LeaderElection, &alpha, t_max, faults, threads);
+            let serial = series(1);
+            assert!(serial.1.frontier_max >= 32, "{:?}", serial.1);
+            assert_eq!(series(4), serial, "faulted={}", faults.is_some());
         }
     }
 

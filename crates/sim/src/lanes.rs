@@ -29,6 +29,14 @@
 //! caller evaluating a partition-based verdict on the packed relation
 //! gets bit-for-bit the verdict of 64 scalar executions.
 //!
+//! **Two clients.** The bit-sliced Monte-Carlo sampler steps 64 samples
+//! per word. The labeled exact DP (`rsbt_core::engine_dp`) steps 64 round
+//! digits per word instead: it loads one state into every lane with
+//! [`LaneStepper::load_relation`], feeds lane `l` the digit `base + l` as
+//! source bits, steps once, and reads each lane's child state back with
+//! [`LaneStepper::lane_labels`]. So both run the one implementation of
+//! the equality-step rules below.
+//!
 //! **The fresh first step.** A stepper built by a constructor or
 //! [`LaneStepper::reset`] is *fresh*: every `eq` word is all ones, so
 //! every port term `eq[nbr(i,p), nbr(j,p)]` is all ones and the
@@ -98,10 +106,8 @@ pub fn pair_count(units: usize) -> usize {
 /// `nbr(a, p) = nbr(b, p)` contribute nothing and are dropped.
 ///
 /// Returns `(terms, offsets)` with `offsets[p]..offsets[p + 1]` indexing
-/// `terms` for pair `p`. Shared ground truth between [`LaneStepper`] and
-/// the quotient exact engine (`rsbt_core::engine_dp`), which evaluates the
-/// same rule on one labeled equality state instead of 64 lanes.
-pub fn aligned_terms(ports: &PortNumbering) -> (Vec<u32>, Vec<u32>) {
+/// `terms` for pair `p`.
+fn aligned_terms(ports: &PortNumbering) -> (Vec<u32>, Vec<u32>) {
     let n = ports.n();
     let mut terms = Vec::new();
     let mut offsets = Vec::with_capacity(pair_count(n) + 1);
@@ -126,7 +132,7 @@ pub fn aligned_terms(ports: &PortNumbering) -> (Vec<u32>, Vec<u32>) {
 /// (`!(S[x] ^ S[y]) & (S[x] | eq[q])`), not just the previous equality.
 ///
 /// Returns `(terms, offsets)` with entries `[q, x, y]`.
-pub fn aligned_fault_terms(ports: &PortNumbering) -> (Vec<[u32; 3]>, Vec<u32>) {
+fn aligned_fault_terms(ports: &PortNumbering) -> (Vec<[u32; 3]>, Vec<u32>) {
     let n = ports.n();
     let mut terms: Vec<[u32; 3]> = Vec::new();
     let mut offsets = Vec::with_capacity(pair_count(n) + 1);
@@ -321,9 +327,9 @@ impl LaneStepper {
     /// Loads the same labeled equality state into **every** lane:
     /// `labels[u]` is unit `u`'s class tag (equal tag ⟺ equal knowledge),
     /// exactly the state representation of the quotient exact engine.
-    /// Subsequent steps then evolve 64 copies of that state in lockstep —
-    /// the cross-check harness for one-step transitions from arbitrary
-    /// mid-execution states (not just the initial all-equal one).
+    /// Subsequent steps then evolve 64 copies of that state in lockstep,
+    /// one round digit per lane — how that engine builds its transition
+    /// rows from arbitrary mid-execution states.
     ///
     /// # Panics
     ///
@@ -344,6 +350,46 @@ impl LaneStepper {
             }
         }
         self.fresh = false;
+    }
+
+    /// Writes lane `lane`'s relation to `out` (cleared first) as canonical
+    /// first-occurrence class labels, the representation
+    /// [`LaneStepper::load_relation`] reads: each unit takes the label of
+    /// the first unit equal to it. Every relation reachable by stepping
+    /// is an equivalence, so a sweep of the packed rows of the classes'
+    /// first units labels every unit (the labels are checked against
+    /// every pair in debug builds).
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) unless `lane < 64`.
+    pub fn lane_labels(&self, lane: usize, out: &mut Vec<u8>) {
+        debug_assert!(lane < 64, "a word holds 64 lanes");
+        out.clear();
+        out.resize(self.units, u8::MAX);
+        let mut next = 0u8;
+        // `row` is the packed index of pair `(a, a + 1)`: the pairs
+        // `(a, b)`, `b > a`, are `eq[row..row + width]`.
+        let mut row = 0;
+        for a in 0..self.units {
+            let width = self.units - a - 1;
+            if out[a] == u8::MAX {
+                out[a] = next;
+                for (label, &w) in out[a + 1..].iter_mut().zip(&self.eq[row..row + width]) {
+                    if w >> lane & 1 == 1 {
+                        *label = next;
+                    }
+                }
+                next += 1;
+            }
+            row += width;
+        }
+        debug_assert!(
+            (0..self.units).all(|a| (a + 1..self.units).all(|b| {
+                (out[a] == out[b]) == (self.eq[pair_index(self.units, a, b)] >> lane & 1 == 1)
+            })),
+            "lane relation is not an equivalence"
+        );
     }
 
     /// Advances every lane by one round. `source_bits(s)` must return the
@@ -740,6 +786,66 @@ mod tests {
             st.step(|s| bits[s]);
             assert_eq!(st.eq_words(), &term_loop_step(&ports, &fresh, &bits)[..]);
         }
+    }
+
+    #[test]
+    fn lane_labels_are_canonical_and_match_the_pair_words() {
+        // Every lane of a stepped relation reads back as first-occurrence
+        // labels that induce exactly its pair bits: both models, with
+        // cyclic and adversarial ports, fault-free and faulted.
+        let alpha = Assignment::from_group_sizes(&[1, 2, 3]).unwrap();
+        let n = alpha.n();
+        let models = [
+            Model::Blackboard,
+            Model::message_passing_cyclic(n),
+            Model::MessagePassing(PortNumbering::adversarial(n, 2)),
+        ];
+        let mut labels = Vec::new();
+        let (mut split, mut merged) = (0, 0);
+        for model in &models {
+            for faulted in [false, true] {
+                let mut st = if faulted {
+                    LaneStepper::new_faulted(model, &alpha)
+                } else {
+                    LaneStepper::new(model, &alpha)
+                };
+                for r in 0..4u64 {
+                    let salt = 71 ^ r << 16 ^ u64::from(faulted) << 24;
+                    let bits: Vec<u64> = (0..alpha.k() as u64).map(|s| mix(salt ^ s)).collect();
+                    if faulted {
+                        // About one node in four silent per lane.
+                        let silent =
+                            |i: usize| mix(salt ^ 97 ^ i as u64) & mix(salt ^ 89 ^ i as u64);
+                        st.step_faulted(|s| bits[s], silent);
+                    } else {
+                        st.step(|s| bits[s]);
+                    }
+                    let units = st.units();
+                    for lane in 0..64 {
+                        st.lane_labels(lane, &mut labels);
+                        assert_eq!(labels.len(), units);
+                        let mut fresh = 0;
+                        for &label in &labels {
+                            assert!(label <= fresh, "not canonical: {labels:?}");
+                            fresh = fresh.max(label + 1);
+                        }
+                        split += usize::from(fresh > 1);
+                        merged += usize::from(usize::from(fresh) < units);
+                        for a in 0..units {
+                            for b in a + 1..units {
+                                let bit = st.eq_words()[pair_index(units, a, b)] >> lane & 1 == 1;
+                                assert_eq!(
+                                    labels[a] == labels[b],
+                                    bit,
+                                    "{model} faulted={faulted} round {r} lane {lane} ({a},{b})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(split > 0 && merged > 0, "split {split}, merged {merged}");
     }
 
     #[test]
