@@ -40,9 +40,8 @@ pub const KERNEL_CRATES: [&str; 6] = [
 
 /// The exact and Monte-Carlo entry-point files whose top-level `pub fn`
 /// count RSBT-L007 ratchets.
-pub const ENTRY_POINT_FILES: [&str; 4] = [
+pub const ENTRY_POINT_FILES: [&str; 3] = [
     "crates/core/src/bitsliced.rs",
-    "crates/core/src/engine.rs",
     "crates/core/src/engine_dp.rs",
     "crates/core/src/probability.rs",
 ];
@@ -478,11 +477,14 @@ mod tests {
                 "crates/core/src/probability.rs",
                 "let d = 1u64 << (k * t);\n",
             ),
-            file("crates/core/src/engine.rs", "let m = (1u64 << k) - 1;\n"),
+            file("crates/core/src/engine_dp.rs", "let m = (1u64 << k) - 1;\n"),
         ]);
         assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
         assert_eq!(out.findings[0].rule, "RSBT-L004");
-        assert_eq!(out.ratchet.get("RSBT-L004", "crates/core/src/engine.rs"), 1);
+        assert_eq!(
+            out.ratchet.get("RSBT-L004", "crates/core/src/engine_dp.rs"),
+            1
+        );
     }
 
     #[test]

@@ -10,14 +10,11 @@
 //!   across report sections (and across specs in one binary) are computed
 //!   once;
 //! * **parallel fan-out** — uncached points are computed on
-//!   [`rsbt_sim::pool::map_with_arena`] workers (per-worker arenas, the
-//!   pattern proven bit-identical by `probability::exact_parallel`) and
-//!   merged back in deterministic point order, never completion order;
+//!   [`rsbt_sim::pool::map_with_arena`] workers and merged back in
+//!   deterministic point order, never completion order;
 //! * **one-pass series** — a worker computes each point's whole
 //!   `p(1..t_max)` series from a *single* exact sweep
-//!   (`probability::exact_series` tallies solved counts at every depth),
-//!   and its arena persists across the chunk so shared knowledge
-//!   prefixes are interned once.
+//!   (`probability::exact_series` tallies solved counts at every depth).
 //!
 //! The engine's numbers are bit-identical to serial
 //! [`rsbt_core::probability::exact`] (asserted by the determinism tests in
@@ -264,7 +261,7 @@ impl SweepSpec {
 /// How a sweep row's series was produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RowMode {
-    /// Exact integer counts, within the tree engines' historical reach
+    /// Exact integer counts, within leaf-by-leaf enumeration's reach
     /// (`k·t ≤` [`probability::TREE_EXACT_BITS`]).
     Exact,
     /// Exact integer counts that only the quotient DP engine can produce
@@ -544,8 +541,9 @@ pub(crate) fn point_seed(base: u64, model_label: &str, task_name: &str, sizes: &
     h ^ base
 }
 
-/// The executor: a probability cache, a shared arena for serial one-off
-/// evaluations, and a worker budget for sweep fan-out.
+/// The executor: a probability cache, a knowledge arena the bins share
+/// for their own enumeration checks, and a worker budget for sweep
+/// fan-out.
 pub struct SweepEngine {
     threads: usize,
     cache: Cache,
@@ -629,7 +627,7 @@ impl SweepEngine {
         )
     }
 
-    /// Cached exact `Pr[S(t) | α]` (serial path, engine arena).
+    /// Cached exact `Pr[S(t) | α]` (serial path).
     pub fn exact<T: Task + ?Sized>(
         &mut self,
         model: &Model,
@@ -637,10 +635,10 @@ impl SweepEngine {
         alpha: &Assignment,
         t: usize,
     ) -> f64 {
-        probability::exact_cached(&mut self.cache, model, task, alpha, t, &mut self.arena)
+        probability::exact_cached(&mut self.cache, model, task, alpha, t)
     }
 
-    /// Cached exact series `p(1..t_max)` (serial path, engine arena).
+    /// Cached exact series `p(1..t_max)` (serial path).
     pub fn exact_series<T: Task + ?Sized>(
         &mut self,
         model: &Model,
@@ -648,19 +646,12 @@ impl SweepEngine {
         alpha: &Assignment,
         t_max: usize,
     ) -> Vec<f64> {
-        probability::exact_series_cached(
-            &mut self.cache,
-            model,
-            task,
-            alpha,
-            t_max,
-            &mut self.arena,
-        )
+        probability::exact_series_cached(&mut self.cache, model, task, alpha, t_max)
     }
 
     /// Executes a declarative sweep: expands the spec, answers cached
-    /// points from memory, fans uncached points out over per-worker-arena
-    /// threads, merges deterministically, and returns one row per
+    /// points from memory, fans uncached points out over worker threads,
+    /// merges deterministically, and returns one row per
     /// `(task, model, α)` triple in expansion order.
     pub fn sweep(&mut self, spec: &SweepSpec) -> Vec<SweepRow> {
         let default_model = [ModelSpec::blackboard()];
@@ -734,19 +725,12 @@ impl SweepEngine {
             }
         }
 
-        // Parallel fan-out with per-worker arenas: each worker runs ONE
-        // execution-tree traversal per point (deep enough for the deepest
-        // missing t), reading the whole series off the per-depth tallies —
-        // never one enumeration per t.
-        let computed = pool::map_with_arena(&missing, self.threads, |arena, (p, ts)| {
+        // Parallel fan-out: each worker runs ONE DP sweep per point (deep
+        // enough for the deepest missing t), reading the whole series off
+        // the per-depth tallies — never one computation per t.
+        let computed = pool::map_with_arena(&missing, self.threads, |_, (p, ts)| {
             let deepest = *ts.last().expect("missing points have at least one t");
-            probability::exact_series_with_arena(
-                &p.model,
-                p.task.as_ref(),
-                &p.alpha,
-                deepest,
-                arena,
-            )
+            probability::exact_series(&p.model, p.task.as_ref(), &p.alpha, deepest)
         });
 
         // Deterministic merge: point order, never completion order.

@@ -24,7 +24,7 @@
 //! word masks its dead lanes out of every tally.
 //!
 //! **Early exit.** Monotonicity (a solving round-`r` prefix solves at
-//! every later round — the same fact the exact engine prunes subtrees
+//! every later round — the same fact the exact DP absorbs solved states
 //! with) makes per-lane verdicts monotone in `r`, so each word keeps a
 //! `solved` mask, tallies `newly = verdict & live & !solved` per round,
 //! and stops stepping as soon as `solved` covers every live lane.
@@ -57,8 +57,8 @@ use rsbt_random::Assignment;
 use rsbt_sim::{pool, FaultSchedule, FaultSpec, LaneStepper, Model};
 use rsbt_tasks::{Task, VerdictPlan};
 
-use crate::engine::{self, SolvabilityMemo, TaskKernel};
 use crate::probability::{check_mc_args, Estimate, McStats, SampleKernel};
+use crate::solvability::{self, SolvabilityMemo, TaskKernel};
 
 /// Deterministic parallel Monte-Carlo `Pr[S(t) | α]`: sample `i` always
 /// draws from [`StreamRng`]`(seed, i)`, 64 samples ride one lane word,
@@ -202,7 +202,7 @@ where
 /// The estimated series `p̂(1), …, p̂(t_max)` from **one** sampling pass:
 /// each sample's first solving round decides its verdict at every `t`
 /// simultaneously (monotonicity), the Monte-Carlo mirror of the exact
-/// engine's one-traversal series.
+/// DP's one-sweep series.
 ///
 /// Sample `i` draws `t_max`-bit strings from stream `i`, so the estimate
 /// at each `t` is **bit-identical** to [`monte_carlo_bitsliced`]`(…, t,
@@ -405,7 +405,7 @@ where
     let table = if plan.is_some() {
         None
     } else {
-        engine::fallback_table(task, alpha.n())
+        solvability::fallback_table(task, alpha.n())
     };
     let per_chunk = pool::map_sample_chunks_aligned(samples, threads, 64, |arena, range| {
         let mut acc = init();
@@ -415,10 +415,7 @@ where
                 model, alpha, plan, t, seed, faults, &range, &mut acc, &tally, &mut stats,
             ),
             None => {
-                let kernel = match table.as_ref() {
-                    Some(table) => TaskKernel::new(task, table),
-                    None => TaskKernel::closed_form_only(task),
-                };
+                let kernel = TaskKernel::new(task, table.as_ref());
                 let mut memo = SolvabilityMemo::new();
                 let mut sampler = SampleKernel::new(model, kernel, alpha, t, arena);
                 let mut schedule = FaultSchedule::empty(alpha.n(), t);
@@ -596,12 +593,11 @@ mod tests {
     use super::*;
     use crate::output_cache::build_output_table;
     use crate::probability::oracle;
-    use crate::solvability;
+    use crate::solvability::OpaqueLeaderElection;
     use rsbt_tasks::{
         pair_count, pair_index, KLeaderElection, LeaderAndDeputy, LeaderElection,
         WeakSymmetryBreaking,
     };
-    use std::borrow::Cow;
 
     fn mix(x: u64) -> u64 {
         let mut z = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -984,19 +980,6 @@ mod tests {
         assert_eq!(stats.lane_words, 3);
         assert_eq!(stats.peeled_lanes, 0);
         assert_eq!(stats.closed_form_verdicts, 0, "plan path needs no memo");
-    }
-
-    /// Leader election with its closed form and lane plan hidden: forces
-    /// the dense-table peel path.
-    struct OpaqueLeaderElection;
-
-    impl Task for OpaqueLeaderElection {
-        fn name(&self) -> Cow<'static, str> {
-            Cow::Borrowed("opaque-leader-election")
-        }
-        fn output_complex(&self, n: usize) -> rsbt_complex::Complex<u64> {
-            LeaderElection.output_complex(n)
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The quotient exact engine: dynamic programming over knowledge-equality
-//! states instead of execution-tree prefixes.
+//! The exact engine: dynamic programming over knowledge-equality states
+//! instead of execution-tree prefixes.
 //!
-//! The prefix-sharing tree engine (the crate-private `engine` module)
-//! walks the raw execution tree — `2^{k·r}` nodes at depth `r` — even
-//! though the task verdict at every node depends only on the
-//! *consistency partition* of the knowledge vector. `rsbt_sim::lanes` proved the key algebraic fact as
+//! The execution tree has `2^{k·r}` nodes at depth `r` (one per
+//! equiprobable realization prefix, Lemma B.1), but the task verdict at
+//! every node depends only on the *consistency partition* of the
+//! knowledge vector. `rsbt_sim::lanes` proved the key algebraic fact as
 //! code: the round-`(r+1)` equality relation is a pure function of the
 //! round-`r` equality relation and the **equality pattern** of the new
 //! source bits — never their values (the value-independence lemma; see
@@ -39,18 +39,21 @@
 //!   fallback through `SolvabilityMemo::solves_labels` (representatives
 //!   synthesized from the labels; no knowledge ids exist here). One round
 //!   only refines the partition, so verdicts are monotone and solved
-//!   states **absorb**: `solved(r) = solved(r−1)·2^k + newly(r)`, exactly
-//!   the tree engine's subtree-pruning tallies lifted to the quotient
-//!   (tested bit-identical on every profile with `n ≤ 4, t ≤ 3`, on deep
-//!   points, and on faulted schedules in both models).
+//!   states **absorb**: `solved(r) = solved(r−1)·2^k + newly(r)` — a
+//!   solving node's whole subtree solves (tested bit-identical to
+//!   leaf-by-leaf enumeration on every profile with `n ≤ 4, t ≤ 3` and
+//!   under fixed fault schedules, and to pinned counts on deep points).
 //!
 //! Per-round cost is `O(states · 2^k)` — flat in `t`, so whole exact
-//! series at `t` in the dozens are routine where the tree engine needed
+//! series at `t` in the dozens are routine where enumeration needs
 //! `2^{k·t}` node visits. Transition rows (`2^k` child ids per state) are
 //! cached per state — the transposition table — and, when a round's
 //! frontier is large, missing rows are computed in parallel via
 //! [`rsbt_sim::pool`] and interned serially in deterministic order, so
-//! counts are bit-identical for every thread count.
+//! counts are bit-identical for every thread count. Past
+//! `ROW_CACHE_MAX_K` (12) rows are streamed instead: each 64-digit lane
+//! chunk is interned and tallied as soon as it is stepped, so memory
+//! stays at the interned states however wide the fan-out.
 //!
 //! **Orbit quotient.** Fault-free blackboard queries whose task is
 //! symmetric and whose profile repeats a group size ([`orbit_eligible`])
@@ -61,17 +64,17 @@
 //! non-symmetric tasks and all-distinct-size profiles keep the labeled
 //! DP above.
 //!
-//! Production dispatch: [`crate::probability::exact`],
-//! [`crate::probability::exact_series`] and their faulted/parallel
-//! variants route here whenever [`orbit_eligible`] holds or `k ≤`
-//! [`MAX_DP_K`]; only the remaining wide-`k` queries fall back to the
-//! tree engine, which also stays as the reference path.
+//! Every exact query runs here: [`crate::probability::exact`],
+//! [`crate::probability::exact_series`] and their faulted, parallel and
+//! cached variants all read their counts off [`solved_series`] or its
+//! faulted twin. A query is admitted when [`orbit_eligible`] holds, when
+//! `k ≤` [`MAX_DP_K`], or when `k·t ≤ 62` (see [`MAX_DP_K`]).
 
 use rsbt_random::Assignment;
 use rsbt_sim::{pool, FaultSchedule, FxHashMap, LaneStepper, Model};
 use rsbt_tasks::Task;
 
-use crate::engine::{self, SolvabilityMemo, TaskKernel};
+use crate::solvability::{self, SolvabilityMemo, TaskKernel};
 
 mod orbit;
 
@@ -81,13 +84,16 @@ mod orbit;
 /// representable. The 126-bit edge is pinned by test.
 pub const MAX_DP_BITS: usize = 126;
 
-/// Largest `k` the labeled DP accepts: every state expands `2^k`
-/// transition digits per round, so the per-round cost `O(states · 2^k)`
-/// stops being "flat in `t`" long before this. [`orbit_eligible`]
-/// queries are exempt; other points with `k` beyond this (and `k·t`
-/// within the tree engine's wall) stay on the reference engine — see
-/// `probability`'s dispatch.
+/// Largest `k` the labeled DP accepts at any depth: every state expands
+/// `2^k` transition digits per round, so the per-round cost
+/// `O(states · 2^k)` stops being "flat in `t`" long before this.
+/// [`orbit_eligible`] queries are exempt. Wider queries are still
+/// admitted while `k·t ≤ 62` (`WIDE_K_MAX_BITS`), the range exact answers
+/// have always covered at such `k`; they run in streaming mode.
 pub const MAX_DP_K: usize = 20;
+
+/// Largest `k·t_max` admitted for a labeled query with `k >` [`MAX_DP_K`].
+const WIDE_K_MAX_BITS: usize = 62;
 
 /// Transition rows are cached (one `2^k`-entry child-id row per state)
 /// only up to this `k`; beyond it rows are streamed per round instead of
@@ -107,10 +113,13 @@ pub struct DpStats {
     pub states: usize,
     /// Largest unsolved frontier over all rounds.
     pub frontier_max: usize,
-    /// Transition rows computed (once per `(state, silence)` ever).
+    /// Transition rows computed. With rows cached (`k ≤ 12`) each
+    /// `(state, silence)` row is built once ever; in streaming mode
+    /// (`k > 12`) every frontier state's row is built afresh each round,
+    /// and each of those expansions counts.
     pub rows_built: u64,
     /// Frontier expansions answered from the cached row table — the
-    /// transposition-table hits.
+    /// transposition-table hits. Always 0 in streaming mode.
     pub row_hits: u64,
     /// State–digit edges walked (`frontier · 2^k` summed over rounds),
     /// every digit counted although rows step only the digits below
@@ -125,19 +134,18 @@ pub struct DpStats {
     pub dense_scan_verdicts: u64,
 }
 
-/// Per-depth solved-node tallies from one DP sweep — the quotient twin of
-/// the tree engine's `solved_counts`, widened to `u128`: `counts[d − 1]`
-/// is the number of depth-`d` execution-tree nodes (time-`d`
-/// realizations) that solve `task`, for `d ∈ 1..=t_max`, so
-/// `p(d) = counts[d − 1]/2^{k·d}`.
-/// Bit-identical to the tree engine across its whole reachable range
-/// (tested on every small profile, on deep points, and faulted).
+/// Per-depth solved-node tallies from one DP sweep: `counts[d − 1]` is
+/// the number of depth-`d` execution-tree nodes (time-`d` realizations)
+/// that solve `task`, for `d ∈ 1..=t_max`, so `p(d) = counts[d − 1]/2^{k·d}`.
+/// Bit-identical to leaf-by-leaf enumeration (tested on every small
+/// profile and under fixed fault schedules).
 ///
 /// # Panics
 ///
-/// Panics if `k·t_max >` [`MAX_DP_BITS`], if `k >` [`MAX_DP_K`] for a
-/// query that is not [`orbit_eligible`], or on a model/assignment node
-/// mismatch.
+/// Panics if `k·t_max >` [`MAX_DP_BITS`], if `k >` [`MAX_DP_K`] and
+/// `k·t_max > 62` for a query that is not [`orbit_eligible`], or on a
+/// model/assignment node mismatch; also if the labeled DP would need more
+/// than 255 knowledge units.
 pub fn solved_series<T: Task + ?Sized>(
     model: &Model,
     task: &T,
@@ -168,8 +176,8 @@ pub fn solved_series_with_stats<T: Task + ?Sized>(
 /// [`solved_series`] under a **fixed** [`FaultSchedule`]: the round-`r`
 /// transition meets the state with both the digit's equality pattern and
 /// the schedule's silence pattern at `r` (deterministic per round, so the
-/// DP caches one row per `(state, silence mask)`). The quotient twin of
-/// the tree engine's `solved_counts_faulted`, and bit-identical to it.
+/// DP caches one row per `(state, silence mask)`). Bit-identical to a
+/// leaf-by-leaf faulted re-simulation.
 ///
 /// # Panics
 ///
@@ -222,24 +230,24 @@ const LANE_DIGIT_BITS: [u64; 6] = [
     0xFFFF_FFFF_0000_0000,
 ];
 
-/// The children of state `labels` under the round digits `d < 2^(k−1)`,
-/// in digit order, `units` labels each, written to `out`. `silence` is
-/// the round's silence mask on a faulted stepper and `None` on a
-/// fault-free one.
+/// Hands the children of state `labels` under the round digits
+/// `d < 2^(k−1)` to `visit`, in digit order, as canonical labels.
+/// `silence` is the round's silence mask on a faulted stepper and `None`
+/// on a fault-free one.
 ///
 /// Each chunk of 64 digits is one lane step: `labels` goes into every
 /// lane, lane `l` reads digit `base + l`, and each lane's relation comes
-/// back as canonical labels. The digits `d ≥ 2^(k−1)` are left out: every
-/// step rule compares source bits and never reads their values, so `d`
-/// and its complement `d ^ (2^k − 1)` reach the same child.
-fn half_row(
+/// back as canonical labels, visited before the next chunk is stepped.
+/// The digits `d ≥ 2^(k−1)` are left out: every step rule compares source
+/// bits and never reads their values, so `d` and its complement
+/// `d ^ (2^k − 1)` reach the same child.
+fn for_each_child(
     stepper: &mut LaneStepper,
     k: usize,
     labels: &[u8],
     silence: Option<u64>,
-    out: &mut Vec<u8>,
+    mut visit: impl FnMut(&[u8]),
 ) {
-    out.clear();
     let mut lane = Vec::with_capacity(labels.len());
     let half = 1u64 << (k - 1);
     for base in (0..half).step_by(64) {
@@ -255,7 +263,7 @@ fn half_row(
         }
         for l in 0..(half - base).min(64) {
             stepper.lane_labels(l as usize, &mut lane);
-            out.extend_from_slice(&lane);
+            visit(&lane);
         }
     }
 }
@@ -368,15 +376,19 @@ impl<'a, T: Task + ?Sized> Dp<'a, T> {
     /// in digit order, written to `row`.
     fn expand(&mut self, labels: &[u8], silence: Option<u64>, row: &mut Vec<u32>) {
         let mut children = std::mem::take(&mut self.children);
-        half_row(&mut self.stepper, self.k, labels, silence, &mut children);
+        children.clear();
+        for_each_child(&mut self.stepper, self.k, labels, silence, |child| {
+            children.extend_from_slice(child)
+        });
         self.intern_row(&children, row);
         self.children = children;
     }
 
-    /// Interns a [`half_row`] in digit order and writes the full `2^k`-entry
-    /// row: digit `d` and its complement share a child. Each child's first
-    /// occurrence in digit order is at some `d < 2^(k−1)`, so the state ids
-    /// are those of interning all `2^k` digits in order.
+    /// Interns the children of [`for_each_child`] in digit order and
+    /// writes the full `2^k`-entry row: digit `d` and its complement share
+    /// a child. Each child's first occurrence in digit order is at some
+    /// `d < 2^(k−1)`, so the state ids are those of interning all `2^k`
+    /// digits in order.
     fn intern_row(&mut self, children: &[u8], row: &mut Vec<u32>) {
         let mask = (1usize << self.k) - 1;
         row.clear();
@@ -421,13 +433,9 @@ impl<'a, T: Task + ?Sized> Dp<'a, T> {
                     .iter()
                     .map(|&sid| {
                         let mut children = Vec::new();
-                        half_row(
-                            &mut stepper,
-                            k,
-                            &states[sid as usize],
-                            silence,
-                            &mut children,
-                        );
+                        for_each_child(&mut stepper, k, &states[sid as usize], silence, |child| {
+                            children.extend_from_slice(child)
+                        });
                         children
                     })
                     .collect()
@@ -499,6 +507,14 @@ pub fn orbit_eligible<T: Task + ?Sized>(
     sizes.windows(2).any(|w| w[0] == w[1]) && task.is_symmetric_for(alpha.n())
 }
 
+/// Whether the all-`⊥` root — one consistency class, before any round —
+/// solves `task` on `n` nodes: the verdict the DP gives its root state,
+/// and the whole exact answer at `t = 0`.
+pub(crate) fn root_solves<T: Task + ?Sized>(task: &T, n: usize) -> bool {
+    let table = solvability::fallback_table(task, n);
+    SolvabilityMemo::new().solves_labels(&vec![0u8; n], &TaskKernel::new(task, table.as_ref()))
+}
+
 /// `counts[d − 1] = 2^{k·d}` at every depth: the all-⊥ root already
 /// solves, so monotonicity covers the entire tree wholesale (`k·d ≤ 126`
 /// keeps the shift in range).
@@ -539,14 +555,13 @@ fn run<T: Task + ?Sized>(
     }
     let orbit = orbit_eligible(model, task, alpha, faults);
     assert!(
-        orbit || k <= MAX_DP_K,
-        "2^k per-state transition fan-out too large (k = {k} > {MAX_DP_K})"
+        orbit || k <= MAX_DP_K || k * t_max <= WIDE_K_MAX_BITS,
+        "k = {k} exceeds the quotient engine's digit fan-out bound (MAX_DP_K = {MAX_DP_K}) \
+         and k*t = {} exceeds the wide-k budget ({WIDE_K_MAX_BITS} bits)",
+        k * t_max
     );
-    let table = engine::fallback_table(task, n);
-    let kernel = match table.as_ref() {
-        Some(table) => TaskKernel::new(task, table),
-        None => TaskKernel::closed_form_only(task),
-    };
+    let table = solvability::fallback_table(task, n);
+    let kernel = TaskKernel::new(task, table.as_ref());
     if orbit {
         orbit::run(kernel, alpha, t_max)
     } else {
@@ -602,20 +617,22 @@ fn run_labeled<T: Task + ?Sized>(
                 }
             }
         } else {
-            // Streaming mode for very wide digit fan-outs: expand each
-            // frontier state into a scratch row instead of caching
-            // `2^k`-entry rows per state.
-            let mut row = Vec::new();
+            // Streaming mode for wide digit fan-outs: each lane chunk's
+            // children are interned and tallied as soon as it is stepped,
+            // with no row buffer. A child stands for its digit and the
+            // complement, hence twice the weight.
+            let mut stepper = dp.stepper.clone();
+            dp.rows_built += frontier.len() as u64;
             for &(sid, cnt) in &frontier {
                 let labels = dp.states[sid as usize].clone();
-                dp.expand(&labels, silence, &mut row);
-                for &child in &row {
-                    if dp.verdicts[child as usize] {
-                        newly += cnt;
+                for_each_child(&mut stepper, k, &labels, silence, |child| {
+                    let id = dp.intern(child);
+                    if dp.verdicts[id as usize] {
+                        newly += 2 * cnt;
                     } else {
-                        *next.entry(child).or_insert(0) += cnt;
+                        *next.entry(id).or_insert(0) += 2 * cnt;
                     }
-                }
+                });
             }
         }
         dp.transitions += (frontier.len() as u64) << k;
@@ -639,8 +656,11 @@ fn run_labeled<T: Task + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probability;
+    use crate::solvability::OpaqueLeaderElection;
+    use rsbt_random::Realization;
     use rsbt_sim::lanes::pair_index;
-    use rsbt_sim::KnowledgeArena;
+    use rsbt_sim::{Execution, KnowledgeArena};
     use rsbt_tasks::{
         KLeaderElection, LeaderAndDeputy, LeaderElection, Task, WeakSymmetryBreaking,
     };
@@ -652,12 +672,38 @@ mod tests {
         alpha: &Assignment,
         t_max: usize,
     ) -> (Vec<u128>, DpStats) {
-        let table = engine::fallback_table(task, alpha.n());
-        let kernel = match table.as_ref() {
-            Some(table) => TaskKernel::new(task, table),
-            None => TaskKernel::closed_form_only(task),
-        };
-        run_labeled(model, kernel, alpha, t_max, None, 1)
+        let table = solvability::fallback_table(task, alpha.n());
+        run_labeled(
+            model,
+            TaskKernel::new(task, table.as_ref()),
+            alpha,
+            t_max,
+            None,
+            1,
+        )
+    }
+
+    /// Solved counts at depths `1..=t_max` by leaf-by-leaf faulted
+    /// re-simulation: every realization run under `faults` and decided by
+    /// the reference facet search.
+    fn leaf_by_leaf_faulted<T: Task + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t_max: usize,
+        faults: &FaultSchedule,
+    ) -> Vec<u128> {
+        let mut arena = KnowledgeArena::new();
+        (1..=t_max)
+            .map(|t| {
+                Realization::enumerate_consistent(alpha, t)
+                    .filter(|rho| {
+                        let exec = Execution::run_with_faults(model, rho, faults, &mut arena);
+                        solvability::solves_execution_reference(&exec, task)
+                    })
+                    .count() as u128
+            })
+            .collect()
     }
 
     fn models_for(n: usize) -> Vec<Model> {
@@ -673,18 +719,27 @@ mod tests {
 
     #[test]
     fn dp_matches_tree_engine_bit_for_bit() {
-        // DP ≡ `solved_counts` for both models, all profiles n ≤ 4,
-        // t ≤ 3, threads {1, 2, 4, 8}.
+        // DP ≡ leaf-by-leaf enumeration (`exact_series_reference`) for
+        // both models, all profiles n ≤ 4, t ≤ 3, threads {1, 2, 4, 8}.
         for n in 1..=4usize {
             for alpha in Assignment::iter_profiles(n) {
                 for model in models_for(n) {
                     for task in tasks_for(n) {
                         let mut arena = KnowledgeArena::new();
-                        let tree =
-                            engine::solved_counts(&model, task.as_ref(), &alpha, 3, &mut arena);
+                        let reference: Vec<u128> = probability::exact_series_reference(
+                            &model,
+                            task.as_ref(),
+                            &alpha,
+                            3,
+                            &mut arena,
+                        )
+                        .iter()
+                        .enumerate()
+                        // p·2^{k·t} is an exact integer in f64 at k·t ≤ 12.
+                        .map(|(i, &p)| (p * (1u128 << (alpha.k() * (i + 1))) as f64) as u128)
+                        .collect();
                         let serial = solved_series(&model, task.as_ref(), &alpha, 3);
-                        let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
-                        assert_eq!(serial, widened, "{model} {alpha} {}", task.name());
+                        assert_eq!(serial, reference, "{model} {alpha} {}", task.name());
                         for threads in [2usize, 4, 8] {
                             let (par, _) =
                                 solved_series_with_stats(&model, task.as_ref(), &alpha, 3, threads);
@@ -694,29 +749,39 @@ mod tests {
                 }
             }
         }
-        // Deep points past that grid: solvable profiles the tree engine
-        // prunes, and never-solving ones ([2, 2], [4]) it walks in full.
-        let deep: [(bool, &[usize], usize); 7] = [
-            (false, &[1, 2], 15),
-            (false, &[1, 3], 15),
-            (false, &[1, 1, 2], 8),
-            (true, &[1, 2], 15),
-            (true, &[1, 1, 2], 8),
-            (false, &[2, 2], 7),
-            (false, &[4], 12),
+        // Deep points past that grid, pinned to the counts of a full
+        // execution-tree walk: solvable profiles, and never-solving ones
+        // ([2, 2], [4]).
+        const HALVES: [u128; 15] = [
+            2, 12, 56, 240, 992, 4032, 16256, 65280, 261632, 1047552, 4192256, 16773120, 67100672,
+            268419072, 1073709056,
         ];
-        for (mp, sizes, t_max) in deep {
+        let deep: [(bool, &[usize], &[u128]); 7] = [
+            (false, &[1, 2], &HALVES),
+            (false, &[1, 3], &HALVES),
+            (
+                false,
+                &[1, 1, 2],
+                &[4, 48, 448, 3840, 31744, 258048, 2080768, 16711680],
+            ),
+            (true, &[1, 2], &HALVES),
+            (
+                true,
+                &[1, 1, 2],
+                &[4, 56, 496, 4064, 32704, 262016, 2096896, 16776704],
+            ),
+            (false, &[2, 2], &[0; 7]),
+            (false, &[4], &[0; 12]),
+        ];
+        for (mp, sizes, expected) in deep {
             let alpha = Assignment::from_group_sizes(sizes).unwrap();
             let model = if mp {
                 Model::message_passing_cyclic(alpha.n())
             } else {
                 Model::Blackboard
             };
-            let mut arena = KnowledgeArena::new();
-            let tree = engine::solved_counts(&model, &LeaderElection, &alpha, t_max, &mut arena);
-            let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
-            let dp = solved_series(&model, &LeaderElection, &alpha, t_max);
-            assert_eq!(dp, widened, "{model} {alpha} t_max={t_max}");
+            let dp = solved_series(&model, &LeaderElection, &alpha, expected.len());
+            assert_eq!(dp, expected, "{model} {alpha}");
         }
     }
 
@@ -753,7 +818,7 @@ mod tests {
             .collect();
         for model in models_for(alpha.n()) {
             for faulted in [false, true] {
-                let kernel = TaskKernel::closed_form_only(&LeaderElection);
+                let kernel = TaskKernel::new(&LeaderElection, None);
                 let mut dp = Dp::new(&model, &alpha, kernel, faulted);
                 let (mut lanes, silences) = if faulted {
                     let silences = vec![Some(0), Some(0b0101), Some(0b1000)];
@@ -819,7 +884,7 @@ mod tests {
         for model in models_for(3) {
             let absorbing = solved_series(&model, &LeaderElection, &alpha, t_max);
             // Reference: expand *every* state, verdict each child.
-            let kernel = TaskKernel::closed_form_only(&LeaderElection);
+            let kernel = TaskKernel::new(&LeaderElection, None);
             let mut dp = Dp::new(&model, &alpha, kernel, false);
             let root = dp.intern(&vec![0u8; dp.units]);
             let mut weights: FxHashMap<u32, u128> = FxHashMap::default();
@@ -895,36 +960,25 @@ mod tests {
         sched.set_omission(0, 2);
         sched.set_crash(2, 2);
         // A longer horizon with the faults mid-run: an omission in round
-        // 3 and a crash from round 5, ten rounds deep.
+        // 3 and a crash from round 5, ten rounds deep, pinned to the
+        // counts of a full faulted execution-tree walk.
         let mut late = FaultSchedule::empty(3, 10);
         late.set_omission(0, 3);
         late.set_crash(2, 5);
+        let late_counts: [u128; 10] = [2, 12, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576];
         for model in models_for(3) {
-            let tree = engine::solved_counts_faulted(
-                &model,
-                &LeaderElection,
-                &alpha,
-                10,
-                &late,
-                &mut KnowledgeArena::new(),
-            );
-            let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
             let dp = solved_series_faulted(&model, &LeaderElection, &alpha, 10, &late);
-            assert_eq!(dp, widened, "{model} omit(0@3) crash(2@5)");
+            assert_eq!(dp, late_counts, "{model} omit(0@3) crash(2@5)");
         }
+        // Leaf-by-leaf faulted re-simulation on the short schedule: the
+        // absorption of solved states stays sound under faults (the
+        // partition still only refines, because every round embeds each
+        // node's own previous knowledge, silent or not).
         for model in models_for(3) {
             for task in tasks_for(3) {
-                let tree = engine::solved_counts_faulted(
-                    &model,
-                    task.as_ref(),
-                    &alpha,
-                    t_max,
-                    &sched,
-                    &mut KnowledgeArena::new(),
-                );
                 let dp = solved_series_faulted(&model, task.as_ref(), &alpha, t_max, &sched);
-                let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
-                assert_eq!(dp, widened, "{model} {}", task.name());
+                let reference = leaf_by_leaf_faulted(&model, task.as_ref(), &alpha, t_max, &sched);
+                assert_eq!(dp, reference, "{model} {}", task.name());
                 for threads in [2usize, 4] {
                     let (par, _) = solved_series_faulted_with_stats(
                         &model,
@@ -980,12 +1034,46 @@ mod tests {
 
     #[test]
     fn root_solving_fills_every_depth_to_126_bits() {
-        // n = 1 solves at the root; k = 1, t = 126 exercises
-        // `1u128 << 126` — the largest shift the budget admits.
+        // n = 1 solves at the root, so every depth tallies full; k = 1,
+        // t = 126 exercises `1u128 << 126` — the largest shift the budget
+        // admits — and every depth on the way, past 2^62 and 2^64.
         let alpha = Assignment::private(1);
         let series = solved_series(&Model::Blackboard, &LeaderElection, &alpha, 126);
-        assert_eq!(series[0], 2);
-        assert_eq!(series[125], 1u128 << 126);
+        for (i, &count) in series.iter().enumerate() {
+            assert_eq!(count, 1u128 << (i + 1), "t={}", i + 1);
+        }
+    }
+
+    #[test]
+    fn dense_scan_fallback_matches_closed_form() {
+        // The same output complex through solves_partition (LeaderElection)
+        // and through the dense fallback (OpaqueLeaderElection) must tally
+        // identically, and the opaque task must actually hit the scan.
+        let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
+        for model in models_for(3) {
+            let (closed, _) = solved_series_with_stats(&model, &LeaderElection, &alpha, 3, 1);
+            let (scanned, stats) =
+                solved_series_with_stats(&model, &OpaqueLeaderElection, &alpha, 3, 1);
+            assert_eq!(closed, scanned, "{model}");
+            assert!(stats.dense_scan_verdicts > 0, "{model} {stats:?}");
+            assert_eq!(stats.closed_form_verdicts, 0, "{model} {stats:?}");
+        }
+    }
+
+    #[test]
+    fn streaming_mode_counts_each_expansion_as_a_built_row() {
+        // k = 13 > ROW_CACHE_MAX_K streams its rows: at t = 1 the root
+        // is the only frontier state, expanded once over all 2^13 digits.
+        let alpha = Assignment::private(13);
+        let model = Model::message_passing_cyclic(13);
+        let (series, stats) = solved_series_with_stats(&model, &LeaderElection, &alpha, 1, 1);
+        // Exactly one node's bit differs from the other twelve.
+        assert_eq!(series, vec![26]);
+        assert_eq!(
+            (stats.rows_built, stats.row_hits, stats.transitions),
+            (1, 0, 1 << 13),
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use rsbt_sim::FxHashMap;
 use rsbt_tasks::Task;
 
 use super::{absorb_rest, all_solved, DpStats};
-use crate::engine::{SolvabilityMemo, TaskKernel};
+use crate::solvability::{SolvabilityMemo, TaskKernel};
 
 /// One unordered split `{i, c − i}` of a class type.
 struct Split {

@@ -16,16 +16,14 @@
 //!   (fast combinatorial path, generic simplicial-map search on `π̃(ρ)`,
 //!   and the Definition 3.1 map search on the protocol facet) which are
 //!   cross-validated in tests — a mechanical proof of Lemma 3.5 on every
-//!   instance we can enumerate;
-//! * `engine` (crate-private) — the prefix-sharing execution-tree
-//!   enumerator: one round of interning per tree node instead of `t` per
-//!   leaf, solvability memoized per consistency partition, monotone
-//!   subtree pruning; the reference path and the `k > MAX_DP_K` fallback;
-//! * [`engine_dp`] — the quotient exact engine: dynamic programming over
+//!   instance we can enumerate; the per-run verdict memo every engine
+//!   decides through also lives here;
+//! * [`engine_dp`] — the exact engine: dynamic programming over
 //!   knowledge-equality states (the transposition table), `u128` dyadic
 //!   counts to `k·t ≤ 126`, per-round cost flat in `t`;
-//! * [`probability`] — `Pr[S(t) | α]` exactly (engine traversal over the
-//!   `2^{kt}` source words) and by the bit-sliced Monte-Carlo sampler;
+//! * [`probability`] — `Pr[S(t) | α]` exactly (solved counts from
+//!   [`engine_dp`] over the `2^{kt}` equiprobable source words) and by the
+//!   bit-sliced Monte-Carlo sampler;
 //! * [`eventual`] — the eventual-solvability predicates of Theorems 4.1
 //!   and 4.2 and zero-one-law helpers (Lemma 3.2);
 //! * [`bounds`] — the closed forms appearing in the proof of Theorem 4.1.
@@ -61,7 +59,6 @@
 mod bitsliced;
 pub mod bounds;
 pub mod consistency;
-mod engine;
 pub mod engine_dp;
 pub mod eventual;
 pub mod evolution;

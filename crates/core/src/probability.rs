@@ -9,11 +9,11 @@
 //! and costs `O(states · 2^k)` per round — flat in `t`. Fault-free
 //! blackboard queries with a symmetric task and a repeated group size
 //! take the DP's orbit quotient ([`crate::engine_dp::orbit_eligible`]),
-//! which has no `k` limit. Every other query with `k >`
-//! [`crate::engine_dp::MAX_DP_K`] (where the labeled DP's per-state `2^k`
-//! fan-out is unaffordable) falls back to the prefix-sharing
-//! execution-tree engine (the crate-private `engine` module), which is
-//! also the reference path for bit-identity tests.
+//! which has no `k` limit; the labeled DP takes every other query with
+//! `k ≤` [`crate::engine_dp::MAX_DP_K`], or with `k·t ≤ 62` past it.
+//! Every exact entry point here reads its counts off that one engine.
+//! [`exact_reference`] and [`exact_series_reference`] enumerate leaf by
+//! leaf; they are the tests' oracle, not a production path.
 //!
 //! Past the exact wall the estimate comes from one sampler,
 //! [`monte_carlo_bitsliced`] and its `_series`/`_faulted` forms: 64
@@ -25,12 +25,11 @@
 
 use rand::Rng;
 use rsbt_random::{Assignment, BitString, Realization};
-use rsbt_sim::{pool, FaultSchedule, FxHashMap, KnowledgeArena, KnowledgeId, Model, RoundStepper};
+use rsbt_sim::{FaultSchedule, FxHashMap, KnowledgeArena, KnowledgeId, Model, RoundStepper};
 use rsbt_tasks::Task;
 
-use crate::engine::{self, SolvabilityMemo, TaskKernel};
 use crate::engine_dp;
-use crate::solvability;
+use crate::solvability::{self, SolvabilityMemo, TaskKernel};
 
 pub use crate::bitsliced::{
     monte_carlo_bitsliced, monte_carlo_bitsliced_faulted, monte_carlo_bitsliced_faulted_with_stats,
@@ -44,25 +43,22 @@ pub use crate::bitsliced::{
 /// bits is the last point where every tally — including the full-tree
 /// mass `2^{k·t}` — stays representable. Raised from 30 (see
 /// [`TREE_EXACT_BITS`]) when the quotient engine
-/// ([`crate::engine_dp`]) replaced tree traversal as the production
-/// exact path; the history is 26 → 30 (prefix-sharing engine, `DESIGN.md`
-/// §4.4) → 126 (knowledge-equality DP, `DESIGN.md` §4.10).
+/// ([`crate::engine_dp`]) replaced tree traversal as the exact path; the
+/// history is 26 → 30 (prefix-sharing tree walk, `DESIGN.md` §4.4) → 126
+/// (knowledge-equality DP, `DESIGN.md` §4.10).
 pub const MAX_EXACT_BITS: usize = 126;
 
-/// The previous exact wall: the largest `k·t` the tree-walking paths can
-/// afford (`2^30` executions). Still load-bearing three ways: the
-/// `k > MAX_DP_K` dispatch fallback (for queries the orbit quotient
-/// cannot take) runs the tree engine, whose cost is
-/// `2^{k·t}` node visits; leaf-by-leaf certificate searches
-/// ([`crate::eventual`]) enumerate realizations outright; and bench
-/// sweeps tag rows past this budget with the `exact-dp` mode so report
-/// consumers can tell which numbers the old engine could not have
-/// produced.
+/// The largest `k·t` whose `2^{k·t}` realizations can be enumerated one
+/// by one (`2^30`). No engine runs on it; it is a threshold in two
+/// places. Bench sweeps tag exact rows past it with the `exact-dp` mode,
+/// so report consumers can tell the counts only the DP produces; and
+/// [`crate::eventual::lemma_3_2_certificate`], which enumerates
+/// realizations outright, refuses searches beyond it.
 pub const TREE_EXACT_BITS: usize = 30;
 
 /// Exact `Pr[S(t) | α]`: the integer count of solving realizations over
-/// `2^{k·t}`, computed by the quotient DP / tree-engine dispatch (see
-/// [`MAX_EXACT_BITS`] and `dispatch_series` for the routing).
+/// `2^{k·t}`, from the quotient DP ([`engine_dp::solved_series`]; see
+/// [`MAX_EXACT_BITS`]).
 ///
 /// # Panics
 ///
@@ -83,34 +79,7 @@ pub const TREE_EXACT_BITS: usize = 30;
 /// assert!((p - 0.5).abs() < 1e-12);
 /// ```
 pub fn exact<T: Task + ?Sized>(model: &Model, task: &T, alpha: &Assignment, t: usize) -> f64 {
-    exact_with_arena(model, task, alpha, t, &mut KnowledgeArena::new())
-}
-
-/// [`exact`] with a caller-provided [`KnowledgeArena`].
-///
-/// The arena matters only on the tree-engine fallback path (`k >`
-/// [`engine_dp::MAX_DP_K`] off the orbit quotient) and at `t = 0`, where
-/// interning is
-/// content-addressed and reuse across points skips re-interning shared
-/// knowledge prefixes; the quotient DP path keeps no knowledge ids.
-/// Results are bit-identical either way.
-///
-/// # Panics
-///
-/// Same conditions as [`exact`].
-pub fn exact_with_arena<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    arena: &mut KnowledgeArena,
-) -> f64 {
-    check_budget(model, alpha, t);
-    if t == 0 {
-        return exact_reference(model, task, alpha, 0, arena);
-    }
-    let counts = dispatch_series(model, task, alpha, t, None, 1, arena);
-    counts[t - 1] as f64 / (1u128 << (alpha.k() * t)) as f64
+    exact_at(model, task, alpha, t, None, 1)
 }
 
 /// Exact `Pr[S(t) | α]` under a **fixed** [`FaultSchedule`]: counts the
@@ -137,29 +106,7 @@ pub fn exact_faulted<T: Task + ?Sized>(
     t: usize,
     faults: &FaultSchedule,
 ) -> f64 {
-    exact_faulted_with_arena(model, task, alpha, t, faults, &mut KnowledgeArena::new())
-}
-
-/// [`exact_faulted`] with a caller-provided [`KnowledgeArena`].
-///
-/// # Panics
-///
-/// Same conditions as [`exact_faulted`].
-pub fn exact_faulted_with_arena<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    faults: &FaultSchedule,
-    arena: &mut KnowledgeArena,
-) -> f64 {
-    check_budget(model, alpha, t);
-    if t == 0 {
-        // No rounds: faults never act, and the all-⊥ partition decides.
-        return exact_reference(model, task, alpha, 0, arena);
-    }
-    let counts = dispatch_series(model, task, alpha, t, Some(faults), 1, arena);
-    counts[t - 1] as f64 / (1u128 << (alpha.k() * t)) as f64
+    exact_at(model, task, alpha, t, Some(faults), 1)
 }
 
 /// Asserts the shared preconditions of every exact entry point.
@@ -174,57 +121,54 @@ fn check_budget(model: &Model, alpha: &Assignment, t: usize) {
     }
 }
 
-/// The production dispatch behind every `exact*` entry point: solved
-/// counts per depth from the quotient DP engine
-/// ([`engine_dp::solved_series`] and the faulted twin) whenever the query
-/// takes its orbit quotient ([`engine_dp::orbit_eligible`]) or its
-/// labeled per-state `2^k` digit fan-out is affordable (`k ≤`
-/// [`engine_dp::MAX_DP_K`]), else from the prefix-sharing tree engine —
-/// whose `u64` tallies additionally require `k·t ≤ 62`. The two are
-/// bit-identical on the overlap (tested in [`crate::engine_dp`], faulted
-/// grids included). `arena` is consulted only on the tree path (the DP
-/// keeps no knowledge ids); `threads` only on the DP path (tree-path
-/// parallelism goes through [`exact_parallel`]'s subtree sharding
-/// instead).
-fn dispatch_series<T: Task + ?Sized>(
+/// Solved counts per depth `1..=t_max` from the quotient DP, faulted or
+/// not, with `threads` row-building workers.
+fn dp_counts<T: Task + ?Sized>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
     t_max: usize,
     faults: Option<&FaultSchedule>,
     threads: usize,
-    arena: &mut KnowledgeArena,
 ) -> Vec<u128> {
-    if alpha.k() <= engine_dp::MAX_DP_K || engine_dp::orbit_eligible(model, task, alpha, faults) {
-        return match faults {
-            None => engine_dp::solved_series_with_stats(model, task, alpha, t_max, threads).0,
-            Some(f) => {
-                engine_dp::solved_series_faulted_with_stats(model, task, alpha, t_max, f, threads).0
-            }
-        };
+    match faults {
+        None => engine_dp::solved_series_with_stats(model, task, alpha, t_max, threads).0,
+        Some(f) => {
+            engine_dp::solved_series_faulted_with_stats(model, task, alpha, t_max, f, threads).0
+        }
     }
-    assert!(
-        alpha.k() * t_max <= 62,
-        "k = {} exceeds the quotient engine's digit fan-out bound (MAX_DP_K = {}) \
-         and k*t = {} exceeds the tree engine's u64 tallies (62 bits)",
-        alpha.k(),
-        engine_dp::MAX_DP_K,
-        alpha.k() * t_max
-    );
-    let counts = match faults {
-        None => engine::solved_counts(model, task, alpha, t_max, arena),
-        Some(f) => engine::solved_counts_faulted(model, task, alpha, t_max, f, arena),
-    };
-    counts.into_iter().map(u128::from).collect()
 }
 
-/// The pre-engine reference path: leaf-by-leaf re-simulation over
+/// The body of [`exact`], [`exact_faulted`] and [`exact_parallel`]. At
+/// `t = 0` no round runs and faults never act: the DP's root verdict (the
+/// all-`⊥` partition) is the whole answer.
+fn exact_at<T: Task + ?Sized>(
+    model: &Model,
+    task: &T,
+    alpha: &Assignment,
+    t: usize,
+    faults: Option<&FaultSchedule>,
+    threads: usize,
+) -> f64 {
+    check_budget(model, alpha, t);
+    if t == 0 {
+        return if engine_dp::root_solves(task, alpha.n()) {
+            1.0
+        } else {
+            0.0
+        };
+    }
+    let counts = dp_counts(model, task, alpha, t, faults, threads);
+    counts[t - 1] as f64 / (1u128 << (alpha.k() * t)) as f64
+}
+
+/// The leaf-by-leaf reference path: re-simulation over
 /// [`Realization::enumerate_consistent`], kept verbatim as the independent
 /// ground truth for the engine's bit-identity tests — including the old
 /// per-leaf solvability cost model ([`solvability::solves_reference`]
 /// rebuilds the output complex and scans it per realization, exactly as
-/// `solves` did before the dense/closed-form rewrite). Not used by any production
-/// caller — prefer [`exact`] / [`exact_with_arena`].
+/// `solves` did before the dense/closed-form rewrite). Not used by any
+/// production caller — prefer [`exact`].
 ///
 /// # Panics
 ///
@@ -269,30 +213,22 @@ pub fn exact_series_reference<T: Task + ?Sized>(
 
 /// The series `p(1), …, p(t_max)` of exact success probabilities.
 ///
-/// A **single** execution-tree traversal produces the whole series: the
-/// engine tallies solved nodes at every depth, so `p(t)` for all `t ≤
-/// t_max` costs one walk of the depth-`t_max` tree instead of one
-/// enumeration per `t`. Results are bit-identical to calling [`exact`]
-/// per `t` (asserted by test).
+/// A **single** DP sweep produces the whole series: the engine tallies
+/// solved mass at every depth, so `p(t)` for all `t ≤ t_max` costs one
+/// sweep to depth `t_max` instead of one per `t`. Results are
+/// bit-identical to calling [`exact`] per `t` (asserted by test).
+///
+/// # Panics
+///
+/// Same conditions as [`exact`], applied at `t_max`.
 pub fn exact_series<T: Task + ?Sized>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
     t_max: usize,
 ) -> Vec<f64> {
-    exact_series_with_arena(model, task, alpha, t_max, &mut KnowledgeArena::new())
-}
-
-/// [`exact_series`] with a caller-provided [`KnowledgeArena`].
-pub fn exact_series_with_arena<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    arena: &mut KnowledgeArena,
-) -> Vec<f64> {
     check_budget(model, alpha, t_max);
-    let counts = dispatch_series(model, task, alpha, t_max, None, 1, arena);
+    let counts = dp_counts(model, task, alpha, t_max, None, 1);
     counts
         .iter()
         .enumerate()
@@ -456,8 +392,8 @@ impl Cache {
 }
 
 /// Cached [`exact`]: answers from `cache` when possible, otherwise computes
-/// via [`exact_with_arena`] and memoizes. The cache key is borrowed — no
-/// model or source-vector clone on hits.
+/// via [`exact`] and memoizes. The cache key is borrowed — no model or
+/// source-vector clone on hits.
 ///
 /// # Panics
 ///
@@ -468,28 +404,26 @@ pub fn exact_cached<T: Task + ?Sized>(
     task: &T,
     alpha: &Assignment,
     t: usize,
-    arena: &mut KnowledgeArena,
 ) -> f64 {
     let name = task.name();
     if let Some(p) = cache.lookup_counted(model, &name, alpha.sources(), t) {
         return p;
     }
-    let p = exact_with_arena(model, task, alpha, t, arena);
+    let p = exact(model, task, alpha, t);
     cache.insert_named(model, &name, alpha.sources(), t, p);
     p
 }
 
 /// Cached [`exact_series`]: each prefix `t` is memoized individually, so a
 /// longer series extends a shorter one without recomputing shared
-/// prefixes. Uncached suffixes are filled by **one** engine traversal to
-/// the deepest missing `t`, not one enumeration per missing point.
+/// prefixes. Uncached suffixes are filled by **one** DP sweep to the
+/// deepest missing `t`, not one computation per missing point.
 pub fn exact_series_cached<T: Task + ?Sized>(
     cache: &mut Cache,
     model: &Model,
     task: &T,
     alpha: &Assignment,
     t_max: usize,
-    arena: &mut KnowledgeArena,
 ) -> Vec<f64> {
     let name = task.name();
     let cached: Vec<Option<f64>> = (1..=t_max)
@@ -497,7 +431,7 @@ pub fn exact_series_cached<T: Task + ?Sized>(
         .collect();
     let deepest_missing = cached.iter().rposition(Option::is_none).map(|i| i + 1);
     let computed = match deepest_missing {
-        Some(need) => exact_series_with_arena(model, task, alpha, need, arena),
+        Some(need) => exact_series(model, task, alpha, need),
         None => Vec::new(),
     };
     cached
@@ -519,18 +453,10 @@ pub fn exact_series_cached<T: Task + ?Sized>(
 /// larger sweeps where single-threaded evaluation dominates wall-clock
 /// time.
 ///
-/// On the quotient-DP path (`k ≤` [`engine_dp::MAX_DP_K`], or any `k` on
-/// the orbit quotient, which runs serially) the threads build missing
-/// labeled transition rows per round
+/// The threads build missing labeled transition rows per round
 /// ([`engine_dp::solved_series_with_stats`]); interning stays serial and
-/// ordered, so the counts are independent of `threads`. On the tree
-/// fallback, parallelism is top-level-subtree sharding over the
-/// execution tree: the depth-`D` prefixes (smallest `D` with `2^{k·D} ≥
-/// threads`) are split into contiguous ranges, each worker runs the
-/// prefix-sharing engine on its range with a private arena/memo
-/// (`engine::solved_counts_shard`), and the per-shard tallies are
-/// merged in index order via [`pool::map_with_arena`] — integer counts,
-/// so the merged probability is bit-identical to the serial walk.
+/// ordered, so the counts are independent of `threads`. The orbit
+/// quotient and the streaming mode run serially.
 ///
 /// # Panics
 ///
@@ -546,54 +472,7 @@ where
     T: Task + Sync + ?Sized,
 {
     assert!(threads >= 1, "need at least one thread");
-    check_budget(model, alpha, t);
-    if t == 0 || threads == 1 {
-        return exact(model, task, alpha, t);
-    }
-    let k = alpha.k();
-    if k <= engine_dp::MAX_DP_K || engine_dp::orbit_eligible(model, task, alpha, None) {
-        let (counts, _) = engine_dp::solved_series_with_stats(model, task, alpha, t, threads);
-        return counts[t - 1] as f64 / (1u128 << (k * t)) as f64;
-    }
-    let mut shard_depth = 0;
-    // u128: `check_budget` bounds `k * t` (and so `k * shard_depth`) only
-    // to the 126-bit DP budget, past the 64-bit shift range.
-    while shard_depth < t && (1u128 << (k * shard_depth)) < threads as u128 {
-        shard_depth += 1;
-    }
-    let prefixes: u64 = 1 << (k * shard_depth);
-    let chunk = prefixes.div_ceil(threads as u64);
-    let ranges: Vec<(u64, u64)> = (0..threads as u64)
-        .map(|w| (w * chunk, ((w + 1) * chunk).min(prefixes)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect();
-    // At most one dense table for the run (none when the task's closed
-    // form answers), shared read-only across workers; each worker
-    // assembles its borrowed kernel and owns its memo.
-    let table = engine::fallback_table(task, alpha.n());
-    let shard_counts = pool::map_with_arena(&ranges, threads, |arena, &(lo, hi)| {
-        let kernel = match table.as_ref() {
-            Some(table) => TaskKernel::new(task, table),
-            None => TaskKernel::closed_form_only(task),
-        };
-        let mut memo = SolvabilityMemo::new();
-        engine::solved_counts_shard(
-            model,
-            &kernel,
-            alpha,
-            t,
-            shard_depth,
-            lo,
-            hi,
-            arena,
-            &mut memo,
-        )
-    });
-    let solved: u64 = shard_counts.iter().map(|counts| counts[t - 1]).sum();
-    // u128 like every other tally division: the shard engine's own
-    // `k·t ≤ 62` assert keeps `solved` in u64 range, but the denominator
-    // shift must not be the thing that pins the wall.
-    solved as f64 / (1u128 << (k * t)) as f64
+    exact_at(model, task, alpha, t, None, threads)
 }
 
 /// The largest sample count the estimators accept: counts above `2^53`
@@ -942,11 +821,8 @@ pub fn monte_carlo<T: Task + ?Sized, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Estimate {
     check_mc_args(model, alpha, t, samples);
-    let table = engine::fallback_table(task, alpha.n());
-    let kernel = match table.as_ref() {
-        Some(table) => TaskKernel::new(task, table),
-        None => TaskKernel::closed_form_only(task),
-    };
+    let table = solvability::fallback_table(task, alpha.n());
+    let kernel = TaskKernel::new(task, table.as_ref());
     let mut arena = KnowledgeArena::new();
     let mut memo = SolvabilityMemo::new();
     let mut sampler = SampleKernel::new(model, kernel, alpha, t, &mut arena);
@@ -970,7 +846,7 @@ pub(crate) mod oracle {
     use rsbt_tasks::Task;
 
     use super::{Estimate, McStats, SampleKernel};
-    use crate::engine::{self, SolvabilityMemo, TaskKernel};
+    use crate::solvability::{self, SolvabilityMemo, TaskKernel};
 
     /// Each sample's first solving round at horizon `t` (`None` when it
     /// does not solve by `t`), plus the memo's verdict counters. Under
@@ -985,11 +861,8 @@ pub(crate) mod oracle {
         seed: u64,
         faults: Option<&FaultSpec>,
     ) -> (Vec<Option<usize>>, McStats) {
-        let table = engine::fallback_table(task, alpha.n());
-        let kernel = match table.as_ref() {
-            Some(table) => TaskKernel::new(task, table),
-            None => TaskKernel::closed_form_only(task),
-        };
+        let table = solvability::fallback_table(task, alpha.n());
+        let kernel = TaskKernel::new(task, table.as_ref());
         let mut arena = KnowledgeArena::new();
         let mut memo = SolvabilityMemo::new();
         let mut sampler = SampleKernel::new(model, kernel, alpha, t, &mut arena);
@@ -1531,11 +1404,28 @@ mod tests {
     }
 
     #[test]
+    fn wide_k_labeled_dp_matches_the_tree_count() {
+        // k = 21 > MAX_DP_K off the orbit quotient (message passing),
+        // k·t = 21 ≤ 62: the labeled DP streams the root's 2^20 lane
+        // digits. At t = 1 a node's knowledge is its own bit, so exactly
+        // the 2·21 realizations with one odd bit out elect; 42 is also
+        // the count a full execution-tree walk gives.
+        let alpha = Assignment::private(21);
+        let model = Model::message_passing_cyclic(21);
+        assert_eq!(
+            engine_dp::solved_series(&model, &LeaderElection, &alpha, 1),
+            vec![42]
+        );
+        let series = exact_series(&model, &LeaderElection, &alpha, 1);
+        assert_eq!(series, vec![42.0 / (1u128 << 21) as f64]);
+    }
+
+    #[test]
     #[should_panic(expected = "digit fan-out bound")]
     fn dispatch_rejects_wide_k_past_the_tree_tallies() {
         // k = 21 > MAX_DP_K off the orbit quotient (message passing)
-        // routes to the tree engine, whose u64 tallies stop at k·t = 62;
-        // 21·3 = 63 must be refused with a message naming both limits.
+        // runs on the labeled DP only while k·t ≤ 62; 21·3 = 63 must be
+        // refused with a message naming both limits.
         let alpha = Assignment::private(21);
         let model = Model::message_passing_cyclic(21);
         let _ = exact(&model, &LeaderElection, &alpha, 3);
@@ -1565,7 +1455,7 @@ mod tests {
     #[test]
     fn orbit_quotient_answers_past_max_dp_k() {
         // k = 40 > MAX_DP_K: the orbit quotient reaches k·t = 120, where
-        // the tree engine's k·t ≤ 62 would refuse.
+        // the labeled DP's wide-k budget k·t ≤ 62 would refuse.
         let alpha = Assignment::private(40);
         let counts = engine_dp::solved_series(&Model::Blackboard, &LeaderElection, &alpha, 3);
         for t in 1..=3u32 {
@@ -1615,9 +1505,10 @@ mod tests {
 
     #[test]
     fn engine_bit_identical_to_reference_all_profiles() {
-        // The prefix-sharing engine must reproduce the leaf-by-leaf
-        // reference bit-for-bit: both models, every profile with n ≤ 4,
-        // t ≤ 3, every thread count — exact, series, and parallel paths.
+        // The exact engine must reproduce the leaf-by-leaf reference
+        // bit-for-bit: both models, every profile with n ≤ 4, t ≤ 3
+        // (and t = 0), every thread count — exact, series, and parallel
+        // paths.
         let two_le = KLeaderElection::new(2);
         let tasks: [&(dyn Task + Sync); 2] = [&LeaderElection, &two_le];
         for n in 2..=4usize {
@@ -1629,6 +1520,10 @@ mod tests {
                         let reference =
                             exact_series_reference(model, task, &alpha, 3, &mut ref_arena);
                         let series = exact_series(model, task, &alpha, 3);
+                        // t = 0: the DP's root verdict against the one
+                        // empty realization.
+                        let root = exact_reference(model, task, &alpha, 0, &mut ref_arena);
+                        assert_eq!(exact(model, task, &alpha, 0).to_bits(), root.to_bits());
                         for (i, (&p, &q)) in series.iter().zip(&reference).enumerate() {
                             let t = i + 1;
                             assert_eq!(p.to_bits(), q.to_bits(), "{model} {alpha} series t={t}");
@@ -1651,9 +1546,8 @@ mod tests {
 
     #[test]
     fn one_pass_series_equals_per_t_recomputation() {
-        // One traversal to t_max vs an independent full recomputation per
-        // prefix, bit for bit (fresh arenas everywhere, so equality cannot
-        // come from shared interning state).
+        // One DP sweep to t_max vs an independent leaf-by-leaf
+        // recomputation per prefix, bit for bit.
         for model in [Model::Blackboard, Model::message_passing_cyclic(4)] {
             let alpha = Assignment::from_group_sizes(&[1, 3]).unwrap();
             let one_pass = exact_series(&model, &LeaderElection, &alpha, 4);
@@ -1673,8 +1567,8 @@ mod tests {
 
     #[test]
     fn shared_arena_series_bit_identical_to_per_t_path() {
-        // The incremental series (one arena for all prefixes) must agree
-        // bit-for-bit with a fresh arena per t, on both models.
+        // The one-sweep series must agree bit-for-bit with a fresh
+        // per-t computation, on both models.
         for model in [Model::Blackboard, Model::message_passing_cyclic(4)] {
             for sizes in [vec![1usize, 3], vec![2, 2], vec![1, 1, 2]] {
                 let alpha = Assignment::from_group_sizes(&sizes).unwrap();
@@ -1694,28 +1588,14 @@ mod tests {
     #[test]
     fn cache_replays_bit_identical_values() {
         let mut cache = Cache::new();
-        let mut arena = KnowledgeArena::new();
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let first = exact_series_cached(
-            &mut cache,
-            &Model::Blackboard,
-            &LeaderElection,
-            &alpha,
-            4,
-            &mut arena,
-        );
+        let first = exact_series_cached(&mut cache, &Model::Blackboard, &LeaderElection, &alpha, 4);
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 4);
         // A longer series extends the cached prefix: 4 hits + 2 misses.
-        let longer = exact_series_cached(
-            &mut cache,
-            &Model::Blackboard,
-            &LeaderElection,
-            &alpha,
-            6,
-            &mut arena,
-        );
+        let longer =
+            exact_series_cached(&mut cache, &Model::Blackboard, &LeaderElection, &alpha, 6);
         assert_eq!(cache.hits(), 4);
         assert_eq!(cache.misses(), 6);
         assert_eq!(&longer[..4], &first[..]);
@@ -1728,36 +1608,21 @@ mod tests {
     #[test]
     fn cache_key_distinguishes_model_task_and_alpha() {
         let mut cache = Cache::new();
-        let mut arena = KnowledgeArena::new();
         let a12 = Assignment::from_group_sizes(&[1, 2]).unwrap();
         let a111 = Assignment::from_group_sizes(&[1, 1, 1]).unwrap();
         let two = KLeaderElection::new(2);
         let mp = Model::message_passing_cyclic(3);
         let points: Vec<f64> = vec![
-            exact_cached(
-                &mut cache,
-                &Model::Blackboard,
-                &LeaderElection,
-                &a12,
-                2,
-                &mut arena,
-            ),
-            exact_cached(
-                &mut cache,
-                &Model::Blackboard,
-                &LeaderElection,
-                &a111,
-                2,
-                &mut arena,
-            ),
-            exact_cached(&mut cache, &Model::Blackboard, &two, &a111, 2, &mut arena),
-            exact_cached(&mut cache, &mp, &LeaderElection, &a111, 2, &mut arena),
+            exact_cached(&mut cache, &Model::Blackboard, &LeaderElection, &a12, 2),
+            exact_cached(&mut cache, &Model::Blackboard, &LeaderElection, &a111, 2),
+            exact_cached(&mut cache, &Model::Blackboard, &two, &a111, 2),
+            exact_cached(&mut cache, &mp, &LeaderElection, &a111, 2),
         ];
         assert_eq!(cache.len(), 4, "four distinct keys, no collisions");
         assert_eq!(cache.misses(), 4);
         // Replays hit and agree.
         assert_eq!(
-            exact_cached(&mut cache, &mp, &LeaderElection, &a111, 2, &mut arena).to_bits(),
+            exact_cached(&mut cache, &mp, &LeaderElection, &a111, 2).to_bits(),
             points[3].to_bits()
         );
         assert_eq!(cache.hits(), 1);

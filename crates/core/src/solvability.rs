@@ -25,11 +25,15 @@
 //!
 //! Checkers that run in a loop over realizations of one `(task, n)` pair
 //! should thread an [`OutputComplexCache`] through the `_with_cache`
-//! variants so the dense table is built once, not per call.
+//! variants so the dense table is built once, not per call. The exact
+//! engine and the Monte-Carlo kernels go one step further: a run-owned
+//! `TaskKernel` (the task plus, only for tasks without a closed form, its
+//! dense table) answers through a `SolvabilityMemo` keyed by consistency
+//! partition, so each distinct partition is decided once per run.
 
 use rsbt_complex::{ops, search, FacetTable, ProcessName, Simplex};
 use rsbt_random::Realization;
-use rsbt_sim::{Execution, KnowledgeArena, Model};
+use rsbt_sim::{Execution, FxHashMap, KnowledgeArena, KnowledgeId, Model};
 use rsbt_tasks::{projection, Task};
 
 use crate::output_cache::{build_output_table, OutputComplexCache};
@@ -180,6 +184,186 @@ pub(crate) fn facet_scan(table: &FacetTable, labels: &[u8], reps: &[usize]) -> b
     })
 }
 
+/// Builds the dense output table only when `task` has no closed-form
+/// verdict (probed on one partition — the trait contract makes
+/// `solves_partition` uniformly `Some`/`None` per `(task, n)`). The probe
+/// uses the all-one-class partition, so it panics exactly where
+/// `output_complex(n)` would on an undefined `n`.
+pub(crate) fn fallback_table<T: Task + ?Sized>(task: &T, n: usize) -> Option<FacetTable> {
+    if task.solves_partition(&vec![0u8; n]).is_some() {
+        None
+    } else {
+        Some(build_output_table(task, n))
+    }
+}
+
+/// Everything a run needs to decide solvability for one `(task, n)` pair:
+/// the task (for its closed-form [`Task::solves_partition`]) and, for
+/// tasks without one, the dense [`FacetTable`] of its output complex (the
+/// fallback scan). Built once per run and assembled from borrowed parts,
+/// so parallel workers share one table. Tasks with a closed form carry no
+/// table at all: their output complex is never materialized.
+#[derive(Debug)]
+pub(crate) struct TaskKernel<'a, T: Task + ?Sized> {
+    task: &'a T,
+    table: Option<&'a FacetTable>,
+}
+
+impl<'a, T: Task + ?Sized> TaskKernel<'a, T> {
+    /// Assembles a kernel from a task and its [`fallback_table`] (`None`
+    /// when the task's closed form always answers).
+    pub(crate) fn new(task: &'a T, table: Option<&'a FacetTable>) -> Self {
+        TaskKernel { task, table }
+    }
+}
+
+// Manual impls: `derive` would bound `T: Clone`/`T: Copy`.
+impl<T: Task + ?Sized> Clone for TaskKernel<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T: Task + ?Sized> Copy for TaskKernel<'_, T> {}
+
+/// Memoized solvability verdicts, keyed by the canonical consistency
+/// partition (first-occurrence class labels of the knowledge-id vector).
+///
+/// Verdicts are a pure function of `(partition, output complex)`: the
+/// memo must not be reused across tasks or system sizes. Lookups on the
+/// hit path are allocation-free (the label buffer is reused and hashed as
+/// a borrowed slice) — and so are misses: the verdict comes from the
+/// task's closed-form [`Task::solves_partition`] when it has one, else
+/// from [`facet_scan`] over the kernel's dense table (the only allocation
+/// is the memo insertion itself, once per distinct partition).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SolvabilityMemo {
+    verdicts: FxHashMap<Vec<u8>, bool>,
+    /// Scratch: canonical class label per node.
+    labels: Vec<u8>,
+    /// Scratch: the distinct ids, in first-appearance order.
+    seen: Vec<KnowledgeId>,
+    /// Scratch: the representative (first) node of each class.
+    reps: Vec<usize>,
+    memo_hits: u64,
+    closed_form_verdicts: u64,
+    dense_scan_verdicts: u64,
+}
+
+impl SolvabilityMemo {
+    /// Creates an empty memo.
+    pub(crate) fn new() -> Self {
+        SolvabilityMemo::default()
+    }
+
+    /// How many queries were answered from the partition memo.
+    pub(crate) fn memo_hits(&self) -> u64 {
+        self.memo_hits
+    }
+
+    /// How many verdicts came from the task's closed form
+    /// ([`Task::solves_partition`]).
+    pub(crate) fn closed_form_verdicts(&self) -> u64 {
+        self.closed_form_verdicts
+    }
+
+    /// How many verdicts fell back to the dense facet scan.
+    pub(crate) fn dense_scan_verdicts(&self) -> u64 {
+        self.dense_scan_verdicts
+    }
+
+    /// Whether a knowledge vector solves the kernel's task — the
+    /// criterion of [`solves_execution`] (some facet monochromatic on
+    /// every consistency class), memoized on the partition signature.
+    /// Misses dispatch to the closed form first and the dense scan
+    /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids.len() > 255`.
+    pub(crate) fn solves<T: Task + ?Sized>(
+        &mut self,
+        ids: &[KnowledgeId],
+        kernel: &TaskKernel<'_, T>,
+    ) -> bool {
+        assert!(ids.len() <= u8::MAX as usize, "too many nodes for labels");
+        self.labels.clear();
+        self.seen.clear();
+        self.reps.clear();
+        for (i, &id) in ids.iter().enumerate() {
+            match self.seen.iter().position(|&s| s == id) {
+                Some(class) => self.labels.push(class as u8),
+                None => {
+                    self.labels.push(self.seen.len() as u8);
+                    self.seen.push(id);
+                    self.reps.push(i);
+                }
+            }
+        }
+        self.verdict_for_scratch(kernel)
+    }
+
+    /// [`SolvabilityMemo::solves`] on a consistency partition given
+    /// directly as canonical first-occurrence class labels — the entry
+    /// point of the quotient engine ([`crate::engine_dp`]), which tracks
+    /// equality *states* and never synthesizes knowledge ids. The class
+    /// representatives the dense fallback scan needs are derived from the
+    /// labels themselves (the first node of each class). Verdicts land in
+    /// the same memo as [`SolvabilityMemo::solves`] — the two entry points
+    /// share every cached partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `labels.len() > 255` or if `labels` is not canonical
+    /// (class `c`'s first occurrence must come after class `c − 1`'s).
+    pub(crate) fn solves_labels<T: Task + ?Sized>(
+        &mut self,
+        labels: &[u8],
+        kernel: &TaskKernel<'_, T>,
+    ) -> bool {
+        assert!(
+            labels.len() <= u8::MAX as usize,
+            "too many nodes for labels"
+        );
+        self.labels.clear();
+        self.labels.extend_from_slice(labels);
+        self.reps.clear();
+        for (i, &c) in labels.iter().enumerate() {
+            let c = c as usize;
+            if c == self.reps.len() {
+                self.reps.push(i);
+            } else {
+                assert!(c < self.reps.len(), "labels not in first-occurrence form");
+            }
+        }
+        self.verdict_for_scratch(kernel)
+    }
+
+    /// The shared memo/closed-form/dense-scan tail: answers for the
+    /// canonical partition currently held in the `labels`/`reps` scratch.
+    fn verdict_for_scratch<T: Task + ?Sized>(&mut self, kernel: &TaskKernel<'_, T>) -> bool {
+        if let Some(&verdict) = self.verdicts.get(self.labels.as_slice()) {
+            self.memo_hits += 1;
+            return verdict;
+        }
+        let verdict = match kernel.task.solves_partition(&self.labels) {
+            Some(v) => {
+                self.closed_form_verdicts += 1;
+                v
+            }
+            None => {
+                self.dense_scan_verdicts += 1;
+                let table = kernel
+                    .table
+                    .expect("tasks without a closed form carry a dense table");
+                facet_scan(table, &self.labels, &self.reps)
+            }
+        };
+        self.verdicts.insert(self.labels.clone(), verdict);
+        verdict
+    }
+}
+
 /// Definition 3.4 verbatim: existence of a name-preserving simplicial map
 /// `δ : π̃(ρ) → π(τ)` for some facet `τ` of the output complex.
 pub fn solves_via_projection<T: Task + ?Sized>(
@@ -279,6 +463,22 @@ pub fn verify_monotonicity<T: Task + ?Sized>(
         checked += 1;
     }
     checked
+}
+
+/// Leader election with its closed form and lane plan hidden: every
+/// verdict takes the dense-table scan (the tests' fallback-path task).
+#[cfg(test)]
+pub(crate) struct OpaqueLeaderElection;
+
+#[cfg(test)]
+impl Task for OpaqueLeaderElection {
+    fn name(&self) -> std::borrow::Cow<'static, str> {
+        std::borrow::Cow::Borrowed("opaque-leader-election")
+    }
+
+    fn output_complex(&self, n: usize) -> rsbt_complex::Complex<u64> {
+        rsbt_tasks::LeaderElection.output_complex(n)
+    }
 }
 
 #[cfg(test)]
@@ -532,5 +732,98 @@ mod tests {
             solves(&mp, &r, &LeaderElection, &mut arena),
             "cyclic ports break the 2+2 symmetry on this realization"
         );
+    }
+
+    #[test]
+    fn memo_never_changes_a_verdict() {
+        // The partition-signature memo (closed form + dense scan) must
+        // agree with the reference facet search on every realization, in
+        // both models, even when verdicts replay from the memo in
+        // arbitrary interleavings.
+        for n in 1..=4usize {
+            let models = [Model::Blackboard, Model::message_passing_cyclic(n)];
+            for model in models {
+                for task in [
+                    Box::new(LeaderElection) as Box<dyn Task>,
+                    Box::new(KLeaderElection::new(2.min(n))),
+                ] {
+                    let table = build_output_table(task.as_ref(), n);
+                    let kernel = TaskKernel::new(task.as_ref(), Some(&table));
+                    let mut memo = SolvabilityMemo::new();
+                    let mut arena = KnowledgeArena::new();
+                    for t in 0..=2usize {
+                        for rho in Realization::enumerate_all(n, t) {
+                            let exec = Execution::run(&model, &rho, &mut arena);
+                            let direct = solves_execution_reference(&exec, task.as_ref());
+                            let memoized = memo.solves(exec.knowledge_at(t), &kernel);
+                            assert_eq!(direct, memoized, "{model} n={n} t={t} {rho}");
+                        }
+                    }
+                    assert!(!memo.verdicts.is_empty());
+                    // Built-ins answer in closed form; the dense scan
+                    // never runs for them.
+                    assert_eq!(memo.closed_form_verdicts(), memo.verdicts.len() as u64);
+                    assert_eq!(memo.dense_scan_verdicts(), 0);
+                    assert!(memo.memo_hits() > 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fallback_table_built_only_without_closed_form() {
+        // Built-ins answer in closed form → no table, no output-complex
+        // materialization anywhere on the engine path.
+        assert!(fallback_table(&LeaderElection, 4).is_none());
+        assert!(fallback_table(&KLeaderElection::new(2), 4).is_none());
+        // Tasks without a closed form get the dense table.
+        assert!(fallback_table(&OpaqueLeaderElection, 4).is_some());
+    }
+
+    #[test]
+    fn labels_entry_point_shares_the_memo() {
+        // `solves_labels` must agree with `solves` on every realization's
+        // partition and share the same memo entries (no double-computes).
+        let alpha = rsbt_random::Assignment::from_group_sizes(&[1, 2]).unwrap();
+        let task = LeaderElection;
+        let kernel = TaskKernel::new(&task, None);
+        let mut via_ids = SolvabilityMemo::new();
+        let mut via_labels = SolvabilityMemo::new();
+        let mut arena = KnowledgeArena::new();
+        for t in 0..=2usize {
+            for rho in Realization::enumerate_consistent(&alpha, t) {
+                let exec = Execution::run(&Model::Blackboard, &rho, &mut arena);
+                let ids = exec.knowledge_at(t);
+                let expected = via_ids.solves(ids, &kernel);
+                // Canonicalize by hand, then ask the labels entry point.
+                let mut labels = Vec::new();
+                let mut seen: Vec<KnowledgeId> = Vec::new();
+                for &id in ids {
+                    match seen.iter().position(|&s| s == id) {
+                        Some(c) => labels.push(c as u8),
+                        None => {
+                            labels.push(seen.len() as u8);
+                            seen.push(id);
+                        }
+                    }
+                }
+                assert_eq!(
+                    via_labels.solves_labels(&labels, &kernel),
+                    expected,
+                    "{rho}"
+                );
+            }
+        }
+        assert_eq!(via_ids.verdicts.len(), via_labels.verdicts.len());
+        assert!(via_labels.memo_hits() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "labels not in first-occurrence form")]
+    fn non_canonical_labels_rejected() {
+        let mut memo = SolvabilityMemo::new();
+        let kernel = TaskKernel::new(&LeaderElection, None);
+        // Class 1 appears before class 0 — not first-occurrence canonical.
+        memo.solves_labels(&[1, 0], &kernel);
     }
 }

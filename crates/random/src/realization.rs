@@ -132,9 +132,9 @@ impl Realization {
     /// The enumeration order is *round-major* ([tree
     /// order](Realization::from_tree_index)): index `0` is the all-zero
     /// realization, and realizations sharing a longer round prefix are
-    /// closer together. This is exactly the leaf order of the
-    /// prefix-sharing execution-tree DFS in `rsbt-core`, so chunking the
-    /// enumeration splits the tree into contiguous subtrees. The returned
+    /// closer together: the leaf order of a depth-first walk of the
+    /// execution tree, so chunking the enumeration splits the tree into
+    /// contiguous subtrees. The returned
     /// [`ConsistentRealizations`] iterator seeks in constant time
     /// (`Iterator::nth`, and hence `skip`, does not materialize skipped
     /// realizations).

@@ -3,9 +3,10 @@
 //! Solvability checks need a mutable [`KnowledgeArena`], which makes naive
 //! data-parallelism awkward: arenas cannot be shared across workers without
 //! locking, and locking would serialize the hot interning path. The pattern
-//! proven bit-identical by `probability::exact_parallel` is *per-worker
-//! arenas*: interning is content-addressed, so every worker reconstructs
-//! identical knowledge structure locally and only sends plain results back.
+//! here is *per-worker arenas*: interning is content-addressed, so every
+//! worker reconstructs identical knowledge structure locally and only
+//! sends plain results back (the Monte-Carlo estimators' scalar peel path
+//! relies on it and is tested bit-identical for every thread count).
 //!
 //! [`map_with_arena`] packages that pattern for sweep engines: items are
 //! split into contiguous chunks (one per worker), each worker folds its
