@@ -31,15 +31,18 @@
 //!
 //! **Work only for what is in play.** One word loop serves the
 //! fault-free and the faulted kernels (the faulted one adds per-round
-//! silence words). Per word it transposes each source's 64 draws with
-//! `transpose_rows`, which computes only the `t.next_power_of_two()`
-//! round rows the word can read, not all 64. The stepper's first step
-//! from the all-equal state skips the message-passing port terms (see
-//! [`LaneStepper`]), and the plan folds its fused pair runs with early
-//! exits (see [`VerdictPlan::eval`]). A plan that compiles to the empty,
-//! constant-false program (blackboard leader election without a
-//! singleton source, `p ≡ 0` by Theorem 4.1) returns zero tallies
-//! without drawing or stepping a word.
+//! silence words). Per word it keeps each source's 64 raw draws and
+//! transposes only the round rows the word reaches: rounds `0..2` up
+//! front, and when the word reaches round `ready`, rounds
+//! `ready..2·ready` (capped at `t`) from the raw words shifted right by
+//! `ready`. Most words exit within a few rounds, so most rows are never
+//! computed. The stepper's first step from the all-equal state skips the
+//! message-passing port terms, later steps share one AND per group of
+//! pairs with the same terms (see [`LaneStepper`]), and the plan folds
+//! its fused pair runs with early exits (see [`VerdictPlan::eval`]). A
+//! plan that compiles to the empty, constant-false program (blackboard
+//! leader election without a singleton source, `p ≡ 0` by Theorem 4.1)
+//! returns zero tallies without drawing or stepping a word.
 //!
 //! Tasks that compile no plan (no closed form, or an op budget overrun)
 //! peel every lane to the scalar [`SampleKernel`] path, counted in
@@ -483,13 +486,15 @@ fn run_plan_words<A, F>(
         None => LaneStepper::new(model, alpha),
         Some(_) => LaneStepper::new_faulted(model, alpha),
     };
-    // draws[s][l] = lane l's one-word draw for source s; after the
-    // transpose, draws[s][r] bit l = source s's round-r bit in lane l
-    // (BitString::sample packs round r at bit r, and t ≤ 63 keeps every
-    // round inside one word). sil[i] is the same for node i's silence
-    // mask (bit r = silent in round r + 1), empty without faults.
-    let mut draws = vec![[0u64; 64]; k];
-    let mut sil = vec![[0u64; 64]; if faults.is_some() { n } else { 0 }];
+    // raw[s][l] = lane l's one-word draw for source s (BitString::sample
+    // packs round r at bit r, and t ≤ 63 keeps every round inside one
+    // word); rows[s][r] bit l = source s's round-r bit in lane l, filled
+    // by transpose_window as the word reaches round r. The first k blocks
+    // are the sources; under faults n more follow, node i's silence mask
+    // (bit r = silent in round r + 1).
+    let blocks = k + if faults.is_some() { n } else { 0 };
+    let mut raw = vec![[0u64; 64]; blocks];
+    let mut rows = vec![[0u64; 64]; blocks];
     let mut faulted = faults.map(|spec| (spec, FaultSchedule::empty(n, t)));
     let mut regs: Vec<u64> = Vec::new();
     let mut base = range.start;
@@ -505,7 +510,8 @@ fn run_plan_words<A, F>(
                 // Exactly the scalar discipline: sample w·64 + l draws k
                 // words in source order from its own stream.
                 let mut rng = StreamRng::new(seed, (base + l) as u64);
-                for d in &mut draws {
+                let (draws, sil) = raw.split_at_mut(k);
+                for d in draws {
                     d[l] = rng.next_u64();
                 }
                 if let Some((spec, schedule)) = faulted.as_mut() {
@@ -515,14 +521,15 @@ fn run_plan_words<A, F>(
                     }
                 }
             } else {
-                for block in draws.iter_mut().chain(&mut sil) {
+                for block in &mut raw {
                     block[l] = 0;
                 }
             }
         }
-        // Only rounds 0..t are ever read.
-        for block in draws.iter_mut().chain(&mut sil) {
-            transpose_rows(block, t);
+        // Rounds 0..ready are transposed; most words exit within them.
+        let mut ready = t.min(2);
+        for (row, word) in rows.iter_mut().zip(&raw) {
+            transpose_window(word, 0, &mut row[..ready]);
         }
         stepper.reset();
         stats.lane_words += 1;
@@ -536,6 +543,15 @@ fn run_plan_words<A, F>(
             if solved == live_mask {
                 break;
             }
+            if r == ready {
+                // Double the transposed rounds, capped at t.
+                let end = (2 * ready).min(t);
+                for (row, word) in rows.iter_mut().zip(&raw) {
+                    transpose_window(word, ready, &mut row[ready..end]);
+                }
+                ready = end;
+            }
+            let (draws, sil) = rows.split_at(k);
             match faults {
                 None => stepper.step(|s| draws[s][r]),
                 Some(_) => stepper.step_faulted(|s| draws[s][r], |i| sil[i][r]),
@@ -550,26 +566,59 @@ fn run_plan_words<A, F>(
     }
 }
 
-/// In-place 64×64 bit-matrix transpose (delta-swap ladder, high stages
-/// first), computing only the first `rows` output rows: afterwards, for
-/// `r < rows`, bit `l` of `a[r]` equals bit `r` of the original `a[l]`.
-/// Rows from `rows.next_power_of_two()` on are left as scratch.
-///
-/// Output rows below a power of two `p` depend only on the low side of
-/// every swap at a stage `j ≥ p`, so those stages compute just
-/// `a[k] = (a[k] & m) | ((a[k + j] << j) & !m)` for `k < j`, and the
-/// remaining stages run in full on `a[..p]`.
+/// The delta-swap ladder of a 64×64 bit-matrix transpose, high stages
+/// first: `(j, m)` swaps the `j`-bit blocks that mask `m` selects.
+const STAGES: [(usize, u64); 6] = [
+    (32, 0x0000_0000_ffff_ffff),
+    (16, 0x0000_ffff_0000_ffff),
+    (8, 0x00ff_00ff_00ff_00ff),
+    (4, 0x0f0f_0f0f_0f0f_0f0f),
+    (2, 0x3333_3333_3333_3333),
+    (1, 0x5555_5555_5555_5555),
+];
+
+/// Rows `ready..ready + out.len()` of the transpose of `raw`: bit `l` of
+/// `out[i]` is bit `ready + i` of `raw[l]`. The raw words shifted right
+/// by `ready` put those rows first, so a row-limited transpose of the
+/// shifted words computes just the window. Up to 32 rows, the shift rides
+/// the first stage, which keeps only its low side (see [`transpose_rows`]).
+fn transpose_window(raw: &[u64; 64], ready: usize, out: &mut [u64]) {
+    let rows = out.len();
+    if rows == 0 {
+        return;
+    }
+    debug_assert!(ready + rows <= 64, "a 64×64 matrix has 64 rows");
+    if rows > 32 {
+        let mut a: [u64; 64] = std::array::from_fn(|l| raw[l] >> ready);
+        transpose_rows(&mut a, rows);
+        out.copy_from_slice(&a[..rows]);
+    } else {
+        let (_, low) = STAGES[0];
+        let mut a: [u64; 32] =
+            std::array::from_fn(|k| (raw[k] >> ready) & low | (raw[k + 32] >> ready) << 32);
+        ladder(&mut a, rows.next_power_of_two(), &STAGES[1..]);
+        out.copy_from_slice(&a[..rows]);
+    }
+}
+
+/// In-place 64×64 bit-matrix transpose, computing only the first `rows`
+/// output rows: afterwards, for `r < rows`, bit `l` of `a[r]` equals bit
+/// `r` of the original `a[l]`. Rows from `rows.next_power_of_two()` on
+/// are left as scratch.
 fn transpose_rows(a: &mut [u64; 64], rows: usize) {
     debug_assert!(rows <= 64, "a 64×64 matrix has 64 rows");
-    let p = rows.next_power_of_two();
-    for (j, m) in [
-        (32, 0x0000_0000_ffff_ffffu64),
-        (16, 0x0000_ffff_0000_ffff),
-        (8, 0x00ff_00ff_00ff_00ff),
-        (4, 0x0f0f_0f0f_0f0f_0f0f),
-        (2, 0x3333_3333_3333_3333),
-        (1, 0x5555_5555_5555_5555),
-    ] {
+    ladder(a, rows.next_power_of_two(), &STAGES);
+}
+
+/// Runs `stages` of the ladder on `a`, keeping the first `p` rows (`p` a
+/// power of two). Output rows below `p` depend only on the low side of
+/// every swap at a stage `j ≥ p`, so those stages compute just
+/// `a[k] = (a[k] & m) | ((a[k + j] << j) & !m)` for `k < j`, and the
+/// remaining stages run in full on `a[..p]`. Inlined so that each
+/// caller's constant stages unroll.
+#[inline(always)]
+fn ladder(a: &mut [u64], p: usize, stages: &[(usize, u64)]) {
+    for &(j, m) in stages {
         if j >= p {
             let (lo, hi) = a.split_at_mut(j);
             for (x, &y) in lo.iter_mut().zip(&hi[..j]) {
@@ -633,6 +682,26 @@ mod tests {
                 let mut a = orig;
                 transpose_rows(&mut a, rows);
                 assert_eq!(a[..rows], full[..rows], "rows={rows} salt={salt:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_windows_match_the_full_transpose() {
+        for salt in [0xdead_u64, 0xbeef, 0] {
+            let orig = random_matrix(salt);
+            let mut full = orig;
+            transpose_rows(&mut full, 64);
+            for ready in 0..=64 {
+                for w in 0..=64 - ready {
+                    let mut out = vec![!0u64; w];
+                    transpose_window(&orig, ready, &mut out);
+                    assert_eq!(
+                        out,
+                        full[ready..ready + w],
+                        "ready={ready} w={w} salt={salt:#x}"
+                    );
+                }
             }
         }
     }

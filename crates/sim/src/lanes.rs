@@ -29,6 +29,18 @@
 //! caller evaluating a partition-based verdict on the packed relation
 //! gets bit-for-bit the verdict of 64 scalar executions.
 //!
+//! **Shared port terms.** Walked pair by pair, the message-passing rule
+//! reads `O(n³)` words per step: 276 pairs × 22.5 port terms on a 24-node
+//! ring. But the pair's own previous equality `eq[i,j]` is implied by its
+//! port terms: `i`'s neighbors over all ports are every node but `i`, so
+//! if every aligned pair is equal, the classes of "all nodes but `i`" and
+//! of "all nodes but `j`" form the same multiset, which forces `i ∼ j`.
+//! So adding the pair's own term changes nothing, and pairs whose term
+//! set plus themselves coincide share one AND (`aligned_terms`). On a ring
+//! those sets are the rotation orbits of node pairs: 12 groups holding
+//! 276 terms in all at `n = 24`, so a step reads each pair once.
+//! Numberings without that symmetry mostly keep one group per pair.
+//!
 //! **Two clients.** The bit-sliced Monte-Carlo sampler steps 64 samples
 //! per word. The labeled exact DP (`rsbt_core::engine_dp`) steps 64 round
 //! digits per word instead: it loads one state into every lane with
@@ -42,8 +54,7 @@
 //! every port term `eq[nbr(i,p), nbr(j,p)]` is all ones and the
 //! message-passing rule reduces exactly to the blackboard's in-place
 //! `eq[i,j] = !(b[i] ^ b[j])`. [`LaneStepper::step`] takes that loop on
-//! its first call instead of walking the `O(n³)` port terms (276 pairs ×
-//! 23 terms on a 24-node ring). Any step or
+//! its first call instead of reading the port terms. Any step or
 //! [`LaneStepper::load_relation`] ends the fresh state;
 //! [`LaneStepper::step_faulted`] always runs its term loop, because the
 //! silence terms still apply.
@@ -98,38 +109,123 @@ pub fn pair_count(units: usize) -> usize {
     units * (units - 1) / 2
 }
 
-/// The fault-free message-passing term lists: for every node pair
-/// `(a, b)` (packed order, see [`pair_index`]), the packed indices `q` of
-/// the port-aligned neighbor pairs `(nbr(a, p), nbr(b, p))`, `p ∈ 1..n`,
-/// whose previous-round equality the update rule
-/// `eq'[a,b] = !(b[a] ^ b[b]) & AND_q eq[q]` consults. Ports with
-/// `nbr(a, p) = nbr(b, p)` contribute nothing and are dropped.
+/// The fault-free message-passing step, grouped: node pairs whose update
+/// reads the same previous-round equality words share one AND over them.
+#[derive(Clone, Debug, Default)]
+struct TermGroups {
+    /// Each group's terms: sorted, distinct packed pair indices.
+    terms: Vec<u32>,
+    /// `term_offsets[g]..term_offsets[g + 1]` indexes `terms` for group `g`.
+    term_offsets: Vec<u32>,
+    /// Each group's member pairs as `[p, a, b]`: packed index `p` of pair
+    /// `(a, b)`, in packed order within a group.
+    members: Vec<[u32; 3]>,
+    /// `member_offsets[g]..member_offsets[g + 1]` indexes `members`.
+    member_offsets: Vec<u32>,
+}
+
+impl TermGroups {
+    fn len(&self) -> usize {
+        self.term_offsets.len().saturating_sub(1)
+    }
+}
+
+/// The fault-free message-passing step grouped by shared terms. Pair
+/// `(a, b)`'s rule is `eq'[a,b] = !(b[a] ^ b[b]) & AND_q eq[q]` over the
+/// packed indices `q` of its port-aligned neighbor pairs
+/// `(nbr(a, p), nbr(b, p))`, `p ∈ 1..n`; ports with `nbr(a, p) = nbr(b, p)`
+/// contribute nothing and are dropped.
 ///
-/// Returns `(terms, offsets)` with `offsets[p]..offsets[p + 1]` indexing
-/// `terms` for pair `p`.
-fn aligned_terms(ports: &PortNumbering) -> (Vec<u32>, Vec<u32>) {
+/// **The pair's own term is implied.** On any equivalence, if every
+/// aligned pair is equal, then `eq[a,b]` holds too: node `a`'s neighbors
+/// over all ports are every node but `a`, so the aligned classes are the
+/// classes of the multiset "all nodes but `a`", and equally of "all nodes
+/// but `b`"; equal multisets minus `a` resp. `b` force `a ∼ b`. Every
+/// relation the stepper holds is an equivalence in every lane, so
+/// `AND_q eq[q] = eq[a,b] & AND_q eq[q]`. Each pair's *key* is therefore
+/// the set of its terms plus itself, and pairs with equal keys share one
+/// AND: a member's update is its own `!(b[a] ^ b[b])` AND the group's.
+///
+/// Groups are built without a per-pair allocation: each pair's key is
+/// written, sorted and deduplicated at the tail of the flat term buffer,
+/// then compared with the key of the group holding its least entry, and
+/// dropped if they match. That one comparison finds the group whenever
+/// the key's least entry is a member of it, as on a ring, where a key is
+/// a rotation orbit of pairs; it never merges pairs whose keys differ.
+fn aligned_terms(ports: &PortNumbering) -> TermGroups {
     let n = ports.n();
-    let mut terms = Vec::new();
-    let mut offsets = Vec::with_capacity(pair_count(n) + 1);
-    offsets.push(0u32);
+    let pairs = pair_count(n);
+    let mut terms: Vec<u32> = Vec::new();
+    let mut term_offsets = vec![0u32];
+    let mut group_of = vec![0u32; pairs];
     for a in 0..n {
         for b in a + 1..n {
+            let me = pair_index(n, a, b);
+            let start = terms.len();
+            terms.push(me as u32);
             for p in 1..n {
                 let (x, y) = (ports.neighbor(a, p), ports.neighbor(b, p));
                 if x != y {
                     terms.push(pair_index(n, x.min(y), x.max(y)) as u32);
                 }
             }
-            offsets.push(terms.len() as u32);
+            terms[start..].sort_unstable();
+            let mut len = start + 1;
+            for i in start + 1..terms.len() {
+                if terms[i] != terms[len - 1] {
+                    terms[len] = terms[i];
+                    len += 1;
+                }
+            }
+            terms.truncate(len);
+            let least = terms[start] as usize;
+            let g = group_of[least] as usize;
+            let shared = least < me && {
+                let (lo, hi) = (term_offsets[g] as usize, term_offsets[g + 1] as usize);
+                terms[lo..hi] == terms[start..]
+            };
+            if shared {
+                terms.truncate(start);
+                group_of[me] = g as u32;
+            } else {
+                group_of[me] = (term_offsets.len() - 1) as u32;
+                term_offsets.push(terms.len() as u32);
+            }
         }
     }
-    (terms, offsets)
+    // Bucket the members by group, packed order within each.
+    let groups = term_offsets.len() - 1;
+    let mut member_offsets = vec![0u32; groups + 1];
+    for &g in &group_of {
+        member_offsets[g as usize + 1] += 1;
+    }
+    for g in 0..groups {
+        member_offsets[g + 1] += member_offsets[g];
+    }
+    let mut fill: Vec<u32> = member_offsets[..groups].to_vec();
+    let mut members = vec![[0u32; 3]; pairs];
+    for a in 0..n {
+        for b in a + 1..n {
+            let me = pair_index(n, a, b);
+            let slot = &mut fill[group_of[me] as usize];
+            members[*slot as usize] = [me as u32, a as u32, b as u32];
+            *slot += 1;
+        }
+    }
+    TermGroups {
+        terms,
+        term_offsets,
+        members,
+        member_offsets,
+    }
 }
 
-/// The faulted message-passing term lists: like [`aligned_terms`], but
-/// each term keeps its sender pair `(x, y)` alongside the packed pair
-/// index `q` — the faulted rule needs the senders' silence status
-/// (`!(S[x] ^ S[y]) & (S[x] | eq[q])`), not just the previous equality.
+/// The faulted message-passing term lists, one per pair: the port terms
+/// of [`aligned_terms`], ungrouped (under silence the pair's own term is
+/// not implied), each keeping its sender pair `(x, y)` alongside the
+/// packed pair index `q` — the faulted rule needs the senders' silence
+/// status (`!(S[x] ^ S[y]) & (S[x] | eq[q])`), not just the previous
+/// equality.
 ///
 /// Returns `(terms, offsets)` with entries `[q, x, y]`.
 fn aligned_fault_terms(ports: &PortNumbering) -> (Vec<[u32; 3]>, Vec<u32>) {
@@ -183,10 +279,11 @@ pub struct LaneStepper {
     eq: Vec<u64>,
     /// Double buffer for the message-passing step (empty on blackboard).
     next: Vec<u64>,
-    /// Flattened per-pair neighbor-pair term lists (message-passing).
-    terms: Vec<u32>,
-    /// `term_offsets[p]..term_offsets[p + 1]` indexes `terms` (fault-free)
-    /// or `fault_terms` (faulted) for pair `p`.
+    /// The fault-free message-passing step's shared-term groups (empty
+    /// on the blackboard and when faulted).
+    groups: TermGroups,
+    /// `term_offsets[p]..term_offsets[p + 1]` indexes `fault_terms` for
+    /// pair `p` (faulted message passing).
     term_offsets: Vec<u32>,
     /// Scratch: the current round's bit word per unit.
     bits: Vec<u64>,
@@ -231,14 +328,9 @@ impl LaneStepper {
             }
         };
         let pairs = pair_count(units);
-        let (terms, term_offsets, next) = match model {
-            Model::Blackboard => (Vec::new(), Vec::new(), Vec::new()),
-            Model::MessagePassing(ports) => {
-                // Port-aligned neighbor pairs whose previous-round
-                // equality the rule must consult.
-                let (terms, offsets) = aligned_terms(ports);
-                (terms, offsets, vec![0u64; pairs])
-            }
+        let (groups, next) = match model {
+            Model::Blackboard => (TermGroups::default(), Vec::new()),
+            Model::MessagePassing(ports) => (aligned_terms(ports), vec![0u64; pairs]),
         };
         LaneStepper {
             units,
@@ -246,8 +338,8 @@ impl LaneStepper {
             unit_source,
             eq: vec![u64::MAX; pairs],
             next,
-            terms,
-            term_offsets,
+            groups,
+            term_offsets: Vec::new(),
             bits: vec![0u64; units],
             faulted: false,
             fault_terms: Vec::new(),
@@ -292,7 +384,7 @@ impl LaneStepper {
             unit_source,
             eq: vec![u64::MAX; pairs],
             next,
-            terms: Vec::new(),
+            groups: TermGroups::default(),
             term_offsets,
             bits: vec![0u64; units],
             faulted: true,
@@ -411,20 +503,27 @@ impl LaneStepper {
                 }
             }
         } else {
-            let mut p = 0;
-            for a in 0..self.units {
-                for b in a + 1..self.units {
-                    let mut w = !(self.bits[a] ^ self.bits[b]);
-                    let lo = self.term_offsets[p] as usize;
-                    let hi = self.term_offsets[p + 1] as usize;
-                    for &q in &self.terms[lo..hi] {
-                        if w == 0 {
-                            break;
-                        }
-                        w &= self.eq[q as usize];
+            let TermGroups {
+                terms,
+                term_offsets,
+                members,
+                member_offsets,
+            } = &self.groups;
+            let bits = &self.bits;
+            let agree = |&[_, a, b]: &[u32; 3]| !(bits[a as usize] ^ bits[b as usize]);
+            for g in 0..self.groups.len() {
+                let group = &members[member_offsets[g] as usize..member_offsets[g + 1] as usize];
+                // Only lanes where some member's bits agree can keep a
+                // member equal: seed the shared AND with their union.
+                let mut w = group.iter().fold(0, |w, m| w | agree(m));
+                for &q in &terms[term_offsets[g] as usize..term_offsets[g + 1] as usize] {
+                    if w == 0 {
+                        break;
                     }
-                    self.next[p] = w;
-                    p += 1;
+                    w &= self.eq[q as usize];
+                }
+                for m in group {
+                    self.next[m[0] as usize] = agree(m) & w;
                 }
             }
             std::mem::swap(&mut self.eq, &mut self.next);
@@ -738,53 +837,139 @@ mod tests {
         }
     }
 
-    /// The message-passing rule by its port-term loop, on one packed
-    /// relation: `eq'[a,b] = !(bits[a] ^ bits[b]) & AND_q eq[q]`.
+    /// The message-passing rule pair by pair, straight from the port
+    /// numbering, on one packed relation:
+    /// `eq'[a,b] = !(bits[a] ^ bits[b]) & AND_p eq[nbr(a,p), nbr(b,p)]`.
     fn term_loop_step(ports: &PortNumbering, eq: &[u64], bits: &[u64]) -> Vec<u64> {
-        let (terms, offsets) = aligned_terms(ports);
         let n = ports.n();
         let mut out = Vec::with_capacity(eq.len());
         for a in 0..n {
             for b in a + 1..n {
-                let p = pair_index(n, a, b);
-                let lo = offsets[p] as usize;
-                let hi = offsets[p + 1] as usize;
-                let w = terms[lo..hi]
-                    .iter()
-                    .fold(!(bits[a] ^ bits[b]), |w, &q| w & eq[q as usize]);
+                let mut w = !(bits[a] ^ bits[b]);
+                for p in 1..n {
+                    let (x, y) = (ports.neighbor(a, p), ports.neighbor(b, p));
+                    if x != y {
+                        w &= eq[pair_index(n, x.min(y), x.max(y))];
+                    }
+                }
                 out.push(w);
             }
         }
         out
     }
 
+    /// Cyclic, adversarial and three seeded random numberings of `n`
+    /// nodes.
+    fn numberings(n: usize) -> Vec<PortNumbering> {
+        use rand::SeedableRng;
+        let mut all = vec![PortNumbering::cyclic(n)];
+        all.extend(
+            [2, 3]
+                .into_iter()
+                .filter(|g| n.is_multiple_of(*g))
+                .map(|g| PortNumbering::adversarial(n, g)),
+        );
+        all.extend((0..3u64).map(|seed| {
+            PortNumbering::random(n, &mut rand::rngs::StdRng::seed_from_u64(seed ^ n as u64))
+        }));
+        all
+    }
+
     #[test]
     fn loaded_relations_step_by_the_term_loop_rule() {
-        // `load_relation` leaves the fresh state: the next step must
-        // consult every port term, not the fresh-state shortcut.
-        for ports in [PortNumbering::cyclic(4), PortNumbering::adversarial(4, 2)] {
-            let model = Model::MessagePassing(ports.clone());
-            let mut st = LaneStepper::new(&model, &Assignment::private(4));
-            for (case, labels) in [[0u8, 0, 1, 1], [0, 1, 0, 1], [0, 1, 2, 3], [0, 0, 0, 0]]
-                .iter()
-                .enumerate()
-            {
-                let bits: Vec<u64> = (0..4u64).map(|s| mix(61 ^ s << 8 ^ case as u64)).collect();
-                st.load_relation(labels);
-                let loaded = st.eq_words().to_vec();
-                st.step(|s| bits[s]);
-                assert_eq!(
-                    st.eq_words(),
-                    &term_loop_step(&ports, &loaded, &bits)[..],
-                    "labels {labels:?}, model {model}"
-                );
+        // `load_relation` leaves the fresh state: the next steps must
+        // consult the port terms, not the fresh-state shortcut. Random
+        // equivalences go into every lane, one per case.
+        for n in [4usize, 6, 9] {
+            for ports in numberings(n) {
+                let model = Model::MessagePassing(ports.clone());
+                let mut st = LaneStepper::new(&model, &Assignment::private(n));
+                for case in 0..8u64 {
+                    let classes = 1 + case % n as u64;
+                    let labels: Vec<u8> = (0..n as u64)
+                        .map(|i| (mix(73 ^ case << 8 ^ i) % classes) as u8)
+                        .collect();
+                    st.load_relation(&labels);
+                    for r in 0..3u64 {
+                        let bits: Vec<u64> = (0..n as u64)
+                            .map(|s| mix(61 ^ s << 8 ^ case << 16 ^ r << 24))
+                            .collect();
+                        let before = st.eq_words().to_vec();
+                        st.step(|s| bits[s]);
+                        assert_eq!(
+                            st.eq_words(),
+                            &term_loop_step(&ports, &before, &bits)[..],
+                            "labels {labels:?}, step {r}, model {model}"
+                        );
+                    }
+                }
+                // And from the fresh state: the shortcut, then the
+                // grouped steps, agree with the rule.
+                st.reset();
+                for r in 0..4u64 {
+                    let bits: Vec<u64> = (0..n as u64).map(|s| mix(67 ^ s ^ r << 8)).collect();
+                    let before = st.eq_words().to_vec();
+                    st.step(|s| bits[s]);
+                    assert_eq!(
+                        st.eq_words(),
+                        &term_loop_step(&ports, &before, &bits)[..],
+                        "fresh, step {r}, model {model}"
+                    );
+                }
             }
-            // And from the fresh state the shortcut agrees with the rule.
-            let bits: Vec<u64> = (0..4u64).map(|s| mix(67 ^ s)).collect();
-            st.reset();
-            let fresh = st.eq_words().to_vec();
-            st.step(|s| bits[s]);
-            assert_eq!(st.eq_words(), &term_loop_step(&ports, &fresh, &bits)[..]);
+        }
+    }
+
+    /// The set of pair `(a, b)`'s port terms plus the pair itself.
+    fn key_of(ports: &PortNumbering, a: usize, b: usize) -> Vec<u32> {
+        let n = ports.n();
+        let mut key: Vec<u32> = (1..n)
+            .map(|p| (ports.neighbor(a, p), ports.neighbor(b, p)))
+            .filter(|(x, y)| x != y)
+            .map(|(x, y)| pair_index(n, x.min(y), x.max(y)) as u32)
+            .chain([pair_index(n, a, b) as u32])
+            .collect();
+        key.sort_unstable();
+        key.dedup();
+        key
+    }
+
+    #[test]
+    fn term_groups_are_the_ring_orbits_and_never_merge_distinct_keys() {
+        let check = |ports: &PortNumbering| -> TermGroups {
+            let n = ports.n();
+            let groups = aligned_terms(ports);
+            let mut seen = vec![false; pair_count(n)];
+            for g in 0..groups.len() {
+                let terms = &groups.terms
+                    [groups.term_offsets[g] as usize..groups.term_offsets[g + 1] as usize];
+                let members = &groups.members
+                    [groups.member_offsets[g] as usize..groups.member_offsets[g + 1] as usize];
+                assert!(!members.is_empty());
+                for &[p, a, b] in members {
+                    assert_eq!(p as usize, pair_index(n, a as usize, b as usize));
+                    assert!(
+                        !std::mem::replace(&mut seen[p as usize], true),
+                        "pair {p} twice"
+                    );
+                    assert_eq!(terms, &key_of(ports, a as usize, b as usize)[..]);
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "every pair in a group");
+            groups
+        };
+        for n in 1..=24 {
+            let groups = check(&PortNumbering::cyclic(n));
+            assert_eq!(groups.len(), n / 2, "cyclic({n})");
+            assert_eq!(groups.terms.len(), pair_count(n), "cyclic({n})");
+        }
+        let groups = check(&PortNumbering::adversarial(24, 2));
+        assert_eq!(groups.len(), 13);
+        assert_eq!(groups.terms.len(), 276);
+        for n in [4usize, 6, 7, 9] {
+            for ports in numberings(n) {
+                check(&ports);
+            }
         }
     }
 
