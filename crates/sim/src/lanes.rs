@@ -113,20 +113,25 @@ pub fn pair_count(units: usize) -> usize {
 /// reads the same previous-round equality words share one AND over them.
 #[derive(Clone, Debug, Default)]
 struct TermGroups {
-    /// Each group's terms: sorted, distinct packed pair indices.
+    /// Each group's key: distinct packed pair indices.
     terms: Vec<u32>,
-    /// `term_offsets[g]..term_offsets[g + 1]` indexes `terms` for group `g`.
-    term_offsets: Vec<u32>,
     /// Each group's member pairs as `[p, a, b]`: packed index `p` of pair
     /// `(a, b)`, in packed order within a group.
     members: Vec<[u32; 3]>,
-    /// `member_offsets[g]..member_offsets[g + 1]` indexes `members`.
-    member_offsets: Vec<u32>,
+    /// Per group, where its runs of `members` and `terms` end; each run
+    /// starts where the previous group's ends.
+    ends: Vec<(u32, u32)>,
 }
 
 impl TermGroups {
-    fn len(&self) -> usize {
-        self.term_offsets.len().saturating_sub(1)
+    /// Each group's members and terms, in group order.
+    fn iter(&self) -> impl Iterator<Item = (&[[u32; 3]], &[u32])> {
+        let (members, terms) = (&self.members[..], &self.terms[..]);
+        let mut start = (0, 0);
+        self.ends.iter().map(move |&(m, t)| {
+            let (m0, t0) = std::mem::replace(&mut start, (m as usize, t as usize));
+            (&members[m0..m as usize], &terms[t0..t as usize])
+        })
     }
 }
 
@@ -146,63 +151,68 @@ impl TermGroups {
 /// the set of its terms plus itself, and pairs with equal keys share one
 /// AND: a member's update is its own `!(b[a] ^ b[b])` AND the group's.
 ///
-/// Groups are built without a per-pair allocation: each pair's key is
-/// written, sorted and deduplicated at the tail of the flat term buffer,
-/// then compared with the key of the group holding its least entry, and
+/// Groups are built in `O(n)` per pair, without a per-pair allocation:
+/// each pair's key is written at the tail of the flat term buffer (its
+/// port terms in port order, then the pair itself, each once), then
+/// compared with the key of the group holding its least entry, and
 /// dropped if they match. That one comparison finds the group whenever
 /// the key's least entry is a member of it, as on a ring, where a key is
-/// a rotation orbit of pairs; it never merges pairs whose keys differ.
+/// a rotation orbit of pairs; it never merges pairs whose keys differ. A
+/// pair in a group of its own thus runs the plain per-pair rule, with its
+/// own implied term read last.
 fn aligned_terms(ports: &PortNumbering) -> TermGroups {
     let n = ports.n();
     let pairs = pair_count(n);
     let mut terms: Vec<u32> = Vec::new();
-    let mut term_offsets = vec![0u32];
+    // Group g's key is terms[term_starts[g]..term_starts[g + 1]].
+    let mut term_starts = vec![0u32];
     let mut group_of = vec![0u32; pairs];
+    // seen[q] == me: pair q is in pair me's key.
+    let mut seen = vec![u32::MAX; pairs];
     for a in 0..n {
         for b in a + 1..n {
-            let me = pair_index(n, a, b);
+            let me = pair_index(n, a, b) as u32;
             let start = terms.len();
-            terms.push(me as u32);
-            for p in 1..n {
-                let (x, y) = (ports.neighbor(a, p), ports.neighbor(b, p));
-                if x != y {
-                    terms.push(pair_index(n, x.min(y), x.max(y)) as u32);
+            let port_terms = ports
+                .neighbors(a)
+                .iter()
+                .zip(ports.neighbors(b))
+                .filter(|(x, y)| x != y)
+                .map(|(&x, &y)| pair_index(n, x.min(y), x.max(y)) as u32);
+            let mut least = me;
+            for q in port_terms.chain([me]) {
+                if seen[q as usize] != me {
+                    seen[q as usize] = me;
+                    terms.push(q);
+                    least = least.min(q);
                 }
             }
-            terms[start..].sort_unstable();
-            let mut len = start + 1;
-            for i in start + 1..terms.len() {
-                if terms[i] != terms[len - 1] {
-                    terms[len] = terms[i];
-                    len += 1;
-                }
-            }
-            terms.truncate(len);
-            let least = terms[start] as usize;
-            let g = group_of[least] as usize;
+            let g = group_of[least as usize] as usize;
+            // Neither key repeats an entry, so equal lengths and one
+            // containing the other make them equal.
             let shared = least < me && {
-                let (lo, hi) = (term_offsets[g] as usize, term_offsets[g + 1] as usize);
-                terms[lo..hi] == terms[start..]
+                let key = &terms[term_starts[g] as usize..term_starts[g + 1] as usize];
+                key.len() == terms.len() - start && key.iter().all(|&q| seen[q as usize] == me)
             };
             if shared {
                 terms.truncate(start);
-                group_of[me] = g as u32;
+                group_of[me as usize] = g as u32;
             } else {
-                group_of[me] = (term_offsets.len() - 1) as u32;
-                term_offsets.push(terms.len() as u32);
+                group_of[me as usize] = (term_starts.len() - 1) as u32;
+                term_starts.push(terms.len() as u32);
             }
         }
     }
-    // Bucket the members by group, packed order within each.
-    let groups = term_offsets.len() - 1;
-    let mut member_offsets = vec![0u32; groups + 1];
+    // Bucket the members by group, packed order within each: `fill[g]`
+    // starts at the group's first slot and ends past its last.
+    let mut fill = vec![0u32; term_starts.len() - 1];
     for &g in &group_of {
-        member_offsets[g as usize + 1] += 1;
+        fill[g as usize] += 1;
     }
-    for g in 0..groups {
-        member_offsets[g + 1] += member_offsets[g];
+    let mut end = 0;
+    for slot in &mut fill {
+        end += std::mem::replace(slot, end);
     }
-    let mut fill: Vec<u32> = member_offsets[..groups].to_vec();
     let mut members = vec![[0u32; 3]; pairs];
     for a in 0..n {
         for b in a + 1..n {
@@ -212,11 +222,15 @@ fn aligned_terms(ports: &PortNumbering) -> TermGroups {
             *slot += 1;
         }
     }
+    let ends = fill
+        .into_iter()
+        .zip(&term_starts[1..])
+        .map(|(m, &t)| (m, t))
+        .collect();
     TermGroups {
         terms,
-        term_offsets,
         members,
-        member_offsets,
+        ends,
     }
 }
 
@@ -503,27 +517,29 @@ impl LaneStepper {
                 }
             }
         } else {
-            let TermGroups {
-                terms,
-                term_offsets,
-                members,
-                member_offsets,
-            } = &self.groups;
-            let bits = &self.bits;
+            // Local slices: a store to `next` cannot move these buffers.
+            let (eq, next, bits) = (&self.eq[..], &mut self.next[..], &self.bits[..]);
             let agree = |&[_, a, b]: &[u32; 3]| !(bits[a as usize] ^ bits[b as usize]);
-            for g in 0..self.groups.len() {
-                let group = &members[member_offsets[g] as usize..member_offsets[g + 1] as usize];
-                // Only lanes where some member's bits agree can keep a
-                // member equal: seed the shared AND with their union.
-                let mut w = group.iter().fold(0, |w, m| w | agree(m));
-                for &q in &terms[term_offsets[g] as usize..term_offsets[g + 1] as usize] {
+            let and_terms = |mut w: u64, terms: &[u32]| {
+                for &q in terms {
                     if w == 0 {
                         break;
                     }
-                    w &= self.eq[q as usize];
+                    w &= eq[q as usize];
                 }
+                w
+            };
+            for (group, terms) in self.groups.iter() {
+                // A lone pair needs neither the union nor a second pass.
+                if let [m] = group {
+                    next[m[0] as usize] = and_terms(agree(m), terms);
+                    continue;
+                }
+                // Only lanes where some member's bits agree can keep a
+                // member equal: seed the shared AND with their union.
+                let w = and_terms(group.iter().fold(0, |w, m| w | agree(m)), terms);
                 for m in group {
-                    self.next[m[0] as usize] = agree(m) & w;
+                    next[m[0] as usize] = agree(m) & w;
                 }
             }
             std::mem::swap(&mut self.eq, &mut self.next);
@@ -940,19 +956,17 @@ mod tests {
             let n = ports.n();
             let groups = aligned_terms(ports);
             let mut seen = vec![false; pair_count(n)];
-            for g in 0..groups.len() {
-                let terms = &groups.terms
-                    [groups.term_offsets[g] as usize..groups.term_offsets[g + 1] as usize];
-                let members = &groups.members
-                    [groups.member_offsets[g] as usize..groups.member_offsets[g + 1] as usize];
+            for (members, terms) in groups.iter() {
                 assert!(!members.is_empty());
+                let mut key = terms.to_vec();
+                key.sort_unstable();
                 for &[p, a, b] in members {
                     assert_eq!(p as usize, pair_index(n, a as usize, b as usize));
                     assert!(
                         !std::mem::replace(&mut seen[p as usize], true),
                         "pair {p} twice"
                     );
-                    assert_eq!(terms, &key_of(ports, a as usize, b as usize)[..]);
+                    assert_eq!(key, key_of(ports, a as usize, b as usize));
                 }
             }
             assert!(seen.iter().all(|&s| s), "every pair in a group");
@@ -960,11 +974,11 @@ mod tests {
         };
         for n in 1..=24 {
             let groups = check(&PortNumbering::cyclic(n));
-            assert_eq!(groups.len(), n / 2, "cyclic({n})");
+            assert_eq!(groups.ends.len(), n / 2, "cyclic({n})");
             assert_eq!(groups.terms.len(), pair_count(n), "cyclic({n})");
         }
         let groups = check(&PortNumbering::adversarial(24, 2));
-        assert_eq!(groups.len(), 13);
+        assert_eq!(groups.ends.len(), 13);
         assert_eq!(groups.terms.len(), 276);
         for n in [4usize, 6, 7, 9] {
             for ports in numberings(n) {
