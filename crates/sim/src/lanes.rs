@@ -163,9 +163,12 @@ impl TermGroups {
 fn aligned_terms(ports: &PortNumbering) -> TermGroups {
     let n = ports.n();
     let pairs = pair_count(n);
-    let mut terms: Vec<u32> = Vec::new();
+    // At most n − 1 port terms and the pair itself per pair; rings use
+    // a small part of it.
+    let mut terms: Vec<u32> = Vec::with_capacity(pairs * n);
     // Group g's key is terms[term_starts[g]..term_starts[g + 1]].
-    let mut term_starts = vec![0u32];
+    let mut term_starts = Vec::with_capacity(pairs + 1);
+    term_starts.push(0u32);
     let mut group_of = vec![0u32; pairs];
     // seen[q] == me: pair q is in pair me's key.
     let mut seen = vec![u32::MAX; pairs];
