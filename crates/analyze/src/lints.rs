@@ -38,12 +38,14 @@ pub const KERNEL_CRATES: [&str; 6] = [
     "crates/tasks",
 ];
 
-/// The exact and Monte-Carlo entry-point files whose top-level `pub fn`
-/// count RSBT-L007 ratchets.
-pub const ENTRY_POINT_FILES: [&str; 3] = [
+/// The exact, Monte-Carlo and lockstep-runner entry-point files whose
+/// top-level `pub fn` count RSBT-L007 ratchets.
+pub const ENTRY_POINT_FILES: [&str; 5] = [
     "crates/core/src/bitsliced.rs",
     "crates/core/src/engine_dp.rs",
     "crates/core/src/probability.rs",
+    "crates/sim/src/net.rs",
+    "crates/sim/src/runner.rs",
 ];
 
 /// One scrubbed workspace source file.

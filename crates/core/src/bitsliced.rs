@@ -393,11 +393,8 @@ where
     // (model, alpha) — and of whether faults are in play: silence is
     // per-node, so the faulted stepper tracks every node as its own
     // unit instead of collapsing source groups.
-    let probe = match faults {
-        None => LaneStepper::new(model, alpha),
-        Some(_) => LaneStepper::new_faulted(model, alpha),
-    };
-    let plan = task.lane_plan(probe.unit_of_node(), probe.units());
+    let layout = LaneStepper::unit_layout(model, alpha, faults.is_some());
+    let plan = task.lane_plan(&layout.unit_of_node, layout.units);
     if plan.as_ref().is_some_and(VerdictPlan::is_empty) {
         // Constant-false plan (e.g. blackboard leader election with no
         // singleton source, p ≡ 0 by Theorem 4.1): no lane ever solves,

@@ -27,7 +27,7 @@ use rand::rngs::{StdRng, StreamRng};
 use rand::{Rng, SeedableRng};
 use rsbt_core::probability::wilson_interval;
 use rsbt_random::Assignment;
-use rsbt_sim::net::{run_coordinator, run_coordinator_ft, run_node, FtConfig, NetError, Wire};
+use rsbt_sim::net::{run_coordinator, run_node, FtConfig, NetError, Wire};
 use rsbt_sim::pool::map_sample_chunks;
 use rsbt_sim::runner::{run_nodes_with, Protocol, RunOutcome, RunStats};
 use rsbt_sim::Model;
@@ -245,6 +245,7 @@ where
         nodes,
         rng,
         projection.options(),
+        None,
     ))
 }
 
@@ -351,6 +352,7 @@ impl McBackend {
                         nodes,
                         &mut rng,
                         options,
+                        None,
                     );
                     if out.completed {
                         acc.successes += 1;
@@ -359,11 +361,7 @@ impl McBackend {
                             *slot += 1;
                         }
                     }
-                    acc.stats.posts += out.stats.posts;
-                    acc.stats.sends += out.stats.sends;
-                    acc.stats.crashes += out.stats.crashes;
-                    acc.stats.omissions += out.stats.omissions;
-                    acc.stats.max_msg_bytes = acc.stats.max_msg_bytes.max(out.stats.max_msg_bytes);
+                    acc.stats.merge(&out.stats);
                 }
                 acc
             },
@@ -380,11 +378,7 @@ impl McBackend {
                     *total += c;
                 }
             }
-            stats.posts += chunk.stats.posts;
-            stats.sends += chunk.stats.sends;
-            stats.crashes += chunk.stats.crashes;
-            stats.omissions += chunk.stats.omissions;
-            stats.max_msg_bytes = stats.max_msg_bytes.max(chunk.stats.max_msg_bytes);
+            stats.merge(&chunk.stats);
         }
         let (ci_lo, ci_hi) = wilson_interval(successes, self.samples, 1.96);
         Ok(ProtocolEstimate {
@@ -462,16 +456,15 @@ pub struct KillPlan {
 /// [`Protocol::msg_bytes`] is the wire length — on byte counters, for the
 /// same job.
 ///
-/// Spawned workers run under the fault-tolerant coordinator
-/// ([`run_coordinator_ft`]): a worker that dies mid-run is declared
-/// crashed after a bounded retry/backoff and the run degrades to a
-/// partial [`RunOutcome`] (`None` output, `crashed` flag) instead of
-/// failing. With every worker alive the fault-tolerant path draws the
-/// same RNG stream as the strict one, so no-fault runs stay bit-identical
-/// to [`SimBackend`].
+/// Both launchers run under [`run_coordinator`]: a worker that misses its
+/// deadlines or dies mid-run is declared crashed after a bounded
+/// retry/backoff and the run degrades to a partial [`RunOutcome`]
+/// (`None` output, `crashed` flag) instead of failing. With every worker
+/// alive nobody crashes, so runs stay bit-identical to [`SimBackend`].
 #[derive(Debug)]
 pub struct SocketBackend {
-    /// Per-read deadline (handshake and round barriers).
+    /// Per-read deadline: the handshake deadline, and each attempt of a
+    /// round-barrier read ([`FtConfig::with_timeout`]).
     pub timeout: Duration,
     /// Worker strategy.
     pub launcher: Launcher,
@@ -528,8 +521,20 @@ impl SocketBackend {
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(NetError::Io)?;
         let addr = listener.local_addr().map_err(NetError::Io)?;
         let n = job.alpha.n();
-        let timeout = Some(self.timeout);
+        let ft = FtConfig::with_timeout(self.timeout);
         let mut rng = StdRng::seed_from_u64(job.seed);
+        let mut coordinate = |on_round: &mut dyn FnMut(usize)| {
+            run_coordinator::<NodeMsg<C>, NodeOutput<C>, _, _>(
+                &listener,
+                job.model,
+                job.alpha,
+                job.max_rounds,
+                &mut rng,
+                options,
+                &ft,
+                on_round,
+            )
+        };
 
         match &self.launcher {
             Launcher::InProcess => {
@@ -542,19 +547,13 @@ impl SocketBackend {
                     let handles: Vec<_> = (0..n)
                         .map(|i| {
                             let node = choreo.node(i, job.model, &projection);
-                            scope.spawn(move || run_node(addr, i, node, timeout))
+                            scope.spawn(move || run_node(addr, i, node, Some(self.timeout)))
                         })
                         .collect();
-                    let result = run_coordinator::<NodeMsg<C>, NodeOutput<C>, _>(
-                        &listener,
-                        job.model,
-                        job.alpha,
-                        job.max_rounds,
-                        &mut rng,
-                        options,
-                        timeout,
-                    );
+                    let result = coordinate(&mut |_| {});
                     for handle in handles {
+                        // A worker's own error or panic is secondary: the
+                        // coordinator has already declared it crashed.
                         let _ = handle.join();
                     }
                     result.map_err(BackendError::Net)
@@ -579,26 +578,16 @@ impl SocketBackend {
                         }
                     }
                 }
-                let ft = FtConfig::with_timeout(self.timeout);
                 let kill = self.kill;
-                let result = run_coordinator_ft::<NodeMsg<C>, NodeOutput<C>, _, _>(
-                    &listener,
-                    job.model,
-                    job.alpha,
-                    job.max_rounds,
-                    &mut rng,
-                    options,
-                    &ft,
-                    |round| {
-                        if let Some(plan) = kill {
-                            if round == plan.round {
-                                if let Some(child) = children.get_mut(plan.node) {
-                                    let _ = child.kill();
-                                }
+                let result = coordinate(&mut |round| {
+                    if let Some(plan) = kill {
+                        if round == plan.round {
+                            if let Some(child) = children.get_mut(plan.node) {
+                                let _ = child.kill();
                             }
                         }
-                    },
-                );
+                    }
+                });
                 for mut child in children {
                     if result.is_err() {
                         let _ = child.kill();

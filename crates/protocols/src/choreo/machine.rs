@@ -375,6 +375,7 @@ mod tests {
             nodes,
             &mut rng,
             projection.options(),
+            None,
         );
         assert!(out.completed);
         assert!(out.outputs.iter().all(|o| *o == Some(2)));
@@ -417,6 +418,7 @@ mod tests {
             nodes,
             &mut rng,
             Default::default(),
+            None,
         );
     }
 }

@@ -267,6 +267,18 @@ fn aligned_fault_terms(ports: &PortNumbering) -> (Vec<[u32; 3]>, Vec<u32>) {
     (terms, offsets)
 }
 
+/// How a [`LaneStepper`]'s knowledge units map onto nodes and sources
+/// (see [`LaneStepper::unit_layout`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnitLayout {
+    /// The number of units.
+    pub units: usize,
+    /// The unit tracking each node's knowledge.
+    pub unit_of_node: Vec<usize>,
+    /// The source feeding each unit's bits.
+    pub unit_source: Vec<usize>,
+}
+
 /// Pairwise knowledge-equality words for 64 samples at once.
 ///
 /// `eq_words()[pair_index(units, a, b)]` holds one bit per lane: bit `l`
@@ -326,33 +338,16 @@ impl LaneStepper {
     /// Panics if `model` is message-passing with a port numbering whose
     /// node count differs from `alpha.n()`.
     pub fn new(model: &Model, alpha: &Assignment) -> Self {
-        let n = alpha.n();
-        let (units, unit_of_node, unit_source) = match model {
-            Model::Blackboard => {
-                let k = alpha.k();
-                let unit_of_node: Vec<usize> = (0..n).map(|i| alpha.source_of(i)).collect();
-                (k, unit_of_node, (0..k).collect())
-            }
-            Model::MessagePassing(ports) => {
-                assert_eq!(
-                    ports.n(),
-                    n,
-                    "port numbering is for {} nodes, assignment for {n}",
-                    ports.n()
-                );
-                let unit_source: Vec<usize> = (0..n).map(|i| alpha.source_of(i)).collect();
-                (n, (0..n).collect(), unit_source)
-            }
-        };
-        let pairs = pair_count(units);
+        let layout = Self::unit_layout(model, alpha, false);
+        let (units, pairs) = (layout.units, pair_count(layout.units));
         let (groups, next) = match model {
             Model::Blackboard => (TermGroups::default(), Vec::new()),
             Model::MessagePassing(ports) => (aligned_terms(ports), vec![0u64; pairs]),
         };
         LaneStepper {
             units,
-            unit_of_node,
-            unit_source,
+            unit_of_node: layout.unit_of_node,
+            unit_source: layout.unit_source,
             eq: vec![u64::MAX; pairs],
             next,
             groups,
@@ -376,18 +371,8 @@ impl LaneStepper {
     /// Panics if `model` is message-passing with a port numbering whose
     /// node count differs from `alpha.n()`.
     pub fn new_faulted(model: &Model, alpha: &Assignment) -> Self {
-        let n = alpha.n();
-        if let Model::MessagePassing(ports) = model {
-            assert_eq!(
-                ports.n(),
-                n,
-                "port numbering is for {} nodes, assignment for {n}",
-                ports.n()
-            );
-        }
-        let units = n;
-        let unit_source: Vec<usize> = (0..n).map(|i| alpha.source_of(i)).collect();
-        let pairs = pair_count(units);
+        let layout = Self::unit_layout(model, alpha, true);
+        let (units, pairs) = (layout.units, pair_count(layout.units));
         let (fault_terms, term_offsets, next) = match model {
             Model::Blackboard => (Vec::new(), Vec::new(), Vec::new()),
             Model::MessagePassing(ports) => {
@@ -397,8 +382,8 @@ impl LaneStepper {
         };
         LaneStepper {
             units,
-            unit_of_node: (0..n).collect(),
-            unit_source,
+            unit_of_node: layout.unit_of_node,
+            unit_source: layout.unit_source,
             eq: vec![u64::MAX; pairs],
             next,
             groups: TermGroups::default(),
@@ -408,6 +393,39 @@ impl LaneStepper {
             fault_terms,
             silence: vec![0u64; units],
             fresh: true,
+        }
+    }
+
+    /// The unit layout of the stepper [`LaneStepper::new`] (`faulted =
+    /// false`) or [`LaneStepper::new_faulted`] (`faulted = true`) builds
+    /// for `model` and `alpha`, without building its step tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` is message-passing with a port numbering whose
+    /// node count differs from `alpha.n()`.
+    pub fn unit_layout(model: &Model, alpha: &Assignment, faulted: bool) -> UnitLayout {
+        let n = alpha.n();
+        if let Model::MessagePassing(ports) = model {
+            assert_eq!(
+                ports.n(),
+                n,
+                "port numbering is for {} nodes, assignment for {n}",
+                ports.n()
+            );
+        }
+        let sources = alpha.sources().to_vec();
+        let (unit_of_node, unit_source) = if model.is_blackboard() && !faulted {
+            // Nodes sharing a source always post the same bits: one unit
+            // per source.
+            (sources, (0..alpha.k()).collect())
+        } else {
+            ((0..n).collect(), sources)
+        };
+        UnitLayout {
+            units: unit_source.len(),
+            unit_of_node,
+            unit_source,
         }
     }
 
@@ -1072,6 +1090,26 @@ mod tests {
         assert_eq!(st.eq_words()[0], 0);
         st.reset();
         assert_eq!(st.eq_words()[0], u64::MAX);
+    }
+
+    #[test]
+    fn unit_layout_is_the_built_steppers_layout() {
+        let alpha = Assignment::from_sources(vec![0, 1, 0, 2, 1, 0]).unwrap();
+        let mut models = vec![Model::Blackboard];
+        models.extend(numberings(6).into_iter().map(Model::MessagePassing));
+        for model in &models {
+            for faulted in [false, true] {
+                let built = if faulted {
+                    LaneStepper::new_faulted(model, &alpha)
+                } else {
+                    LaneStepper::new(model, &alpha)
+                };
+                let layout = LaneStepper::unit_layout(model, &alpha, faulted);
+                assert_eq!(layout.units, built.units(), "{model} faulted={faulted}");
+                assert_eq!(layout.unit_of_node, built.unit_of_node());
+                assert_eq!(layout.unit_source, built.unit_source);
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! exchanging length-prefixed frames over loopback TCP, with a coordinator
 //! that replays the runner's lockstep semantics on the wire: it distributes
 //! the [`Assignment`]-derived source bits, enforces round barriers with
-//! per-round timeouts, routes posts and port messages exactly as
-//! [`crate::runner::run_nodes`] does, and collects decisions.
+//! per-round timeouts, routes posts and port messages through the same
+//! routing core as [`crate::runner::run_nodes_with`], declares nodes that
+//! miss their deadlines crashed, and collects decisions.
 //!
 //! Only `std::net` is used — the workspace is offline.
 //!
@@ -38,7 +39,7 @@ use rand::Rng;
 use rsbt_random::Assignment;
 
 use crate::model::Model;
-use crate::runner::{Incoming, Outgoing, Protocol, RoundCtx, RunOptions, RunOutcome, RunStats};
+use crate::runner::{Incoming, Lockstep, Outgoing, Protocol, RoundCtx, RunOptions, RunOutcome};
 
 /// Frames larger than this are rejected as malformed (16 MiB).
 pub const MAX_FRAME: usize = 16 << 20;
@@ -342,245 +343,7 @@ fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, NetError> {
     Ok(buf)
 }
 
-/// Accepts exactly `n` node connections and orders them by their handshake
-/// index. Polls a non-blocking listener so the handshake respects the
-/// deadline even if a worker never connects.
-fn accept_nodes(
-    listener: &TcpListener,
-    n: usize,
-    timeout: Option<Duration>,
-) -> Result<Vec<TcpStream>, NetError> {
-    listener.set_nonblocking(true)?;
-    // rsbt-analyze: allow(RSBT-L003): socket handshake deadline, not result data
-    let deadline = timeout.map(|t| Instant::now() + t);
-    let mut slots: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    let mut accepted = 0;
-    while accepted < n {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(timeout)?;
-                stream.set_nodelay(true).ok();
-                let frame = read_frame(&mut stream)?;
-                let mut buf = frame.as_slice();
-                if u8::decode(&mut buf)? != TAG_HELLO {
-                    return Err(NetError::Protocol("expected handshake frame".into()));
-                }
-                let index = u32::decode(&mut buf)? as usize;
-                if index >= n {
-                    return Err(NetError::Protocol(format!(
-                        "node index {index} out of range"
-                    )));
-                }
-                if slots[index].is_some() {
-                    return Err(NetError::Protocol(format!("duplicate node index {index}")));
-                }
-                slots[index] = Some(stream);
-                accepted += 1;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // rsbt-analyze: allow(RSBT-L003): deadline poll on the accept loop
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Err(NetError::Timeout("node handshake"));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
-    listener.set_nonblocking(false)?;
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("all slots filled"))
-        .collect())
-}
-
-/// Runs the coordinator half of a multi-process execution.
-///
-/// Accepts `alpha.n()` node connections on `listener`, then drives the
-/// lockstep rounds: every round it draws one bit per source from `rng`
-/// (identically to [`crate::runner::run_nodes_with`] — same seed, same
-/// outcome), ships each node its bit and its model-typed incoming view,
-/// waits for every reply (the round barrier, bounded by `timeout`), and
-/// routes the outgoing messages for the next round. Terminates when every
-/// node has decided or `max_rounds` is reached, then tells the nodes to
-/// exit.
-///
-/// `stats.max_msg_bytes` measures the *actual* encoded message bytes on
-/// the wire, so a protocol whose [`Protocol::msg_bytes`] returns
-/// [`Wire::wire_len`] reports identical stats under both backends.
-///
-/// # Panics
-///
-/// Panics when `options.full_participation` is violated (the same
-/// release-build invariant as the in-process runner).
-pub fn run_coordinator<M, O, R>(
-    listener: &TcpListener,
-    model: &Model,
-    alpha: &Assignment,
-    max_rounds: usize,
-    rng: &mut R,
-    options: RunOptions,
-    timeout: Option<Duration>,
-) -> Result<RunOutcome<O>, NetError>
-where
-    M: Wire + Ord + Clone + fmt::Debug,
-    O: Wire + Clone + fmt::Debug,
-    R: Rng + ?Sized,
-{
-    let n = alpha.n();
-    if let Model::MessagePassing(p) = model {
-        assert_eq!(p.n(), n, "port numbering covers {} nodes, need {n}", p.n());
-    }
-    let mut streams = accept_nodes(listener, n, timeout)?;
-
-    let model_tag = if model.is_blackboard() {
-        MODEL_BOARD
-    } else {
-        MODEL_PORTS
-    };
-    let mut config = vec![TAG_CONFIG];
-    (n as u32).encode(&mut config);
-    (max_rounds as u32).encode(&mut config);
-    config.push(model_tag);
-    for stream in &mut streams {
-        write_frame(stream, &config)?;
-    }
-
-    let mut board: Vec<(usize, M)> = Vec::new();
-    let mut mailboxes: Vec<Vec<Option<M>>> = vec![vec![None; n.saturating_sub(1)]; n];
-    let mut outputs: Vec<Option<O>> = vec![None; n];
-    let mut rounds = 0;
-    let mut stats = RunStats::default();
-    let check_participation = options.full_participation && model.is_blackboard();
-
-    for round in 1..=max_rounds {
-        rounds = round;
-        let source_bits: Vec<bool> = (0..alpha.k()).map(|_| rng.gen::<bool>()).collect();
-
-        // Ship every node its round frame first, then collect replies:
-        // nodes compute concurrently while the coordinator blocks on the
-        // slowest one (the round barrier).
-        for (i, stream) in streams.iter_mut().enumerate() {
-            let mut payload = vec![TAG_ROUND];
-            (round as u32).encode(&mut payload);
-            source_bits[alpha.source_of(i)].encode(&mut payload);
-            match model {
-                Model::Blackboard => {
-                    let mut view: Vec<M> = board
-                        .iter()
-                        .filter(|(sender, _)| *sender != i)
-                        .map(|(_, m)| m.clone())
-                        .collect();
-                    view.sort();
-                    view.encode(&mut payload);
-                }
-                Model::MessagePassing(_) => {
-                    let slots =
-                        std::mem::replace(&mut mailboxes[i], vec![None; n.saturating_sub(1)]);
-                    slots.encode(&mut payload);
-                }
-            }
-            write_frame(stream, &payload)?;
-        }
-
-        let mut next_board: Vec<(usize, M)> = Vec::new();
-        let mut next_mailboxes: Vec<Vec<Option<M>>> = vec![vec![None; n.saturating_sub(1)]; n];
-        let mut posted = vec![false; n];
-        for (i, stream) in streams.iter_mut().enumerate() {
-            let frame = match read_frame(stream) {
-                Err(NetError::Timeout(_)) => return Err(NetError::Timeout("round barrier reply")),
-                other => other?,
-            };
-            let mut buf = frame.as_slice();
-            if u8::decode(&mut buf)? != TAG_REPLY {
-                return Err(NetError::Protocol(format!(
-                    "node {i}: expected reply frame"
-                )));
-            }
-            let outgoing: Outgoing<M> = decode_outgoing(&mut buf)?;
-            outputs[i] = Option::<O>::decode(&mut buf)?;
-            match (outgoing, model) {
-                (Outgoing::Silent, _) => {}
-                (Outgoing::Post(m), Model::Blackboard) => {
-                    stats.posts += 1;
-                    stats.max_msg_bytes = stats.max_msg_bytes.max(m.wire_len());
-                    posted[i] = true;
-                    next_board.push((i, m));
-                }
-                (Outgoing::Send(msgs), Model::MessagePassing(ports)) => {
-                    for (port, m) in msgs {
-                        if port < 1 || port >= n {
-                            return Err(NetError::Protocol(format!(
-                                "node {i}: port {port} out of range for n={n}"
-                            )));
-                        }
-                        stats.sends += 1;
-                        stats.max_msg_bytes = stats.max_msg_bytes.max(m.wire_len());
-                        let target = ports.neighbor(i, port);
-                        let back = ports.port_towards(target, i);
-                        if next_mailboxes[target][back - 1].is_some() {
-                            return Err(NetError::Protocol(format!(
-                                "node {i}: duplicate message on edge"
-                            )));
-                        }
-                        next_mailboxes[target][back - 1] = Some(m);
-                    }
-                }
-                (Outgoing::Broadcast(m), Model::MessagePassing(ports)) => {
-                    stats.sends += n.saturating_sub(1) as u64;
-                    stats.max_msg_bytes = stats.max_msg_bytes.max(m.wire_len());
-                    for port in 1..n {
-                        let target = ports.neighbor(i, port);
-                        let back = ports.port_towards(target, i);
-                        next_mailboxes[target][back - 1] = Some(m.clone());
-                    }
-                }
-                (out, _) => {
-                    return Err(NetError::Protocol(format!(
-                        "node {i}: outgoing {out:?} does not match model {model}"
-                    )))
-                }
-            }
-        }
-        if check_participation {
-            for (i, posted_i) in posted.iter().enumerate() {
-                let undecided = outputs[i].is_none();
-                assert_eq!(
-                    *posted_i,
-                    undecided,
-                    "full participation violated in round {round}: node {i} {}",
-                    if undecided {
-                        "is undecided but did not post"
-                    } else {
-                        "has decided but posted"
-                    }
-                );
-            }
-        }
-        board = next_board;
-        mailboxes = next_mailboxes;
-
-        if outputs.iter().all(Option::is_some) {
-            break;
-        }
-    }
-
-    for stream in &mut streams {
-        write_frame(stream, &[TAG_FINISH])?;
-    }
-    let completed = outputs.iter().all(Option::is_some);
-    Ok(RunOutcome {
-        outputs,
-        rounds,
-        completed,
-        stats,
-        crashed: vec![false; n],
-    })
-}
-
-/// Retry, backoff, and crash-detection policy for
-/// [`run_coordinator_ft`].
+/// Retry, backoff, and crash-detection policy for [`run_coordinator`].
 #[derive(Clone, Copy, Debug)]
 pub struct FtConfig {
     /// Per-attempt socket read deadline during rounds. One round-barrier
@@ -594,31 +357,21 @@ pub struct FtConfig {
     pub retries: u32,
     /// Sleep after the first timed-out read attempt; doubles per retry.
     pub backoff_start: Duration,
-    /// Saturation bound for the doubling backoff (also caps the accept
-    /// poll interval).
+    /// Saturation bound for the doubling backoff.
     pub backoff_cap: Duration,
-}
-
-impl Default for FtConfig {
-    fn default() -> Self {
-        FtConfig {
-            round_timeout: Duration::from_secs(5),
-            handshake_timeout: Duration::from_secs(30),
-            retries: 2,
-            backoff_start: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
-        }
-    }
 }
 
 impl FtConfig {
     /// A policy whose per-read deadline and handshake deadline are both
-    /// `timeout` (retry count and backoff stay at the defaults).
+    /// `timeout`, with 2 retries and a 10 ms doubling backoff capped at
+    /// 500 ms.
     pub fn with_timeout(timeout: Duration) -> Self {
         FtConfig {
             round_timeout: timeout,
             handshake_timeout: timeout,
-            ..FtConfig::default()
+            retries: 2,
+            backoff_start: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(500),
         }
     }
 }
@@ -642,26 +395,22 @@ fn read_frame_ft(r: &mut impl Read, ft: &FtConfig) -> Result<Vec<u8>, NetError> 
     }
 }
 
-/// Like [`accept_nodes`], but degrades instead of failing: polls with an
-/// exponentially backed-off interval until `ft.handshake_timeout`, then
-/// returns whatever connected — missing slots are `None` (declared
-/// crashed at round 0 by the caller) rather than a fatal
-/// [`NetError::Timeout`].
-fn accept_nodes_ft(
+/// Accepts node connections until all `n` have shaken hands or
+/// `ft.handshake_timeout` passes, polling a non-blocking listener every
+/// millisecond. Slots of nodes that never connected are `None` (declared
+/// crashed at round 0 by the caller).
+fn accept_nodes(
     listener: &TcpListener,
     n: usize,
     ft: &FtConfig,
 ) -> Result<Vec<Option<TcpStream>>, NetError> {
     listener.set_nonblocking(true)?;
-    // rsbt-analyze: allow(RSBT-L003): fault-tolerant handshake deadline
+    // rsbt-analyze: allow(RSBT-L003): socket handshake deadline, not result data
     let deadline = Instant::now() + ft.handshake_timeout;
     let mut slots: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    let mut accepted = 0;
-    let mut poll = Duration::from_millis(1);
-    while accepted < n {
+    while slots.iter().any(Option::is_none) {
         match listener.accept() {
             Ok((mut stream, _)) => {
-                poll = Duration::from_millis(1);
                 stream.set_nonblocking(false)?;
                 stream.set_read_timeout(Some(ft.round_timeout))?;
                 stream.set_nodelay(true).ok();
@@ -680,15 +429,13 @@ fn accept_nodes_ft(
                     return Err(NetError::Protocol(format!("duplicate node index {index}")));
                 }
                 slots[index] = Some(stream);
-                accepted += 1;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 // rsbt-analyze: allow(RSBT-L003): deadline poll on the accept loop
                 if Instant::now() >= deadline {
                     break;
                 }
-                std::thread::sleep(poll);
-                poll = (poll * 2).min(ft.backoff_cap);
+                std::thread::sleep(Duration::from_millis(1));
             }
             Err(e) => return Err(NetError::Io(e)),
         }
@@ -697,36 +444,43 @@ fn accept_nodes_ft(
     Ok(slots)
 }
 
-/// Fault-tolerant variant of [`run_coordinator`]: instead of aborting the
-/// run, a node that misses its deadlines is declared **crashed** and the
-/// run degrades gracefully to a partial [`RunOutcome`].
+/// Runs the coordinator half of a multi-process execution.
 ///
-/// Differences from the strict coordinator:
+/// Accepts up to `alpha.n()` node connections on `listener`, then drives
+/// the lockstep rounds through the in-process runner's routing core:
+/// every round it draws one bit per source from `rng` (as
+/// [`crate::runner::run_nodes_with`] does — same seed, same outcome),
+/// ships each node its bit and incoming view, waits for every reply (the
+/// round barrier), and routes the replies into the next round. It stops
+/// when every live node has decided or after `max_rounds`, then tells the
+/// nodes to exit. `stats.max_msg_bytes` counts encoded wire bytes, so a
+/// protocol whose [`Protocol::msg_bytes`] is [`Wire::wire_len`] reports
+/// the runner's stats.
 ///
-/// * the handshake accepts whoever connects before
-///   [`FtConfig::handshake_timeout`]; missing nodes start crashed;
+/// A node that misses its deadlines is declared **crashed**, and the run
+/// degrades to a partial [`RunOutcome`] instead of failing:
+///
+/// * nodes not connected by [`FtConfig::handshake_timeout`] start
+///   crashed;
 /// * a round-barrier read retries up to [`FtConfig::retries`] times with
-///   saturating exponential backoff; exhaustion, EOF, or any socket error
-///   declares the node crashed (recorded in [`RunStats::crashes`] and
-///   [`RunOutcome::crashed`]) — never a fatal error;
-/// * crashed nodes receive no further frames, their queued mail is
-///   dropped, their output is reported `None` even if they had decided
-///   earlier, and completion covers the live nodes only;
-/// * `on_round(r)` runs at the top of every round **before** any frame is
+///   saturating exponential backoff; exhaustion, EOF or any socket error
+///   crashes the node;
+/// * crashed nodes get no further frames, their mail is dropped, their
+///   output is `None`, they count in
+///   [`crate::runner::RunStats::crashes`], and completion covers the
+///   live nodes only;
+/// * `on_round(r)` runs at the top of every round, before any frame is
 ///   sent — the hook the choreography backend uses to kill a worker
-///   process mid-run and prove the degradation path.
+///   process mid-run.
 ///
-/// With responsive nodes the RNG draw order, message routing, and
-/// counters are identical to [`run_coordinator`] (one bit per source per
-/// round, drawn before any send), so estimates stay bit-identical when a
-/// backend switches to the fault-tolerant path.
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics when `options.full_participation` is violated by a *live* node
-/// (crashed nodes are exempt).
+/// [`NetError::Protocol`] when a live peer sends a malformed frame or
+/// breaks the round rule (a bad or reused port, an outgoing kind the
+/// model lacks, a breach of `options.full_participation`);
+/// [`NetError::Io`] when the listener fails.
 #[allow(clippy::too_many_arguments)]
-pub fn run_coordinator_ft<M, O, R, C>(
+pub fn run_coordinator<M, O, R, C>(
     listener: &TcpListener,
     model: &Model,
     alpha: &Assignment,
@@ -743,11 +497,10 @@ where
     C: FnMut(usize),
 {
     let n = alpha.n();
-    if let Model::MessagePassing(p) = model {
-        assert_eq!(p.n(), n, "port numbering covers {} nodes, need {n}", p.n());
-    }
-    let mut streams = accept_nodes_ft(listener, n, ft)?;
-    let mut crashed: Vec<bool> = streams.iter().map(Option::is_none).collect();
+    let mut lockstep = Lockstep::new(model, alpha, options, M::wire_len);
+    // A node is crashed exactly when its slot is empty: it never
+    // connected, or a write or a round-barrier read to it failed.
+    let mut streams = accept_nodes(listener, n, ft)?;
 
     let model_tag = if model.is_blackboard() {
         MODEL_BOARD
@@ -758,76 +511,43 @@ where
     (n as u32).encode(&mut config);
     (max_rounds as u32).encode(&mut config);
     config.push(model_tag);
-    for (i, stream) in streams.iter_mut().enumerate() {
-        if let Some(s) = stream {
-            if write_frame(s, &config).is_err() {
-                crashed[i] = true;
-                *stream = None;
-            }
-        }
+    for stream in &mut streams {
+        send_or_drop(stream, &config);
     }
 
-    let mut board: Vec<(usize, M)> = Vec::new();
-    let mut mailboxes: Vec<Vec<Option<M>>> = vec![vec![None; n.saturating_sub(1)]; n];
     let mut outputs: Vec<Option<O>> = vec![None; n];
-    let mut rounds = 0;
-    let mut stats = RunStats::default();
-    let check_participation = options.full_participation && model.is_blackboard();
-
     for round in 1..=max_rounds {
         on_round(round);
-        rounds = round;
         // Drawn before any send, faults or not: keeps the stream aligned
-        // with the strict coordinator and the in-process runner.
-        let source_bits: Vec<bool> = (0..alpha.k()).map(|_| rng.gen::<bool>()).collect();
+        // with the in-process runner.
+        lockstep.start_round(round, rng);
 
-        for i in 0..n {
-            let Some(stream) = streams[i].as_mut() else {
-                continue;
-            };
-            let mut payload = vec![TAG_ROUND];
-            (round as u32).encode(&mut payload);
-            source_bits[alpha.source_of(i)].encode(&mut payload);
-            match model {
-                Model::Blackboard => {
-                    let mut view: Vec<M> = board
-                        .iter()
-                        .filter(|(sender, _)| *sender != i)
-                        .map(|(_, m)| m.clone())
-                        .collect();
-                    view.sort();
-                    view.encode(&mut payload);
+        // Ship every node its round frame first, then collect replies:
+        // nodes compute concurrently while the coordinator blocks on the
+        // slowest one (the round barrier).
+        for (i, stream) in streams.iter_mut().enumerate() {
+            if stream.is_some() {
+                let (bit, incoming) = lockstep.view(i);
+                let mut payload = vec![TAG_ROUND];
+                (round as u32).encode(&mut payload);
+                bit.encode(&mut payload);
+                match incoming {
+                    Incoming::Board(view) => view.encode(&mut payload),
+                    Incoming::Ports(slots) => slots.encode(&mut payload),
                 }
-                Model::MessagePassing(_) => {
-                    let slots =
-                        std::mem::replace(&mut mailboxes[i], vec![None; n.saturating_sub(1)]);
-                    slots.encode(&mut payload);
-                }
-            }
-            if write_frame(stream, &payload).is_err() {
-                crashed[i] = true;
-                outputs[i] = None;
-                streams[i] = None;
+                send_or_drop(stream, &payload);
             }
         }
 
-        let mut next_board: Vec<(usize, M)> = Vec::new();
-        let mut next_mailboxes: Vec<Vec<Option<M>>> = vec![vec![None; n.saturating_sub(1)]; n];
-        let mut posted = vec![false; n];
-        for i in 0..n {
-            let Some(stream) = streams[i].as_mut() else {
+        for (i, slot) in streams.iter_mut().enumerate() {
+            let Some(stream) = slot else {
                 continue;
             };
-            let frame = match read_frame_ft(stream, ft) {
-                Ok(frame) => frame,
-                Err(_) => {
-                    // Missed the round barrier past every retry (or the
-                    // socket died): declared crashed, not fatal.
-                    crashed[i] = true;
-                    outputs[i] = None;
-                    streams[i] = None;
-                    continue;
-                }
+            let Ok(frame) = read_frame_ft(stream, ft) else {
+                // Missed the round barrier past every retry (or the
+                // socket died): declared crashed, not fatal.
+                *slot = None;
+                continue;
             };
             let mut buf = frame.as_slice();
             if u8::decode(&mut buf)? != TAG_REPLY {
@@ -837,106 +557,34 @@ where
             }
             let outgoing: Outgoing<M> = decode_outgoing(&mut buf)?;
             outputs[i] = Option::<O>::decode(&mut buf)?;
-            match (outgoing, model) {
-                (Outgoing::Silent, _) => {}
-                (Outgoing::Post(m), Model::Blackboard) => {
-                    stats.posts += 1;
-                    stats.max_msg_bytes = stats.max_msg_bytes.max(m.wire_len());
-                    posted[i] = true;
-                    next_board.push((i, m));
-                }
-                (Outgoing::Send(msgs), Model::MessagePassing(ports)) => {
-                    for (port, m) in msgs {
-                        if port < 1 || port >= n {
-                            return Err(NetError::Protocol(format!(
-                                "node {i}: port {port} out of range for n={n}"
-                            )));
-                        }
-                        stats.sends += 1;
-                        stats.max_msg_bytes = stats.max_msg_bytes.max(m.wire_len());
-                        let target = ports.neighbor(i, port);
-                        let back = ports.port_towards(target, i);
-                        if next_mailboxes[target][back - 1].is_some() {
-                            return Err(NetError::Protocol(format!(
-                                "node {i}: duplicate message on edge"
-                            )));
-                        }
-                        next_mailboxes[target][back - 1] = Some(m);
-                    }
-                }
-                (Outgoing::Broadcast(m), Model::MessagePassing(ports)) => {
-                    stats.sends += n.saturating_sub(1) as u64;
-                    stats.max_msg_bytes = stats.max_msg_bytes.max(m.wire_len());
-                    for port in 1..n {
-                        let target = ports.neighbor(i, port);
-                        let back = ports.port_towards(target, i);
-                        next_mailboxes[target][back - 1] = Some(m.clone());
-                    }
-                }
-                (out, _) => {
-                    return Err(NetError::Protocol(format!(
-                        "node {i}: outgoing {out:?} does not match model {model}"
-                    )))
-                }
-            }
+            lockstep
+                .deliver(i, outgoing, false, || outputs[i].is_some())
+                .map_err(|e| NetError::Protocol(format!("node {i}: {e}")))?;
         }
-        if check_participation {
-            for (i, posted_i) in posted.iter().enumerate() {
-                if crashed[i] {
-                    continue;
-                }
-                let undecided = outputs[i].is_none();
-                assert_eq!(
-                    *posted_i,
-                    undecided,
-                    "full participation violated in round {round}: node {i} {}",
-                    if undecided {
-                        "is undecided but did not post"
-                    } else {
-                        "has decided but posted"
-                    }
-                );
-            }
-        }
-        board = next_board;
-        mailboxes = next_mailboxes;
 
-        if outputs
-            .iter()
-            .enumerate()
-            .all(|(i, o)| crashed[i] || o.is_some())
-        {
+        if (0..n).all(|i| streams[i].is_none() || outputs[i].is_some()) {
             break;
         }
     }
 
-    for (i, stream) in streams.iter_mut().enumerate() {
-        if let Some(s) = stream {
-            // A node dying between its last reply and FINISH is still just
-            // a crash, not a run failure.
-            if write_frame(s, &[TAG_FINISH]).is_err() {
-                crashed[i] = true;
-                outputs[i] = None;
-            }
-        }
+    for stream in &mut streams {
+        // A node dying between its last reply and FINISH is still just a
+        // crash, not a run failure.
+        send_or_drop(stream, &[TAG_FINISH]);
     }
-    for (i, o) in outputs.iter_mut().enumerate() {
-        if crashed[i] {
-            *o = None;
-        }
+    let crashed = streams.iter().map(Option::is_none).collect();
+    Ok(lockstep.finish(outputs, crashed))
+}
+
+/// Writes one frame to a live node; a failed write drops the stream,
+/// which declares the node crashed.
+fn send_or_drop(slot: &mut Option<TcpStream>, payload: &[u8]) {
+    if slot
+        .as_mut()
+        .is_some_and(|s| write_frame(s, payload).is_err())
+    {
+        *slot = None;
     }
-    stats.crashes = crashed.iter().filter(|&&c| c).count() as u64;
-    let completed = outputs
-        .iter()
-        .enumerate()
-        .all(|(i, o)| crashed[i] || o.is_some());
-    Ok(RunOutcome {
-        outputs,
-        rounds,
-        completed,
-        stats,
-        crashed,
-    })
 }
 
 /// Runs the node half of a multi-process execution: connect to the
@@ -1000,51 +648,6 @@ where
             }
         }
     }
-}
-
-/// Runs a protocol as `n` real TCP peers on loopback, one thread per node,
-/// with the coordinator on the calling thread.
-///
-/// This exercises the full wire path (handshake, round barriers, framing)
-/// inside one process; `make(i)` builds node `i`. The spawn-per-process
-/// variant lives in the choreography layer's socket backend, which shells
-/// out to worker binaries and drives this module's [`run_coordinator`].
-pub fn run_local<P, F, R>(
-    model: &Model,
-    alpha: &Assignment,
-    max_rounds: usize,
-    rng: &mut R,
-    options: RunOptions,
-    timeout: Option<Duration>,
-    make: F,
-) -> Result<RunOutcome<P::Output>, NetError>
-where
-    P: Protocol + Send,
-    P::Msg: Wire,
-    P::Output: Wire + Send,
-    F: Fn(usize) -> P,
-    R: Rng + ?Sized,
-{
-    let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let n = alpha.n();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let node = make(i);
-                scope.spawn(move || run_node(addr, i, node, timeout))
-            })
-            .collect();
-        let result = run_coordinator::<P::Msg, P::Output, _>(
-            &listener, model, alpha, max_rounds, rng, options, timeout,
-        );
-        for handle in handles {
-            // Worker errors are secondary: the coordinator result already
-            // reflects any failed round.
-            let _ = handle.join();
-        }
-        result
-    })
 }
 
 #[cfg(test)]
@@ -1135,6 +738,69 @@ mod tests {
         }
     }
 
+    /// Runs `make()` nodes as `alpha.n()` loopback peers, one thread per
+    /// node, under the coordinator seeded with `seed`.
+    fn loopback<P, F>(
+        model: &Model,
+        alpha: &Assignment,
+        max_rounds: usize,
+        seed: u64,
+        make: F,
+    ) -> RunOutcome<P::Output>
+    where
+        P: Protocol + Send,
+        P::Msg: Wire,
+        P::Output: Wire + Send,
+        F: Fn() -> P,
+    {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let timeout = Duration::from_secs(10);
+        let mut rng = StdRng::seed_from_u64(seed);
+        std::thread::scope(|scope| {
+            for i in 0..alpha.n() {
+                let node = make();
+                scope.spawn(move || run_node(addr, i, node, Some(timeout)));
+            }
+            run_coordinator::<P::Msg, P::Output, _, _>(
+                &listener,
+                model,
+                alpha,
+                max_rounds,
+                &mut rng,
+                RunOptions::default(),
+                &FtConfig::with_timeout(timeout),
+                |_| {},
+            )
+        })
+        .expect("loopback run")
+    }
+
+    /// A hand-driven peer for node `index`: shakes hands, answers round 1
+    /// with `reply(bit)` and no decision, then drops the connection.
+    fn raw_peer(
+        addr: SocketAddr,
+        index: u32,
+        reply: impl FnOnce(bool) -> Outgoing<bool>,
+    ) -> Result<(), NetError> {
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+        let mut hello = vec![TAG_HELLO];
+        index.encode(&mut hello);
+        write_frame(&mut stream, &hello)?;
+        let _config = read_frame(&mut stream)?;
+        let frame = read_frame(&mut stream)?;
+        let mut buf = frame.as_slice();
+        assert_eq!(u8::decode(&mut buf).unwrap(), TAG_ROUND);
+        let _round = u32::decode(&mut buf).unwrap();
+        let bit = bool::decode(&mut buf).unwrap();
+        let mut frame = vec![TAG_REPLY];
+        encode_outgoing(&reply(bit), &mut frame);
+        Option::<Vec<bool>>::None.encode(&mut frame);
+        write_frame(&mut stream, &frame)?;
+        Ok(()) // drop the stream: an unannounced death
+    }
+
     #[test]
     fn loopback_matches_in_process_runner() {
         let alpha = Assignment::private(4);
@@ -1147,17 +813,7 @@ mod tests {
                 PostBit::default,
                 &mut sim_rng,
             );
-            let mut net_rng = StdRng::seed_from_u64(seed);
-            let net = run_local(
-                &Model::Blackboard,
-                &alpha,
-                6,
-                &mut net_rng,
-                RunOptions::default(),
-                Some(Duration::from_secs(10)),
-                |_| PostBit::default(),
-            )
-            .expect("loopback run");
+            let net = loopback(&Model::Blackboard, &alpha, 6, seed, PostBit::default);
             assert_eq!(net.completed, sim.completed);
             assert_eq!(net.rounds, sim.rounds);
             assert_eq!(net.outputs, sim.outputs);
@@ -1202,17 +858,7 @@ mod tests {
         let model = Model::message_passing_cyclic(3);
         let mut sim_rng = StdRng::seed_from_u64(42);
         let sim = crate::runner::run(&model, &alpha, 4, NetEcho::default, &mut sim_rng);
-        let mut net_rng = StdRng::seed_from_u64(42);
-        let net = run_local(
-            &model,
-            &alpha,
-            4,
-            &mut net_rng,
-            RunOptions::default(),
-            Some(Duration::from_secs(10)),
-            |_| NetEcho::default(),
-        )
-        .expect("loopback run");
+        let net = loopback(&model, &alpha, 4, 42, NetEcho::default);
         assert_eq!(net.outputs, sim.outputs);
         assert_eq!(net.rounds, sim.rounds);
         assert_eq!(net.stats, sim.stats);
@@ -1220,9 +866,9 @@ mod tests {
 
     #[test]
     fn ft_coordinator_matches_strict_without_faults() {
-        // With responsive nodes the fault-tolerant coordinator must be
-        // indistinguishable from the strict one (and from the simulator):
-        // same RNG draws, same outputs, same counters.
+        // With responsive nodes the coordinator must be indistinguishable
+        // from the simulator: same RNG draws, same outputs, same counters,
+        // and nobody crashed.
         let alpha = Assignment::private(4);
         for seed in 0..4 {
             let mut sim_rng = StdRng::seed_from_u64(seed);
@@ -1233,27 +879,7 @@ mod tests {
                 PostBit::default,
                 &mut sim_rng,
             );
-            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-            let addr = listener.local_addr().unwrap();
-            let mut net_rng = StdRng::seed_from_u64(seed);
-            let net = std::thread::scope(|scope| {
-                for i in 0..4 {
-                    scope.spawn(move || {
-                        run_node(addr, i, PostBit::default(), Some(Duration::from_secs(10)))
-                    });
-                }
-                run_coordinator_ft::<bool, Vec<bool>, _, _>(
-                    &listener,
-                    &Model::Blackboard,
-                    &alpha,
-                    6,
-                    &mut net_rng,
-                    RunOptions::default(),
-                    &FtConfig::with_timeout(Duration::from_secs(10)),
-                    |_| {},
-                )
-            })
-            .expect("loopback run");
+            let net = loopback(&Model::Blackboard, &alpha, 6, seed, PostBit::default);
             assert_eq!(net.outputs, sim.outputs);
             assert_eq!(net.rounds, sim.rounds);
             assert_eq!(net.stats, sim.stats);
@@ -1263,9 +889,9 @@ mod tests {
 
     #[test]
     fn ft_coordinator_survives_mid_run_death() {
-        // Node 2 replies to round 1 and then silently dies. The strict
-        // coordinator would abort the whole run; the fault-tolerant one
-        // must declare it crashed and let the survivors decide.
+        // Node 2 replies to round 1 and then silently dies: the
+        // coordinator must declare it crashed and let the survivors
+        // decide.
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         let alpha = Assignment::private(3);
@@ -1283,25 +909,8 @@ mod tests {
                     run_node(addr, i, PostBit::default(), Some(Duration::from_secs(5)))
                 });
             }
-            scope.spawn(move || -> Result<(), NetError> {
-                let mut stream = TcpStream::connect(addr)?;
-                stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-                let mut hello = vec![TAG_HELLO];
-                2u32.encode(&mut hello);
-                write_frame(&mut stream, &hello)?;
-                let _config = read_frame(&mut stream)?;
-                let frame = read_frame(&mut stream)?;
-                let mut buf = frame.as_slice();
-                assert_eq!(u8::decode(&mut buf).unwrap(), TAG_ROUND);
-                let _round = u32::decode(&mut buf).unwrap();
-                let bit = bool::decode(&mut buf).unwrap();
-                let mut reply = vec![TAG_REPLY];
-                encode_outgoing(&Outgoing::Post(bit), &mut reply);
-                Option::<Vec<bool>>::None.encode(&mut reply);
-                write_frame(&mut stream, &reply)?;
-                Ok(()) // drop the stream: an unannounced death
-            });
-            run_coordinator_ft::<bool, Vec<bool>, _, _>(
+            scope.spawn(move || raw_peer(addr, 2, Outgoing::Post));
+            run_coordinator::<bool, Vec<bool>, _, _>(
                 &listener,
                 &Model::Blackboard,
                 &alpha,
@@ -1340,7 +949,7 @@ mod tests {
             scope
                 .spawn(move || run_node(addr, 0, PostBit::default(), Some(Duration::from_secs(5))));
             // Node 1 never shows up.
-            run_coordinator_ft::<bool, Vec<bool>, _, _>(
+            run_coordinator::<bool, Vec<bool>, _, _>(
                 &listener,
                 &Model::Blackboard,
                 &alpha,
@@ -1362,19 +971,58 @@ mod tests {
 
     #[test]
     fn handshake_times_out_without_workers() {
+        // Nobody connects before the handshake deadline: every node is
+        // crashed and the run ends with a partial outcome, not an error.
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let alpha = Assignment::private(2);
         let mut rng = StdRng::seed_from_u64(0);
-        let err = run_coordinator::<bool, bool, _>(
+        let out = run_coordinator::<bool, bool, _, _>(
             &listener,
             &Model::Blackboard,
             &alpha,
             3,
             &mut rng,
             RunOptions::default(),
-            Some(Duration::from_millis(50)),
+            &FtConfig::with_timeout(Duration::from_millis(50)),
+            |_| {},
         )
-        .unwrap_err();
-        assert!(matches!(err, NetError::Timeout(_)), "got {err:?}");
+        .expect("crashed nodes, not an error");
+        assert_eq!(out.crashed, vec![true, true]);
+        assert_eq!(out.outputs, vec![None, None]);
+        assert_eq!(out.stats.crashes, 2);
+    }
+
+    #[test]
+    fn participation_breach_by_a_peer_is_a_protocol_error() {
+        // Node 1 stays silent while undecided in round 1. Under full
+        // participation that is input from a bad peer: the coordinator
+        // reports it as an error instead of panicking.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let alpha = Assignment::private(2);
+        let mut rng = StdRng::seed_from_u64(5);
+        let result = std::thread::scope(|scope| {
+            scope
+                .spawn(move || run_node(addr, 0, PostBit::default(), Some(Duration::from_secs(5))));
+            scope.spawn(move || raw_peer(addr, 1, |_| Outgoing::Silent));
+            run_coordinator::<bool, Vec<bool>, _, _>(
+                &listener,
+                &Model::Blackboard,
+                &alpha,
+                6,
+                &mut rng,
+                RunOptions {
+                    full_participation: true,
+                },
+                &FtConfig::with_timeout(Duration::from_secs(5)),
+                |_| {},
+            )
+        });
+        match result {
+            Err(NetError::Protocol(what)) => {
+                assert!(what.contains("full participation violated"), "{what}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 }

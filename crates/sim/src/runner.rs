@@ -13,7 +13,9 @@ use std::ops::Deref;
 use rand::Rng;
 use rsbt_random::Assignment;
 
+use crate::faults::FaultSchedule;
 use crate::model::Model;
+use crate::ports::PortNumbering;
 
 /// Per-round context handed to each node.
 #[derive(Clone, Copy, Debug)]
@@ -192,6 +194,19 @@ pub struct RunStats {
     pub omissions: u64,
 }
 
+impl RunStats {
+    /// Adds `other`'s counters into `self` (`max_msg_bytes` takes the
+    /// larger). Commutative and associative, so merged totals do not
+    /// depend on the order runs are merged in.
+    pub fn merge(&mut self, other: &RunStats) {
+        self.posts += other.posts;
+        self.sends += other.sends;
+        self.max_msg_bytes = self.max_msg_bytes.max(other.max_msg_bytes);
+        self.crashes += other.crashes;
+        self.omissions += other.omissions;
+    }
+}
+
 /// The result of running a protocol.
 #[derive(Clone, Debug)]
 pub struct RunOutcome<O> {
@@ -282,82 +297,44 @@ where
     R: Rng + ?Sized,
 {
     let nodes: Vec<P> = (0..alpha.n()).map(|_| make()).collect();
-    run_nodes(model, alpha, max_rounds, nodes, rng)
+    let options = RunOptions::default();
+    run_nodes_with(model, alpha, max_rounds, nodes, rng, options, None)
 }
 
-/// Like [`run`], but with caller-constructed nodes — used for input-output
-/// tasks where nodes run identical *code* but carry different inputs
-/// (the Appendix C reduction).
+/// Like [`run`], with caller-constructed nodes, explicit [`RunOptions`]
+/// and an optional [`FaultSchedule`].
+///
+/// Caller-constructed nodes serve input-output tasks, where nodes run
+/// identical *code* but carry different inputs (the Appendix C
+/// reduction); the choreography layer derives the options from the
+/// projected global protocol.
+///
+/// `faults: None` is the fault-free run. Under a schedule (see
+/// [`crate::faults`]): a node that *omits* in a round still executes it,
+/// but every transmission it emitted is dropped (counted in
+/// [`RunStats::omissions`]); a node that has *crashed* stops executing
+/// entirely — its output is reported as `None` even if it had decided
+/// earlier, it is flagged in [`RunOutcome::crashed`], and completion only
+/// requires the live nodes to decide. Source bits are drawn identically
+/// every round regardless of faults, so runs under different schedules
+/// stay coupled to the same randomness.
 ///
 /// # Panics
 ///
-/// Same conditions as [`run`], plus `nodes.len()` must equal `alpha.n()`.
-pub fn run_nodes<P, R>(
-    model: &Model,
-    alpha: &Assignment,
-    max_rounds: usize,
-    nodes: Vec<P>,
-    rng: &mut R,
-) -> RunOutcome<P::Output>
-where
-    P: Protocol,
-    R: Rng + ?Sized,
-{
-    run_nodes_with(model, alpha, max_rounds, nodes, rng, RunOptions::default())
-}
-
-/// Like [`run_nodes`], with explicit [`RunOptions`] (the choreography
-/// layer derives the options from the projected global protocol).
-///
-/// # Panics
-///
-/// Same conditions as [`run_nodes`]; additionally panics — in release
-/// builds too — when `options.full_participation` is set under the
-/// blackboard model and a round violates the invariant documented on
-/// [`RunOptions::full_participation`].
+/// Same conditions as [`run`], plus `nodes.len()` and `faults.n()` must
+/// equal `alpha.n()`. Also panics — in release builds too — when
+/// `options.full_participation` is set under the blackboard model and a
+/// round violates the invariant documented on
+/// [`RunOptions::full_participation`] (nodes silent in that round are
+/// exempt).
 pub fn run_nodes_with<P, R>(
-    model: &Model,
-    alpha: &Assignment,
-    max_rounds: usize,
-    nodes: Vec<P>,
-    rng: &mut R,
-    options: RunOptions,
-) -> RunOutcome<P::Output>
-where
-    P: Protocol,
-    R: Rng + ?Sized,
-{
-    // A zero-horizon schedule is never silent: this is exactly the
-    // fault-free run (identical RNG draws, identical behavior).
-    let faults = crate::faults::FaultSchedule::empty(alpha.n(), 0);
-    run_nodes_with_faults(model, alpha, max_rounds, nodes, rng, options, &faults)
-}
-
-/// Like [`run_nodes_with`], under a [`crate::faults::FaultSchedule`].
-///
-/// Fault semantics (see [`crate::faults`]): a node that *omits* in a
-/// round still executes it, but every transmission it emitted is dropped
-/// (counted in [`RunStats::omissions`]); a node that has *crashed* stops
-/// executing entirely — its output is reported as `None` even if it had
-/// decided earlier, it is flagged in [`RunOutcome::crashed`], and
-/// completion only requires the live nodes to decide. Source bits are
-/// drawn identically every round regardless of faults, so runs under
-/// different schedules stay coupled to the same randomness.
-///
-/// # Panics
-///
-/// Same conditions as [`run_nodes_with`] (the participation check
-/// exempts nodes silent in the violating round), plus
-/// `faults.n() == alpha.n()`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_nodes_with_faults<P, R>(
     model: &Model,
     alpha: &Assignment,
     max_rounds: usize,
     mut nodes: Vec<P>,
     rng: &mut R,
     options: RunOptions,
-    faults: &crate::faults::FaultSchedule,
+    faults: Option<&FaultSchedule>,
 ) -> RunOutcome<P::Output>
 where
     P: Protocol,
@@ -365,162 +342,293 @@ where
 {
     let n = alpha.n();
     assert_eq!(nodes.len(), n, "one node per assignment slot");
+    // A zero-horizon schedule is never silent: exactly the fault-free run.
+    let fault_free = FaultSchedule::empty(n, 0);
+    let faults = faults.unwrap_or(&fault_free);
     assert_eq!(faults.n(), n, "fault schedule covers {} nodes", faults.n());
-    if let Model::MessagePassing(p) = model {
-        assert_eq!(p.n(), n, "port numbering covers {} nodes, need {n}", p.n());
-    }
-    // What each node will receive next round. Board posts are tagged with
-    // the sender so a node's own message can be excluded from its view
-    // (Eq. 1 hands node i the multiset {K_j : j ≠ i}); the tag never
-    // reaches the nodes, preserving anonymity.
-    let mut board: Vec<(usize, P::Msg)> = Vec::new();
-    let mut mailboxes: Vec<Vec<Option<P::Msg>>> = vec![vec![None; n.saturating_sub(1)]; n];
+    let mut lockstep = Lockstep::new(model, alpha, options, P::msg_bytes);
     let mut rounds = 0;
-    let mut stats = RunStats::default();
-    let check_participation = options.full_participation && model.is_blackboard();
-    let mut posted = vec![false; n];
-
     for round in 1..=max_rounds {
         rounds = round;
-        // One fresh bit per source, wired through alpha.
-        let source_bits: Vec<bool> = (0..alpha.k()).map(|_| rng.gen::<bool>()).collect();
-        let mut next_board: Vec<(usize, P::Msg)> = Vec::new();
-        let mut next_mailboxes: Vec<Vec<Option<P::Msg>>> = vec![vec![None; n.saturating_sub(1)]; n];
-        posted.fill(false);
-
+        lockstep.start_round(round, rng);
         for (i, node) in nodes.iter_mut().enumerate() {
             if faults.crashed_by(i, round) {
                 // Dead: no execution at all. Mail addressed to it is
                 // simply never read.
                 continue;
             }
-            let silent_now = faults.is_silent(i, round);
-            let ctx = RoundCtx {
-                round,
-                bit: source_bits[alpha.source_of(i)],
-                n,
-            };
-            let incoming = match model {
-                Model::Blackboard => {
-                    let mut view: Vec<P::Msg> = board
-                        .iter()
-                        .filter(|(sender, _)| *sender != i)
-                        .map(|(_, m)| m.clone())
-                        .collect();
-                    view.sort();
-                    Incoming::Board(view)
-                }
-                Model::MessagePassing(_) => Incoming::Ports(std::mem::replace(
-                    &mut mailboxes[i],
-                    vec![None; n.saturating_sub(1)],
-                )),
-            };
-            match (node.round(ctx, &incoming), model) {
-                (Outgoing::Silent, _) => {}
-                (Outgoing::Post(m), Model::Blackboard) => {
-                    if silent_now {
-                        stats.omissions += 1;
-                    } else {
-                        stats.posts += 1;
-                        stats.max_msg_bytes = stats.max_msg_bytes.max(P::msg_bytes(&m));
-                        posted[i] = true;
-                        next_board.push((i, m));
-                    }
-                }
-                (Outgoing::Send(msgs), Model::MessagePassing(ports)) => {
-                    if silent_now {
-                        stats.omissions += msgs.len() as u64;
-                    } else {
-                        for (port, m) in msgs {
-                            assert!(port >= 1 && port < n, "port {port} out of range for n={n}");
-                            stats.sends += 1;
-                            stats.max_msg_bytes = stats.max_msg_bytes.max(P::msg_bytes(&m));
-                            let target = ports.neighbor(i, port);
-                            let back = ports.port_towards(target, i);
-                            assert!(
-                                next_mailboxes[target][back - 1].is_none(),
-                                "duplicate message on edge"
-                            );
-                            next_mailboxes[target][back - 1] = Some(m);
-                        }
-                    }
-                }
-                (Outgoing::Broadcast(m), Model::MessagePassing(ports)) => {
-                    if silent_now {
-                        stats.omissions += n.saturating_sub(1) as u64;
-                    } else {
-                        stats.sends += n.saturating_sub(1) as u64;
-                        stats.max_msg_bytes = stats.max_msg_bytes.max(P::msg_bytes(&m));
-                        for port in 1..n {
-                            let target = ports.neighbor(i, port);
-                            let back = ports.port_towards(target, i);
-                            next_mailboxes[target][back - 1] = Some(m.clone());
-                        }
-                    }
-                }
-                (out, _) => panic!("outgoing message {out:?} does not match model {model}"),
+            let (bit, incoming) = lockstep.view(i);
+            let out = node.round(RoundCtx { round, bit, n }, &incoming);
+            let silent = faults.is_silent(i, round);
+            let decided = || node.output().is_some();
+            if let Err(e) = lockstep.deliver(i, out, silent, decided) {
+                panic!("{e}");
             }
         }
-        if check_participation {
-            for (i, node) in nodes.iter().enumerate() {
-                if faults.is_silent(i, round) {
-                    // A silent node cannot post; don't hold that against
-                    // the protocol.
-                    continue;
-                }
-                let undecided = node.output().is_none();
-                assert_eq!(
-                    posted[i],
-                    undecided,
-                    "full participation violated in round {round}: node {i} {}",
-                    if undecided {
-                        "is undecided but did not post"
-                    } else {
-                        "has decided but posted"
-                    }
-                );
-            }
-        }
-        board = next_board;
-        mailboxes = next_mailboxes;
-
-        if nodes
-            .iter()
-            .enumerate()
-            .all(|(i, nd)| faults.crashed_by(i, round) || nd.output().is_some())
-        {
-            return faulted_outcome(&nodes, rounds, stats, faults);
+        if (0..n).all(|i| faults.crashed_by(i, round) || nodes[i].output().is_some()) {
+            break;
         }
     }
-    faulted_outcome(&nodes, rounds, stats, faults)
+    let crashed = (0..n).map(|i| faults.crashed_by(i, rounds)).collect();
+    lockstep.finish(nodes.iter().map(Protocol::output).collect(), crashed)
 }
 
-/// Builds a [`RunOutcome`] at the end of a (possibly faulted) run:
-/// crashed nodes report `None` and are flagged, completion covers the
-/// live nodes only.
-fn faulted_outcome<P: Protocol>(
-    nodes: &[P],
-    rounds: usize,
-    mut stats: RunStats,
-    faults: &crate::faults::FaultSchedule,
-) -> RunOutcome<P::Output> {
-    let crashed: Vec<bool> = (0..nodes.len())
-        .map(|i| faults.crashed_by(i, rounds))
-        .collect();
-    stats.crashes = crashed.iter().filter(|&&c| c).count() as u64;
-    RunOutcome {
-        completed: nodes
-            .iter()
-            .enumerate()
-            .all(|(i, nd)| crashed[i] || nd.output().is_some()),
-        outputs: nodes
-            .iter()
-            .enumerate()
-            .map(|(i, nd)| if crashed[i] { None } else { nd.output() })
-            .collect(),
-        rounds,
-        stats,
-        crashed,
+/// A node's round output that breaks the lockstep round rule.
+///
+/// The in-process runner panics on it (a bug in a local protocol); the
+/// socket coordinator reports it, prefixed with the node, as
+/// [`crate::net::NetError::Protocol`] (the output came from another
+/// process).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum RouteError {
+    /// An [`Outgoing::Send`] entry names a port outside `1..n`.
+    BadPort { port: usize, n: usize },
+    /// Two [`Outgoing::Send`] entries of one node use the same port.
+    DuplicateOnEdge,
+    /// The outgoing kind (its `Debug` form) does not exist in the model.
+    ModelMismatch { out: String, model: String },
+    /// A round breaks [`RunOptions::full_participation`].
+    Participation {
+        round: usize,
+        node: usize,
+        undecided: bool,
+    },
+}
+
+impl fmt::Display for RouteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RouteError::BadPort { port, n } => write!(f, "port {port} out of range for n={n}"),
+            RouteError::DuplicateOnEdge => write!(f, "duplicate message on edge"),
+            RouteError::ModelMismatch { out, model } => {
+                write!(f, "outgoing message {out} does not match model {model}")
+            }
+            RouteError::Participation {
+                round,
+                node,
+                undecided,
+            } => write!(
+                f,
+                "full participation violated in round {round}: node {node} {}",
+                if *undecided {
+                    "is undecided but did not post"
+                } else {
+                    "has decided but posted"
+                }
+            ),
+        }
+    }
+}
+
+/// The lockstep round rule, shared by [`run_nodes_with`] and the socket
+/// coordinator [`crate::net::run_coordinator`]: one bit per source per
+/// round, each node's [`Incoming`] view, delivery of its [`Outgoing`],
+/// the [`RunStats`] counters and the full-participation check.
+///
+/// A round is [`Self::start_round`], then [`Self::view`] and
+/// [`Self::deliver`] once per live node, in any interleaving: views read
+/// this round's mail, deliveries fill the next round's.
+pub(crate) struct Lockstep<'a, M> {
+    model: &'a Model,
+    alpha: &'a Assignment,
+    msg_bytes: fn(&M) -> usize,
+    check_participation: bool,
+    round: usize,
+    /// This round's bit per source.
+    bits: Vec<bool>,
+    /// This round's board, stably sorted by message. Posts are tagged
+    /// with the sender so a node's own post can be left out of its view
+    /// (Eq. 1 hands node i the multiset {K_j : j ≠ i}); the tag never
+    /// reaches the nodes, preserving anonymity.
+    board: Vec<(usize, M)>,
+    next_board: Vec<(usize, M)>,
+    /// Message passing only: `mailboxes[i][j - 1]` is what node `i`
+    /// receives through port `j` this round.
+    mailboxes: Vec<Vec<Option<M>>>,
+    next_mailboxes: Vec<Vec<Option<M>>>,
+    stats: RunStats,
+}
+
+impl<'a, M: Clone + Ord + fmt::Debug> Lockstep<'a, M> {
+    /// An empty round state; `msg_bytes` sizes each message for
+    /// [`RunStats::max_msg_bytes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a message-passing model's port numbering does not cover
+    /// `alpha.n()` nodes.
+    pub(crate) fn new(
+        model: &'a Model,
+        alpha: &'a Assignment,
+        options: RunOptions,
+        msg_bytes: fn(&M) -> usize,
+    ) -> Self {
+        let n = alpha.n();
+        if let Model::MessagePassing(p) = model {
+            assert_eq!(p.n(), n, "port numbering covers {} nodes, need {n}", p.n());
+        }
+        let boxes = if model.is_blackboard() { 0 } else { n };
+        let empty = || vec![vec![None; n.saturating_sub(1)]; boxes];
+        Lockstep {
+            model,
+            alpha,
+            msg_bytes,
+            check_participation: options.full_participation && model.is_blackboard(),
+            round: 0,
+            bits: Vec::with_capacity(alpha.k()),
+            board: Vec::new(),
+            next_board: Vec::new(),
+            mailboxes: empty(),
+            next_mailboxes: empty(),
+            stats: RunStats::default(),
+        }
+    }
+
+    /// Opens round `round`: the previous round's deliveries become this
+    /// round's mail, and one bit per source is drawn, in source order.
+    pub(crate) fn start_round<R: Rng + ?Sized>(&mut self, round: usize, rng: &mut R) {
+        self.round = round;
+        std::mem::swap(&mut self.board, &mut self.next_board);
+        self.next_board.clear();
+        // Stable, so equal messages keep sender order: each node's
+        // filtered view is then exactly its own sorted board.
+        self.board.sort_by(|a, b| a.1.cmp(&b.1));
+        let slots = self.alpha.n().saturating_sub(1);
+        for mailbox in &mut self.mailboxes {
+            // Read mailboxes were taken; a crashed node's is cleared.
+            mailbox.clear();
+            mailbox.resize(slots, None);
+        }
+        std::mem::swap(&mut self.mailboxes, &mut self.next_mailboxes);
+        self.bits.clear();
+        self.bits
+            .extend((0..self.alpha.k()).map(|_| rng.gen::<bool>()));
+    }
+
+    /// Node `i`'s bit this round, and its view of this round's mail: the
+    /// other nodes' posts in lexicographic order, or one slot per port.
+    pub(crate) fn view(&mut self, i: usize) -> (bool, Incoming<M>) {
+        let incoming = match self.model {
+            Model::Blackboard => Incoming::Board(
+                self.board
+                    .iter()
+                    .filter(|(sender, _)| *sender != i)
+                    .map(|(_, m)| m.clone())
+                    .collect(),
+            ),
+            Model::MessagePassing(_) => Incoming::Ports(std::mem::take(&mut self.mailboxes[i])),
+        };
+        (self.bits[self.alpha.source_of(i)], incoming)
+    }
+
+    /// Delivers node `i`'s round output into the next round. A `silent`
+    /// (omitting) node's transmissions are dropped and counted in
+    /// [`RunStats::omissions`], and it is exempt from the
+    /// full-participation check, which asks `decided()` whether the node
+    /// has decided by the end of this round.
+    pub(crate) fn deliver(
+        &mut self,
+        i: usize,
+        out: Outgoing<M>,
+        silent: bool,
+        decided: impl FnOnce() -> bool,
+    ) -> Result<(), RouteError> {
+        let n = self.alpha.n();
+        let posted = matches!(out, Outgoing::Post(_));
+        match (out, self.model) {
+            (Outgoing::Silent, _) => {}
+            (Outgoing::Post(_), Model::Blackboard) if silent => self.stats.omissions += 1,
+            (Outgoing::Post(m), Model::Blackboard) => {
+                self.stats.posts += 1;
+                self.note_bytes(&m);
+                self.next_board.push((i, m));
+            }
+            (Outgoing::Send(msgs), Model::MessagePassing(_)) if silent => {
+                self.stats.omissions += msgs.len() as u64;
+            }
+            (Outgoing::Send(msgs), Model::MessagePassing(ports)) => {
+                for (port, m) in msgs {
+                    self.stats.sends += 1;
+                    self.note_bytes(&m);
+                    self.route(ports, i, port, m)?;
+                }
+            }
+            (Outgoing::Broadcast(_), Model::MessagePassing(_)) if silent => {
+                self.stats.omissions += n.saturating_sub(1) as u64;
+            }
+            (Outgoing::Broadcast(m), Model::MessagePassing(ports)) => {
+                self.stats.sends += n.saturating_sub(1) as u64;
+                self.note_bytes(&m);
+                for port in 1..n {
+                    self.route(ports, i, port, m.clone())?;
+                }
+            }
+            (out, model) => {
+                return Err(RouteError::ModelMismatch {
+                    out: format!("{out:?}"),
+                    model: model.to_string(),
+                })
+            }
+        }
+        if self.check_participation && !silent {
+            let undecided = !decided();
+            if posted != undecided {
+                return Err(RouteError::Participation {
+                    round: self.round,
+                    node: i,
+                    undecided,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    fn note_bytes(&mut self, m: &M) {
+        self.stats.max_msg_bytes = self.stats.max_msg_bytes.max((self.msg_bytes)(m));
+    }
+
+    /// Puts `m`, sent by node `i` through its port `port`, in the
+    /// receiver's slot for the port it arrives on.
+    fn route(
+        &mut self,
+        ports: &PortNumbering,
+        i: usize,
+        port: usize,
+        m: M,
+    ) -> Result<(), RouteError> {
+        let n = self.alpha.n();
+        if port < 1 || port >= n {
+            return Err(RouteError::BadPort { port, n });
+        }
+        let target = ports.neighbor(i, port);
+        let slot = &mut self.next_mailboxes[target][ports.port_towards(target, i) - 1];
+        if slot.is_some() {
+            return Err(RouteError::DuplicateOnEdge);
+        }
+        *slot = Some(m);
+        Ok(())
+    }
+
+    /// The outcome after the last started round: crashed nodes report
+    /// `None` and count in [`RunStats::crashes`], and completion covers
+    /// the live nodes only.
+    pub(crate) fn finish<O>(
+        self,
+        mut outputs: Vec<Option<O>>,
+        crashed: Vec<bool>,
+    ) -> RunOutcome<O> {
+        let mut stats = self.stats;
+        stats.crashes = crashed.iter().filter(|&&c| c).count() as u64;
+        for (output, _) in outputs.iter_mut().zip(&crashed).filter(|(_, &c)| c) {
+            *output = None;
+        }
+        RunOutcome {
+            completed: outputs.iter().zip(&crashed).all(|(o, &c)| c || o.is_some()),
+            outputs,
+            rounds: self.round,
+            stats,
+            crashed,
+        }
     }
 }
 
@@ -723,8 +831,8 @@ mod tests {
 
     #[test]
     fn empty_schedule_matches_fault_free_run() {
-        // run_nodes_with delegates through the faulted core; a run with
-        // an explicit empty schedule must be identical, RNG and all.
+        // `None` is the fault-free run; a run with an explicit empty
+        // schedule must be identical, RNG and all.
         let alpha = Assignment::private(4);
         let faults = crate::faults::FaultSchedule::empty(4, 0);
         let mut rng_a = StdRng::seed_from_u64(21);
@@ -737,14 +845,14 @@ mod tests {
             &mut rng_a,
         );
         let nodes = (0..4).map(|_| BitCounter::default()).collect();
-        let b = run_nodes_with_faults(
+        let b = run_nodes_with(
             &Model::Blackboard,
             &alpha,
             5,
             nodes,
             &mut rng_b,
             RunOptions::default(),
-            &faults,
+            Some(&faults),
         );
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.rounds, b.rounds);
@@ -763,14 +871,14 @@ mod tests {
         faults.set_crash(2, 1);
         let mut rng = StdRng::seed_from_u64(5);
         let nodes = (0..4).map(|_| BitCounter::default()).collect();
-        let out = run_nodes_with_faults(
+        let out = run_nodes_with(
             &Model::Blackboard,
             &alpha,
             5,
             nodes,
             &mut rng,
             RunOptions::default(),
-            &faults,
+            Some(&faults),
         );
         assert!(out.completed, "live nodes decided");
         assert_eq!(out.crashed, vec![false, false, true, false]);
@@ -792,7 +900,7 @@ mod tests {
         faults.set_omission(1, 1);
         let mut rng = StdRng::seed_from_u64(13);
         let nodes = (0..3).map(|_| BitCounter::default()).collect();
-        let out = run_nodes_with_faults(
+        let out = run_nodes_with(
             &Model::Blackboard,
             &alpha,
             5,
@@ -801,7 +909,7 @@ mod tests {
             RunOptions {
                 full_participation: true, // silent rounds are exempt
             },
-            &faults,
+            Some(&faults),
         );
         assert!(out.completed);
         assert_eq!(out.stats.posts, 2, "round-1 post of node 1 dropped");
@@ -845,14 +953,14 @@ mod tests {
         faults.set_omission(0, 1);
         let mut rng = StdRng::seed_from_u64(9);
         let nodes = (0..3).map(|_| CountArrivals::default()).collect();
-        let out = run_nodes_with_faults(
+        let out = run_nodes_with(
             &Model::message_passing_cyclic(3),
             &alpha,
             4,
             nodes,
             &mut rng,
             RunOptions::default(),
-            &faults,
+            Some(&faults),
         );
         assert!(out.completed);
         assert_eq!(out.stats.omissions, 2, "one dropped broadcast x 2 ports");
@@ -906,6 +1014,7 @@ mod tests {
             RunOptions {
                 full_participation: true,
             },
+            None,
         );
     }
 
@@ -925,6 +1034,7 @@ mod tests {
             RunOptions {
                 full_participation: true,
             },
+            None,
         );
         assert!(out.completed);
     }
