@@ -79,8 +79,9 @@ impl std::error::Error for WireError {}
 pub enum NetError {
     /// Socket-level failure (peer died, connection refused, …).
     Io(io::Error),
-    /// A read deadline expired; the string names the phase (handshake or
-    /// round barrier).
+    /// A read deadline expired; the string names the phase. The
+    /// coordinator returns it only for a peer that connects but sends no
+    /// handshake in time; a late node is declared crashed instead.
     Timeout(&'static str),
     /// A peer sent a malformed or protocol-violating frame.
     Protocol(String),

@@ -379,7 +379,7 @@ where
 /// socket coordinator reports it, prefixed with the node, as
 /// [`crate::net::NetError::Protocol`] (the output came from another
 /// process).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) enum RouteError {
     /// An [`Outgoing::Send`] entry names a port outside `1..n`.
     BadPort { port: usize, n: usize },
