@@ -127,9 +127,10 @@ where
 
 /// [`monte_carlo_bitsliced`] under a [`FaultSpec`]: lane `l` of word `w`
 /// is still sample `w·64 + l`, draws its source words from the identical
-/// unsalted stream, and compiles its per-sample [`FaultSchedule`] from
-/// the salted fault substream — the 64 schedules of a word become
-/// per-round **silence lane words** (bit `l` = lane `l`'s node silent
+/// unsalted stream, and draws its per-node silence masks from the salted
+/// fault substream (the masks of the per-sample [`FaultSchedule`], written
+/// without building it) — the 64 lanes' masks of a word become per-round
+/// **silence lane words** (bit `l` = lane `l`'s node silent
 /// this round) fed to
 /// [`LaneStepper::step_faulted`](rsbt_sim::LaneStepper::step_faulted).
 /// Faulted lanes track every node as its own unit (silence is
@@ -452,9 +453,11 @@ where
 /// early-exit argument). `range` is word-aligned: `range.start % 64 == 0`
 /// and only the final word can be partially live.
 ///
-/// Under `faults`, each word also compiles its 64 per-lane
-/// [`FaultSchedule`]s from the salted fault substream and transposes them
-/// into per-round **silence lane words** (`sil[i][r]` bit `l` = lane
+/// Under `faults`, each word also writes its 64 lanes' per-node silence
+/// masks from the salted fault substream
+/// ([`LaneSilence::fill_lane`](rsbt_sim::LaneSilence::fill_lane), no
+/// per-lane [`FaultSchedule`]) and transposes them into per-round
+/// **silence lane words** (`sil[i][r]` bit `l` = lane
 /// `l`'s node `i` silent in round `r + 1`) for
 /// [`LaneStepper::step_faulted`]. Source draws are untouched — same
 /// streams, same order — so a rate-zero spec compiles all-zero silence
@@ -492,7 +495,7 @@ fn run_plan_words<A, F>(
     let blocks = k + if faults.is_some() { n } else { 0 };
     let mut raw = vec![[0u64; 64]; blocks];
     let mut rows = vec![[0u64; 64]; blocks];
-    let mut faulted = faults.map(|spec| (spec, FaultSchedule::empty(n, t)));
+    let silence = faults.map(|spec| spec.lane_silence(n, t, seed));
     let mut regs: Vec<u64> = Vec::new();
     let mut base = range.start;
     while base < range.end {
@@ -511,11 +514,8 @@ fn run_plan_words<A, F>(
                 for d in draws {
                     d[l] = rng.next_u64();
                 }
-                if let Some((spec, schedule)) = faulted.as_mut() {
-                    spec.fill_schedule(n, t, seed, (base + l) as u64, schedule);
-                    for (i, s) in sil.iter_mut().enumerate() {
-                        s[l] = schedule.silent_mask64(i);
-                    }
+                if let Some(silence) = &silence {
+                    silence.fill_lane((base + l) as u64, l, sil);
                 }
             } else {
                 for block in &mut raw {

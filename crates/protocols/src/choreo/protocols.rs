@@ -57,17 +57,29 @@ fn board_election_global(name: &'static str) -> GlobalProtocol {
 /// this node's own) as equality classes in lexicographic order: each
 /// distinct string with its multiplicity. Every node computes the same
 /// classes, which is what lets the blackboard rules agree.
-fn board_classes<'a>(board: &'a [Vec<bool>], mine: &'a Vec<bool>) -> Vec<(&'a Vec<bool>, usize)> {
-    let mut all: Vec<&Vec<bool>> = board.iter().chain(std::iter::once(mine)).collect();
-    all.sort();
-    let mut classes: Vec<(&Vec<bool>, usize)> = Vec::new();
-    for s in all {
-        match classes.last_mut() {
-            Some((rep, count)) if *rep == s => *count += 1,
-            _ => classes.push((s, 1)),
+///
+/// The board arrives sorted (the runner presents it in lexicographic
+/// order), so the node's own string is merged in at its place and equal
+/// neighbours are counted as they stream by: no allocation, no sort.
+fn board_classes<'a>(
+    board: &'a [Vec<bool>],
+    mine: &'a Vec<bool>,
+) -> impl Iterator<Item = (&'a Vec<bool>, usize)> {
+    debug_assert!(board.is_sorted(), "the board arrives sorted");
+    let (below, rest) = board.split_at(board.partition_point(|s| s < mine));
+    let mut all = below
+        .iter()
+        .chain(std::iter::once(mine))
+        .chain(rest)
+        .peekable();
+    std::iter::from_fn(move || {
+        let rep = all.next()?;
+        let mut count = 1;
+        while all.next_if_eq(&rep).is_some() {
+            count += 1;
         }
-    }
-    classes
+        Some((rep, count))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -94,9 +106,9 @@ impl BoardRole for BleRole {
 
     fn step(&mut self, ctx: RoundCtx, board: BoardView<'_, Vec<bool>>) -> BoardAction<Vec<bool>> {
         if ctx.round > 1 {
-            let classes = board_classes(&board, &self.history);
             // Lexicographically smallest string occurring exactly once.
-            if let Some(&(winner, _)) = classes.iter().find(|&&(_, count)| count == 1) {
+            let unique = board_classes(&board, &self.history).find(|&(_, count)| count == 1);
+            if let Some((winner, _)) = unique {
                 let leads = *winner == self.history;
                 self.decided = Some(if leads { Role::Leader } else { Role::Follower });
                 return BoardAction::Silent;
@@ -222,12 +234,12 @@ impl BoardRole for KLeaderRole {
 
     fn step(&mut self, ctx: RoundCtx, board: BoardView<'_, Vec<bool>>) -> BoardAction<Vec<bool>> {
         if ctx.round > 1 {
-            let classes = board_classes(&board, &self.history);
-            let sizes: Vec<usize> = classes.iter().map(|&(_, count)| count).collect();
+            let sizes: Vec<usize> = board_classes(&board, &self.history)
+                .map(|(_, count)| count)
+                .collect();
             if let Some(chosen) = KLeaderRole::choose_classes(&sizes, self.k) {
-                let my_class = classes
-                    .iter()
-                    .position(|&(s, _)| *s == self.history)
+                let my_class = board_classes(&board, &self.history)
+                    .position(|(s, _)| *s == self.history)
                     .expect("own string present");
                 self.decided = Some(if chosen.contains(&my_class) {
                     Role::Leader
@@ -442,11 +454,9 @@ impl BoardRole for DeputyElectRole {
 
     fn step(&mut self, ctx: RoundCtx, board: BoardView<'_, Vec<bool>>) -> BoardAction<Vec<bool>> {
         if ctx.round > 1 {
-            let classes = board_classes(&board, &self.history);
-            let mut uniques = classes
-                .iter()
-                .filter(|&&(_, count)| count == 1)
-                .map(|&(s, _)| s);
+            let mut uniques = board_classes(&board, &self.history)
+                .filter(|&(_, count)| count == 1)
+                .map(|(s, _)| s);
             if let (Some(leader), Some(deputy)) = (uniques.next(), uniques.next()) {
                 let mine = &self.history;
                 self.decided = Some(if leader == mine {
@@ -556,6 +566,13 @@ impl Wire for EuclidMsg {
             3 => Ok(EuclidMsg::AnnB),
             4 => Ok(EuclidMsg::AnnA),
             _ => Err(WireError::new("invalid EuclidMsg tag")),
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        match self {
+            EuclidMsg::Hist(h) => 1 + h.wire_len(),
+            _ => 1,
         }
     }
 }
@@ -697,23 +714,25 @@ impl EuclidRole {
             return PortAction::Silent;
         }
         if ctx.round > 1 {
-            let others: Vec<Vec<bool>> = ports
-                .iter()
-                .map(|m| match m {
-                    Some(EuclidMsg::Hist(h)) => h.clone(),
+            fn hist(m: &Option<EuclidMsg>) -> &Vec<bool> {
+                match m {
+                    Some(EuclidMsg::Hist(h)) => h,
                     other => panic!("discovery expects Hist, got {other:?}"),
-                })
+                }
+            }
+            let mine = &self.history;
+            let mut distinct: Vec<&Vec<bool>> = ports
+                .iter()
+                .map(hist)
+                .chain(std::iter::once(mine))
                 .collect();
-            let mine = self.history.clone();
-            let mut distinct: Vec<&Vec<bool>> =
-                others.iter().chain(std::iter::once(&mine)).collect();
             distinct.sort();
             distinct.dedup();
             if distinct.len() == self.k {
-                self.my_group = distinct.binary_search(&&mine).expect("present");
-                self.port_group = others
+                self.my_group = distinct.binary_search(&mine).expect("present");
+                self.port_group = ports
                     .iter()
-                    .map(|s| distinct.binary_search(&s).expect("present"))
+                    .map(|m| distinct.binary_search(&hist(m)).expect("present"))
                     .collect();
                 self.port_active = vec![true; ports.len()];
                 self.sizes = vec![0; self.k];
@@ -1290,6 +1309,14 @@ impl<M: Wire> Wire for ReductionMsg<M> {
             _ => Err(WireError::new("invalid ReductionMsg tag")),
         }
     }
+
+    fn wire_len(&self) -> usize {
+        1 + match self {
+            ReductionMsg::Inner(m) => m.wire_len(),
+            ReductionMsg::Input(v) => v.wire_len(),
+            ReductionMsg::Table(t) => t.wire_len(),
+        }
+    }
 }
 
 /// Projected role of [`ReductionChoreo`]: run the inner election, publish
@@ -1691,9 +1718,108 @@ mod registry_tests {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rsbt_random::gcd;
 
     use super::*;
+
+    /// The sort-based classes that the merging [`board_classes`] replaced.
+    fn board_classes_by_sort(board: &[Vec<bool>], mine: &Vec<bool>) -> Vec<(Vec<bool>, usize)> {
+        let mut all: Vec<&Vec<bool>> = board.iter().chain(std::iter::once(mine)).collect();
+        all.sort();
+        let mut classes: Vec<(Vec<bool>, usize)> = Vec::new();
+        for s in all {
+            match classes.last_mut() {
+                Some((rep, count)) if rep == s => *count += 1,
+                _ => classes.push((s.clone(), 1)),
+            }
+        }
+        classes
+    }
+
+    fn assert_classes_agree(board: &[Vec<bool>], mine: &Vec<bool>) {
+        let merged: Vec<(Vec<bool>, usize)> = board_classes(board, mine)
+            .map(|(s, count)| (s.clone(), count))
+            .collect();
+        assert_eq!(
+            merged,
+            board_classes_by_sort(board, mine),
+            "board {board:?}, mine {mine:?}"
+        );
+    }
+
+    fn random_string(rng: &mut StdRng, len: usize) -> Vec<bool> {
+        (0..len).map(|_| rng.gen::<bool>()).collect()
+    }
+
+    #[test]
+    fn wire_len_is_the_encoded_length() {
+        fn check<M: Wire + std::fmt::Debug>(msg: M) {
+            let mut buf = Vec::new();
+            msg.encode(&mut buf);
+            assert_eq!(msg.wire_len(), buf.len(), "{msg:?}");
+        }
+        for msg in [
+            EuclidMsg::Hist(vec![]),
+            EuclidMsg::Hist(vec![true, false, true]),
+            EuclidMsg::Req,
+            EuclidMsg::Ack,
+            EuclidMsg::AnnB,
+            EuclidMsg::AnnA,
+        ] {
+            check(msg.clone());
+            check(ReductionMsg::Inner(msg));
+        }
+        check(ReductionMsg::<EuclidMsg>::Input(7));
+        check(ReductionMsg::<EuclidMsg>::Table(vec![]));
+        check(ReductionMsg::<EuclidMsg>::Table(vec![(1, 2), (3, 4)]));
+    }
+
+    #[test]
+    fn merged_board_classes_equal_sorted_classes() {
+        let (f, t) = (false, true);
+        // Empty board: the node's own string is the only class.
+        assert_classes_agree(&[], &vec![t]);
+        // Own string equal to several entries, last among them.
+        assert_classes_agree(&[vec![f], vec![t], vec![t], vec![t]], &vec![t]);
+        // Own string first, and last.
+        assert_classes_agree(&[vec![f, t], vec![t, f], vec![t, f]], &vec![f, f]);
+        assert_classes_agree(&[vec![f, f], vec![f, f], vec![f, t]], &vec![t, t]);
+        // Random sorted boards of short strings, so collisions are common;
+        // half the time the own string is drawn from the board.
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..2000 {
+            let len = rng.gen_range(0..4usize);
+            let size = rng.gen_range(0..9usize);
+            let mut board: Vec<Vec<bool>> =
+                (0..size).map(|_| random_string(&mut rng, len)).collect();
+            board.sort();
+            let mine = if size > 0 && rng.gen::<bool>() {
+                board[rng.gen_range(0..size)].clone()
+            } else {
+                random_string(&mut rng, len)
+            };
+            assert_classes_agree(&board, &mine);
+        }
+        // The reduction hands its inner election a board filtered out of
+        // its own sorted board; the filter keeps the order.
+        for _ in 0..200 {
+            let len = rng.gen_range(1..4usize);
+            let mut outer: Vec<ReductionMsg<Vec<bool>>> = (0..rng.gen_range(0..9usize))
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => ReductionMsg::Input(rng.gen_range(0..4u64)),
+                    1 => ReductionMsg::Table(vec![(rng.gen_range(0..4u64), 0)]),
+                    _ => ReductionMsg::Inner(random_string(&mut rng, len)),
+                })
+                .collect();
+            outer.sort();
+            let Incoming::Board(board) = project_inner(&View::Board(BoardView::new(&outer))) else {
+                unreachable!("a board view projects to a board");
+            };
+            assert_classes_agree(&board, &random_string(&mut rng, len));
+        }
+    }
 
     #[test]
     fn euclid_subtractive_sizes_keep_the_gcd_and_reach_a_singleton() {

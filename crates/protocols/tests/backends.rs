@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use rand::SeedableRng;
 use rsbt_protocols::choreo::{
-    consensus_choreo, Backend, BleChoreo, EuclidChoreo, MatchingChoreo, McBackend, RunJob,
-    SimBackend, SocketBackend,
+    consensus_choreo, Backend, BleChoreo, EuclidChoreo, MatchingChoreo, McBackend,
+    ProtocolEstimate, RunJob, SimBackend, SocketBackend,
 };
 use rsbt_random::Assignment;
 use rsbt_sim::{Model, PortNumbering};
@@ -189,6 +189,78 @@ fn mc_backend_is_thread_count_invariant() {
             (base.ci_lo, base.ci_hi),
             (est.ci_lo, est.ci_hi),
             "threads={threads}"
+        );
+    }
+}
+
+/// One pinned estimate: `successes`, `completed_by_round`, `total_posts`,
+/// `total_sends`, `max_msg_bytes`.
+type Pinned = (u64, [u64; 16], u64, u64, usize);
+
+#[test]
+fn mc_backend_estimates_are_pinned() {
+    // Literal counts of 2048 samples at 16 rounds, seed 7: a change to the
+    // runner, the routing core or a role that moves any draw, decision or
+    // message counter shows here, at either thread count.
+    let board = Model::Blackboard;
+    let ble_22: Pinned = (0, [0; 16], 131_072, 0, 20);
+    let ble_112: Pinned = (
+        2048,
+        [
+            0, 1001, 1495, 1772, 1892, 1971, 2013, 2027, 2036, 2043, 2044, 2046, 2046, 2047, 2047,
+            2048,
+        ],
+        16_960,
+        0,
+        19,
+    );
+    let euclid_112: Pinned = (
+        2048,
+        [
+            0, 0, 748, 1305, 1663, 1847, 1947, 1995, 2017, 2031, 2038, 2044, 2045, 2046, 2046, 2048,
+        ],
+        0,
+        83_376,
+        20,
+    );
+    let pinned = |est: &ProtocolEstimate| -> Pinned {
+        (
+            est.successes,
+            est.completed_by_round.clone().try_into().unwrap(),
+            est.total_posts,
+            est.total_sends,
+            est.max_msg_bytes,
+        )
+    };
+    for threads in [1, 2] {
+        let mc = McBackend {
+            samples: 2048,
+            threads,
+        };
+        for (sizes, want) in [(&[2, 2][..], ble_22), (&[1, 1, 2][..], ble_112)] {
+            let alpha = Assignment::from_group_sizes(sizes).unwrap();
+            let job = RunJob {
+                model: &board,
+                alpha: &alpha,
+                max_rounds: 16,
+                seed: 7,
+            };
+            let est = mc.estimate(&BleChoreo, &job).unwrap();
+            assert_eq!(pinned(&est), want, "BLE {sizes:?}, threads={threads}");
+        }
+        let alpha = Assignment::from_group_sizes(&[1, 1, 2]).unwrap();
+        let ports = Model::MessagePassing(PortNumbering::cyclic(alpha.n()));
+        let job = RunJob {
+            model: &ports,
+            alpha: &alpha,
+            max_rounds: 16,
+            seed: 7,
+        };
+        let est = mc.estimate(&EuclidChoreo { k: alpha.k() }, &job).unwrap();
+        assert_eq!(
+            pinned(&est),
+            euclid_112,
+            "Euclid [1, 1, 2], threads={threads}"
         );
     }
 }

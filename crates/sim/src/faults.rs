@@ -28,14 +28,16 @@
 //!
 //! # Monotone coupling
 //!
-//! [`FaultSpec::fill_schedule`] always draws **both** a crash word and an
-//! omission word for every `(node, round)` cell, even after the node has
-//! crashed and even when one rate is zero (unless both are, in which
-//! case the schedule is empty without touching any RNG). Draw positions
-//! are therefore a pure function of `(n, t)`: raising a rate can only
-//! *add* silences to the schedule produced under a lower rate with the
-//! same seed — the common-random-numbers coupling that makes degradation
-//! curves monotone sample-by-sample.
+//! [`FaultSpec::fill_schedule`] and the lane kernels'
+//! [`LaneSilence::fill_lane`] share one draw loop. It always draws
+//! **both** a crash word and an omission word for every `(node, round)`
+//! cell, even after the node has crashed and even when one rate is zero
+//! (unless both are, in which case the schedule is empty without
+//! touching any RNG). Draw positions are therefore a pure function of
+//! `(n, t)`: raising a rate can only *add* silences to the schedule
+//! produced under a lower rate with the same seed — the
+//! common-random-numbers coupling that makes degradation curves monotone
+//! sample-by-sample.
 
 use rand::rngs::StreamRng;
 use rand::RngCore;
@@ -53,17 +55,87 @@ pub fn fault_stream(seed: u64, sample: u64) -> StreamRng {
     StreamRng::new(seed ^ FAULT_STREAM_SALT, sample)
 }
 
-/// Whether a `[0, 1)` threshold test fires for a raw 64-bit draw:
-/// `draw < p · 2⁶⁴`, saturating at the endpoints so `p ≤ 0` never fires
-/// and `p ≥ 1` always does.
-fn fires(p: f64, draw: u64) -> bool {
-    if p <= 0.0 {
-        return false;
+/// A per-node per-round rate as a 64-bit threshold: a raw 64-bit draw
+/// fires when `draw < p · 2⁶⁴`, saturating at the endpoints so `p ≤ 0`
+/// never fires and `p ≥ 1` always does (`None`: 2⁶⁴ does not fit a
+/// `u64`). For `p` in `(0, 1)` the product is an exact power-of-two
+/// scaling below 2⁶⁴, so the truncating cast is exact and the test is
+/// decided by one integer compare per draw.
+#[derive(Clone, Copy, Debug)]
+struct Threshold(Option<u64>);
+
+impl Threshold {
+    fn of(p: f64) -> Threshold {
+        if p >= 1.0 {
+            Threshold(None)
+        } else if p > 0.0 {
+            Threshold(Some((p * 18_446_744_073_709_551_616.0) as u64))
+        } else {
+            Threshold(Some(0))
+        }
     }
-    if p >= 1.0 {
-        return true;
+
+    fn fires(self, draw: u64) -> bool {
+        self.0.is_none_or(|limit| draw < limit)
     }
-    (u128::from(draw)) < (p * 18_446_744_073_709_551_616.0) as u128
+}
+
+/// What one `(node, round)` draw made the node: the draw loop reports a
+/// node's first crash and every omission.
+#[derive(Clone, Copy, Debug)]
+enum Silence {
+    Crash,
+    Omission,
+}
+
+/// A spec's two rates as thresholds, converted once and then used for
+/// every draw of a [`FaultSpec::fill_schedule`] call, or of every sample
+/// a [`LaneSilence`] fills.
+#[derive(Clone, Copy, Debug)]
+struct Rates {
+    crash: Threshold,
+    omission: Threshold,
+}
+
+impl Rates {
+    /// `None` when both rates are zero: nothing to draw.
+    fn of(spec: &FaultSpec) -> Option<Rates> {
+        (spec.crash > 0.0 || spec.omission > 0.0).then(|| Rates {
+            crash: Threshold::of(spec.crash),
+            omission: Threshold::of(spec.omission),
+        })
+    }
+
+    /// The one fault draw loop. Draw discipline: node-major, round-minor;
+    /// for every `(node, round)` cell first a crash word then an omission
+    /// word is drawn from [`fault_stream`]`(seed, sample)` — always both,
+    /// so the draw positions are independent of outcomes (see the module
+    /// docs on monotone coupling). Calls `on(node, round, silence)` for
+    /// the node's first crash and for every omission, in draw order.
+    fn draw(
+        self,
+        n: usize,
+        t: usize,
+        seed: u64,
+        sample: u64,
+        mut on: impl FnMut(usize, usize, Silence),
+    ) {
+        let mut rng = fault_stream(seed, sample);
+        for node in 0..n {
+            let mut crashed = false;
+            for round in 1..=t {
+                let crash_draw = rng.next_u64();
+                let omit_draw = rng.next_u64();
+                if !crashed && self.crash.fires(crash_draw) {
+                    crashed = true;
+                    on(node, round, Silence::Crash);
+                }
+                if self.omission.fires(omit_draw) {
+                    on(node, round, Silence::Omission);
+                }
+            }
+        }
+    }
 }
 
 /// A probabilistic fault model: i.i.d. per-node per-round crash and
@@ -122,12 +194,10 @@ impl FaultSpec {
     }
 
     /// Compiles the concrete schedule of one sample into `out` (reusing
-    /// its buffers). Draw discipline: node-major, round-minor; for every
-    /// `(node, round)` cell first a crash word then an omission word is
-    /// drawn from [`fault_stream`]`(seed, sample)` — always both, so the
-    /// draw positions are independent of outcomes (see the module docs on
-    /// monotone coupling). With both rates zero the RNG is never even
-    /// constructed.
+    /// its buffers), from [`fault_stream`]`(seed, sample)` in the draw
+    /// discipline of the module docs: node-major, round-minor, a crash
+    /// word then an omission word per `(node, round)` cell, always both.
+    /// With both rates zero the RNG is never even constructed.
     ///
     /// # Panics
     ///
@@ -146,22 +216,32 @@ impl FaultSpec {
             return;
         }
         out.reset(n, t);
-        if self.crash <= 0.0 && self.omission <= 0.0 {
-            return;
+        if let Some(rates) = Rates::of(self) {
+            rates.draw(n, t, seed, sample, |node, round, silence| match silence {
+                Silence::Crash => out.set_crash(node, round),
+                Silence::Omission => out.set_omission(node, round),
+            });
         }
-        let mut rng = fault_stream(seed, sample);
-        for node in 0..n {
-            for round in 1..=t {
-                let crash_draw = rng.next_u64();
-                let omit_draw = rng.next_u64();
-                if out.crash_round(node).is_none() && fires(self.crash, crash_draw) {
-                    out.set_crash(node, round);
-                }
-                if fires(self.omission, omit_draw) {
-                    out.set_omission(node, round);
-                }
+    }
+
+    /// Compiles this spec for the lane kernels at `n` nodes, horizon `t`
+    /// and base `seed`: the rates become thresholds, or a fixed
+    /// schedule's masks are read, once for every sample that follows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t > 64` (a silence word holds 64 rounds), or if a fixed
+    /// schedule's node count differs from `n`.
+    pub fn lane_silence(&self, n: usize, t: usize, seed: u64) -> LaneSilence {
+        assert!(t <= 64, "silence words hold 64 rounds, got t={t}");
+        let source = match &self.fixed {
+            Some(fixed) => {
+                assert_eq!(fixed.n(), n, "fixed schedule is for {} nodes", fixed.n());
+                SilenceSource::Fixed((0..n).map(|i| fixed.silent_mask64(i)).collect())
             }
-        }
+            None => SilenceSource::Drawn(Rates::of(self)),
+        };
+        LaneSilence { n, t, seed, source }
     }
 
     /// [`FaultSpec::fill_schedule`] into a fresh schedule.
@@ -169,6 +249,60 @@ impl FaultSpec {
         let mut out = FaultSchedule::empty(n, t);
         self.fill_schedule(n, t, seed, sample, &mut out);
         out
+    }
+}
+
+/// A [`FaultSpec`] compiled by [`FaultSpec::lane_silence`]: writes each
+/// sample's per-node silence words straight into lane columns, without
+/// building a [`FaultSchedule`].
+#[derive(Clone, Debug)]
+pub struct LaneSilence {
+    n: usize,
+    t: usize,
+    seed: u64,
+    source: SilenceSource,
+}
+
+#[derive(Clone, Debug)]
+enum SilenceSource {
+    /// Per-node masks of a fixed schedule, the same for every sample.
+    Fixed(Vec<u64>),
+    /// Drawn per sample; `None` when both rates are zero.
+    Drawn(Option<Rates>),
+}
+
+impl LaneSilence {
+    /// Sets lane `lane` of `words[i]`, for every node `i`, to sample
+    /// `sample`'s silence word of node `i` (bit `r` = silent in round
+    /// `r + 1`): exactly [`FaultSchedule::silent_mask64`] of the schedule
+    /// [`FaultSpec::fill_schedule`] compiles for the same sample — the
+    /// omission bits, OR `u64::MAX << (c − 1)` for a crash in round `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` has fewer than `n` columns.
+    pub fn fill_lane(&self, sample: u64, lane: usize, words: &mut [[u64; 64]]) {
+        let words = &mut words[..self.n];
+        match &self.source {
+            SilenceSource::Fixed(masks) => {
+                for (column, &mask) in words.iter_mut().zip(masks) {
+                    column[lane] = mask;
+                }
+            }
+            SilenceSource::Drawn(rates) => {
+                for column in words.iter_mut() {
+                    column[lane] = 0;
+                }
+                if let Some(rates) = rates {
+                    rates.draw(self.n, self.t, self.seed, sample, |node, round, silence| {
+                        words[node][lane] |= match silence {
+                            Silence::Crash => u64::MAX << (round - 1),
+                            Silence::Omission => 1 << (round - 1),
+                        };
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -420,6 +554,97 @@ mod tests {
         for node in 0..3 {
             assert_eq!(s.crash_round(node), Some(1));
             assert!(s.is_silent(node, 1));
+        }
+    }
+
+    /// The threshold test as it was first written: the exact product
+    /// compared in 128 bits on every draw.
+    fn fires_u128(p: f64, draw: u64) -> bool {
+        if p <= 0.0 {
+            return false;
+        }
+        if p >= 1.0 {
+            return true;
+        }
+        u128::from(draw) < (p * 18_446_744_073_709_551_616.0) as u128
+    }
+
+    const EDGE_RATES: [f64; 6] = [
+        0.0,
+        1.0,
+        1.0 / (1u64 << 60) as f64,
+        0.1,
+        0.5,
+        1.0 - f64::EPSILON / 2.0,
+    ];
+
+    #[test]
+    fn u64_thresholds_fire_exactly_like_the_exact_product() {
+        for p in EDGE_RATES {
+            let limit = (p * 18_446_744_073_709_551_616.0) as u128;
+            let near = [limit.saturating_sub(1), limit, limit + 1];
+            let draws = near.iter().filter_map(|&d| u64::try_from(d).ok()).chain([
+                0,
+                1,
+                u64::MAX >> 1,
+                u64::MAX - 1,
+                u64::MAX,
+            ]);
+            let threshold = Threshold::of(p);
+            for draw in draws {
+                assert_eq!(
+                    threshold.fires(draw),
+                    fires_u128(p, draw),
+                    "p={p} draw={draw}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_silence_equals_schedule_masks() {
+        // Each edge rate as the crash rate, the omission rate, and both.
+        let specs: Vec<FaultSpec> = EDGE_RATES
+            .iter()
+            .flat_map(|&p| [(p, 0.0), (0.0, p), (p, p)])
+            .map(|(crash, omission)| FaultSpec::rates(crash, omission))
+            .collect();
+        let mut schedule = FaultSchedule::default();
+        let mut words = vec![[0u64; 64]; 9];
+        for spec in &specs {
+            for n in 1..=9 {
+                for t in [1, 8, 63] {
+                    let silence = spec.lane_silence(n, t, 21);
+                    for sample in 0..256u64 {
+                        let lane = (sample % 64) as usize;
+                        spec.fill_schedule(n, t, 21, sample, &mut schedule);
+                        silence.fill_lane(sample, lane, &mut words);
+                        for (i, column) in words[..n].iter().enumerate() {
+                            assert_eq!(
+                                column[lane],
+                                schedule.silent_mask64(i),
+                                "{spec:?} n={n} t={t} sample={sample} node={i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // A fixed schedule, with a horizon shorter than t: the crash tail
+        // runs on past it in both.
+        let mut fixed = FaultSchedule::empty(4, 6);
+        fixed.set_omission(0, 2);
+        fixed.set_omission(0, 6);
+        fixed.set_crash(2, 5);
+        fixed.set_omission(3, 1);
+        let spec = FaultSpec::fixed(fixed.clone());
+        let silence = spec.lane_silence(4, 8, 21);
+        for sample in [0u64, 5, 63] {
+            let lane = sample as usize;
+            silence.fill_lane(sample, lane, &mut words);
+            for (i, column) in words[..4].iter().enumerate() {
+                assert_eq!(column[lane], fixed.silent_mask64(i), "node {i}");
+            }
         }
     }
 

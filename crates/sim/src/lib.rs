@@ -55,7 +55,7 @@ pub mod runner;
 pub mod stats;
 
 pub use crate::execution::{Execution, RoundStepper};
-pub use crate::faults::{FaultSchedule, FaultSpec};
+pub use crate::faults::{FaultSchedule, FaultSpec, LaneSilence};
 pub use crate::fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use crate::knowledge::{KnowledgeArena, KnowledgeId, KnowledgeNode, NeighborInfo};
 pub use crate::lanes::LaneStepper;

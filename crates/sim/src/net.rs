@@ -80,8 +80,10 @@ pub enum NetError {
     /// Socket-level failure (peer died, connection refused, …).
     Io(io::Error),
     /// A read deadline expired; the string names the phase. The
-    /// coordinator returns it only for a peer that connects but sends no
-    /// handshake in time; a late node is declared crashed instead.
+    /// coordinator never returns it: a node that misses the handshake or
+    /// a round barrier is declared crashed, and a connection that sends
+    /// no hello in time is dropped. [`run_node`] returns it when the
+    /// coordinator falls silent past the node's timeout.
     Timeout(&'static str),
     /// A peer sent a malformed or protocol-violating frame.
     Protocol(String),
@@ -129,7 +131,10 @@ pub trait Wire: Sized {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError>;
 
     /// The encoded length in bytes (used as the wire-accurate
-    /// [`Protocol::msg_bytes`]).
+    /// [`Protocol::msg_bytes`]). The default encodes into a scratch
+    /// buffer; the containers here and the protocols' message types
+    /// compute it without allocating, since the runner sizes every
+    /// message it delivers.
     fn wire_len(&self) -> usize {
         let mut v = Vec::new();
         self.encode(&mut v);
@@ -246,6 +251,10 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(items)
     }
+
+    fn wire_len(&self) -> usize {
+        4 + self.iter().map(Wire::wire_len).sum::<usize>()
+    }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
@@ -256,6 +265,10 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok((A::decode(buf)?, B::decode(buf)?))
+    }
+
+    fn wire_len(&self) -> usize {
+        self.0.wire_len() + self.1.wire_len()
     }
 }
 
@@ -276,6 +289,10 @@ impl<T: Wire> Wire for Option<T> {
             1 => Ok(Some(T::decode(buf)?)),
             _ => Err(WireError::new("option tag not 0/1")),
         }
+    }
+
+    fn wire_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::wire_len)
     }
 }
 
@@ -398,8 +415,12 @@ fn read_frame_ft(r: &mut impl Read, ft: &FtConfig) -> Result<Vec<u8>, NetError> 
 
 /// Accepts node connections until all `n` have shaken hands or
 /// `ft.handshake_timeout` passes, polling a non-blocking listener every
-/// millisecond. Slots of nodes that never connected are `None` (declared
-/// crashed at round 0 by the caller).
+/// millisecond. Slots of nodes that never shook hands are `None`
+/// (declared crashed at round 0 by the caller). A connection whose hello
+/// read fails — no frame within `ft.round_timeout`, EOF, or a socket
+/// error — is dropped, and accepting goes on: a silent peer is not a
+/// reason to fail the run. A hello frame that arrives but is malformed
+/// is a protocol error.
 fn accept_nodes(
     listener: &TcpListener,
     n: usize,
@@ -415,7 +436,11 @@ fn accept_nodes(
                 stream.set_nonblocking(false)?;
                 stream.set_read_timeout(Some(ft.round_timeout))?;
                 stream.set_nodelay(true).ok();
-                let frame = read_frame(&mut stream)?;
+                let frame = match read_frame(&mut stream) {
+                    Ok(frame) => frame,
+                    Err(e @ NetError::Protocol(_)) => return Err(e),
+                    Err(NetError::Timeout(_) | NetError::Io(_)) => continue,
+                };
                 let mut buf = frame.as_slice();
                 if u8::decode(&mut buf)? != TAG_HELLO {
                     return Err(NetError::Protocol("expected handshake frame".into()));
@@ -462,7 +487,9 @@ fn accept_nodes(
 /// degrades to a partial [`RunOutcome`] instead of failing:
 ///
 /// * nodes not connected by [`FtConfig::handshake_timeout`] start
-///   crashed;
+///   crashed; a connection that sends no hello frame within
+///   [`FtConfig::round_timeout`] (or hits EOF or a socket error first) is
+///   dropped and accepting goes on, so a silent peer cannot fail the run;
 /// * a round-barrier read retries up to [`FtConfig::retries`] times with
 ///   saturating exponential backoff; exhaustion, EOF or any socket error
 ///   crashes the node;
@@ -991,6 +1018,40 @@ mod tests {
         assert_eq!(out.crashed, vec![true, true]);
         assert_eq!(out.outputs, vec![None, None]);
         assert_eq!(out.stats.crashes, 2);
+    }
+
+    #[test]
+    fn silent_connection_is_dropped_not_fatal() {
+        // A peer connects but never sends its hello. Its connection is
+        // dropped at the read deadline and accepting goes on: the healthy
+        // node runs, and the slot nobody claimed starts crashed.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Queued before the healthy node, so it is accepted first.
+        let _silent = TcpStream::connect(addr).unwrap();
+        let alpha = Assignment::private(2);
+        let mut rng = StdRng::seed_from_u64(3);
+        let start = Instant::now();
+        let out = std::thread::scope(|scope| {
+            scope
+                .spawn(move || run_node(addr, 0, PostBit::default(), Some(Duration::from_secs(5))));
+            run_coordinator::<bool, Vec<bool>, _, _>(
+                &listener,
+                &Model::Blackboard,
+                &alpha,
+                3,
+                &mut rng,
+                RunOptions::default(),
+                &FtConfig::with_timeout(Duration::from_millis(300)),
+                |_| {},
+            )
+        })
+        .expect("a silent connection is dropped, not fatal");
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+        assert_eq!(out.crashed, vec![false, true]);
+        assert_eq!(out.outputs, vec![Some(vec![]), None]);
+        assert!(out.completed);
     }
 
     #[test]

@@ -342,34 +342,34 @@ where
 {
     let n = alpha.n();
     assert_eq!(nodes.len(), n, "one node per assignment slot");
-    // A zero-horizon schedule is never silent: exactly the fault-free run.
-    let fault_free = FaultSchedule::empty(n, 0);
-    let faults = faults.unwrap_or(&fault_free);
-    assert_eq!(faults.n(), n, "fault schedule covers {} nodes", faults.n());
+    if let Some(faults) = faults {
+        assert_eq!(faults.n(), n, "fault schedule covers {} nodes", faults.n());
+    }
+    let crashed_by = |i: usize, round: usize| faults.is_some_and(|f| f.crashed_by(i, round));
     let mut lockstep = Lockstep::new(model, alpha, options, P::msg_bytes);
     let mut rounds = 0;
     for round in 1..=max_rounds {
         rounds = round;
         lockstep.start_round(round, rng);
         for (i, node) in nodes.iter_mut().enumerate() {
-            if faults.crashed_by(i, round) {
+            if crashed_by(i, round) {
                 // Dead: no execution at all. Mail addressed to it is
                 // simply never read.
                 continue;
             }
             let (bit, incoming) = lockstep.view(i);
-            let out = node.round(RoundCtx { round, bit, n }, &incoming);
-            let silent = faults.is_silent(i, round);
+            let out = node.round(RoundCtx { round, bit, n }, incoming);
+            let silent = faults.is_some_and(|f| f.is_silent(i, round));
             let decided = || node.output().is_some();
             if let Err(e) = lockstep.deliver(i, out, silent, decided) {
                 panic!("{e}");
             }
         }
-        if (0..n).all(|i| faults.crashed_by(i, round) || nodes[i].output().is_some()) {
+        if (0..n).all(|i| crashed_by(i, round) || nodes[i].output().is_some()) {
             break;
         }
     }
-    let crashed = (0..n).map(|i| faults.crashed_by(i, rounds)).collect();
+    let crashed = (0..n).map(|i| crashed_by(i, rounds)).collect();
     lockstep.finish(nodes.iter().map(Protocol::output).collect(), crashed)
 }
 
@@ -428,6 +428,13 @@ impl fmt::Display for RouteError {
 /// A round is [`Self::start_round`], then [`Self::view`] and
 /// [`Self::deliver`] once per live node, in any interleaving: views read
 /// this round's mail, deliveries fill the next round's.
+///
+/// Buffers live as long as the run: the board and mailboxes are swapped
+/// between rounds, and each node keeps one view buffer that
+/// [`Self::view`] refills in place (board entries by `clone_from`, port
+/// slots by a swap with the node's mailbox) and lends out. Once the
+/// buffers have grown to a round's size, a round allocates nothing but
+/// the messages the nodes post or send.
 pub(crate) struct Lockstep<'a, M> {
     model: &'a Model,
     alpha: &'a Assignment,
@@ -446,6 +453,8 @@ pub(crate) struct Lockstep<'a, M> {
     /// receives through port `j` this round.
     mailboxes: Vec<Vec<Option<M>>>,
     next_mailboxes: Vec<Vec<Option<M>>>,
+    /// Each node's view of this round, lent out by [`Self::view`].
+    views: Vec<Incoming<M>>,
     stats: RunStats,
 }
 
@@ -467,8 +476,13 @@ impl<'a, M: Clone + Ord + fmt::Debug> Lockstep<'a, M> {
         if let Model::MessagePassing(p) = model {
             assert_eq!(p.n(), n, "port numbering covers {} nodes, need {n}", p.n());
         }
+        let slots = n.saturating_sub(1);
         let boxes = if model.is_blackboard() { 0 } else { n };
-        let empty = || vec![vec![None; n.saturating_sub(1)]; boxes];
+        let empty = || vec![vec![None; slots]; boxes];
+        let view = || match model {
+            Model::Blackboard => Incoming::Board(Vec::with_capacity(slots)),
+            Model::MessagePassing(_) => Incoming::Ports(Vec::with_capacity(slots)),
+        };
         Lockstep {
             model,
             alpha,
@@ -480,6 +494,7 @@ impl<'a, M: Clone + Ord + fmt::Debug> Lockstep<'a, M> {
             next_board: Vec::new(),
             mailboxes: empty(),
             next_mailboxes: empty(),
+            views: (0..n).map(|_| view()).collect(),
             stats: RunStats::default(),
         }
     }
@@ -495,7 +510,9 @@ impl<'a, M: Clone + Ord + fmt::Debug> Lockstep<'a, M> {
         self.board.sort_by(|a, b| a.1.cmp(&b.1));
         let slots = self.alpha.n().saturating_sub(1);
         for mailbox in &mut self.mailboxes {
-            // Read mailboxes were taken; a crashed node's is cleared.
+            // A read mailbox holds its node's previous view (swapped in by
+            // `view`); a crashed node's holds unread mail. Either is
+            // cleared, keeping its allocation.
             mailbox.clear();
             mailbox.resize(slots, None);
         }
@@ -507,18 +524,25 @@ impl<'a, M: Clone + Ord + fmt::Debug> Lockstep<'a, M> {
 
     /// Node `i`'s bit this round, and its view of this round's mail: the
     /// other nodes' posts in lexicographic order, or one slot per port.
-    pub(crate) fn view(&mut self, i: usize) -> (bool, Incoming<M>) {
-        let incoming = match self.model {
-            Model::Blackboard => Incoming::Board(
-                self.board
-                    .iter()
-                    .filter(|(sender, _)| *sender != i)
-                    .map(|(_, m)| m.clone())
-                    .collect(),
-            ),
-            Model::MessagePassing(_) => Incoming::Ports(std::mem::take(&mut self.mailboxes[i])),
-        };
-        (self.bits[self.alpha.source_of(i)], incoming)
+    /// The view is node `i`'s buffer, refilled in place; call this at most
+    /// once per node per round (under message passing it takes the
+    /// node's mailbox).
+    pub(crate) fn view(&mut self, i: usize) -> (bool, &Incoming<M>) {
+        match &mut self.views[i] {
+            Incoming::Board(view) => {
+                let mut len = 0;
+                for (_, m) in self.board.iter().filter(|(sender, _)| *sender != i) {
+                    match view.get_mut(len) {
+                        Some(slot) => slot.clone_from(m),
+                        None => view.push(m.clone()),
+                    }
+                    len += 1;
+                }
+                view.truncate(len);
+            }
+            Incoming::Ports(view) => std::mem::swap(view, &mut self.mailboxes[i]),
+        }
+        (self.bits[self.alpha.source_of(i)], &self.views[i])
     }
 
     /// Delivers node `i`'s round output into the next round. A `silent`
@@ -559,8 +583,12 @@ impl<'a, M: Clone + Ord + fmt::Debug> Lockstep<'a, M> {
             (Outgoing::Broadcast(m), Model::MessagePassing(ports)) => {
                 self.stats.sends += n.saturating_sub(1) as u64;
                 self.note_bytes(&m);
-                for port in 1..n {
+                // Every port but the last gets a clone; the last takes `m`.
+                for port in 1..n.saturating_sub(1) {
                     self.route(ports, i, port, m.clone())?;
+                }
+                if n > 1 {
+                    self.route(ports, i, n - 1, m)?;
                 }
             }
             (out, model) => {
