@@ -16,8 +16,9 @@
 //! * **allow directives** — `// rsbt-analyze: allow(RULE[, RULE])` in any
 //!   comment suppresses the named rules on that line, or (for a
 //!   comment-only line) on the next line carrying code;
-//! * **`#[cfg(test)]` regions** — lines inside test-gated items are
-//!   marked so rules can exempt test code;
+//! * **`#[cfg(test)]` regions** — lines inside test-gated items, and
+//!   the rest of a module gated by an inner `#![cfg(test)]`, are marked
+//!   so rules can exempt test code;
 //! * **line numbers** — findings report 1-based `file:line` positions.
 
 /// One scrubbed source line.
@@ -250,8 +251,10 @@ fn propagate_allows(lines: &mut [Line]) {
     }
 }
 
-/// Marks lines inside `#[cfg(test)]`-gated items by brace tracking over
-/// the scrubbed code (string/comment braces are already gone).
+/// Marks lines inside `#[cfg(test)]`-gated items, and from an inner
+/// `#![cfg(test)]` to the end of its module (the file, at the top level),
+/// by brace tracking over the scrubbed code (string/comment braces are
+/// already gone).
 fn mark_test_regions(lines: &mut [Line]) {
     let mut depth = 0i64;
     let mut armed = false;
@@ -261,6 +264,10 @@ fn mark_test_regions(lines: &mut [Line]) {
         let stripped: String = line.code.chars().filter(|c| !c.is_whitespace()).collect();
         if stripped.contains("#[cfg(test)]") {
             armed = true;
+        }
+        if stripped.contains("#![cfg(test)]") && !in_test {
+            in_test = true;
+            test_base = depth - 1;
         }
         if armed || in_test {
             line.in_test = true;
@@ -404,6 +411,30 @@ mod tests {
         assert!(s.lines[1].in_test && s.lines[2].in_test && s.lines[3].in_test);
         assert!(s.lines[4].in_test);
         assert!(!s.lines[5].in_test);
+    }
+
+    #[test]
+    fn inner_cfg_test_marks_the_rest_of_its_module() {
+        let s = scrub(concat!(
+            "mod live {
+",
+            "    #![cfg(test)]
+",
+            "    fn helper() {}
+",
+            "}
+",
+            "fn after() {}
+",
+            "#![cfg(test)]
+",
+            "fn gated() {}
+",
+        ));
+        assert!(!s.lines[0].in_test);
+        assert!(s.lines[1].in_test && s.lines[2].in_test && s.lines[3].in_test);
+        assert!(!s.lines[4].in_test);
+        assert!(s.lines[5].in_test && s.lines[6].in_test);
     }
 
     #[test]

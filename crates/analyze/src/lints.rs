@@ -13,7 +13,7 @@
 //! | `RSBT-L004` | count-width discipline in `rsbt-core`: `1u64 <<`/`1usize <<` and count→`f64` casts are ratcheted (PR 9's u128 width audit made permanent); `1u64 <<` is hard-banned in `probability.rs`, where shifts reach `k·t > 64` |
 //! | `RSBT-L005` | `.unwrap()`/`.expect(` in library crates: ratcheted, no new occurrences |
 //! | `RSBT-L006` | every crate root carries `#![forbid(unsafe_code)]` and `#![deny(deprecated)]` |
-//! | `RSBT-L007` | top-level `pub fn` entry points in the kernel entry-point files ([`ENTRY_POINT_FILES`]): ratcheted, so deleted entry points stay deleted |
+//! | `RSBT-L007` | top-level `pub fn` entry points in the kernel entry-point files ([`ENTRY_POINT_FILES`]: `probability`, `bitsliced`, `engine_dp` and `solvability` in `crates/core`, `runner` and `net` in `crates/sim`): ratcheted, so deleted entry points stay deleted |
 //! | `RSBT-L008` | `impl … Protocol for` in `crates/protocols/src` outside `choreo/`: the choreography is the only implementation of each protocol, so hand-rolled nodes stay deleted |
 //!
 //! Rules exempt `#[cfg(test)]` items and `tests/` trees; ratchet rules
@@ -38,12 +38,13 @@ pub const KERNEL_CRATES: [&str; 6] = [
     "crates/tasks",
 ];
 
-/// The exact, Monte-Carlo and lockstep-runner entry-point files whose
-/// top-level `pub fn` count RSBT-L007 ratchets.
-pub const ENTRY_POINT_FILES: [&str; 5] = [
+/// The exact, Monte-Carlo, verdict and lockstep-runner entry-point files
+/// whose top-level `pub fn` count RSBT-L007 ratchets.
+pub const ENTRY_POINT_FILES: [&str; 6] = [
     "crates/core/src/bitsliced.rs",
     "crates/core/src/engine_dp.rs",
     "crates/core/src/probability.rs",
+    "crates/core/src/solvability.rs",
     "crates/sim/src/net.rs",
     "crates/sim/src/runner.rs",
 ];

@@ -89,15 +89,6 @@ fn rate_zero_identity(threads: usize, table: &mut Table) {
     ] {
         let alpha = Assignment::from_group_sizes(&sizes).unwrap();
         for model in [Model::Blackboard, Model::message_passing_cyclic(alpha.n())] {
-            let point = probability::monte_carlo_bitsliced(
-                &model,
-                task.as_ref(),
-                &alpha,
-                t,
-                SAMPLES,
-                SEED,
-                threads,
-            );
             let series = probability::monte_carlo_bitsliced_series(
                 &model,
                 task.as_ref(),
@@ -107,39 +98,25 @@ fn rate_zero_identity(threads: usize, table: &mut Table) {
                 SEED,
                 threads,
             );
+            // The point estimate at t is the last entry of the series at t.
+            let point = series[t - 1];
             for faulted_threads in [1usize, threads] {
-                let faulted_point = probability::monte_carlo_bitsliced_faulted(
-                    &model,
-                    task.as_ref(),
-                    &alpha,
-                    t,
-                    SAMPLES,
-                    SEED,
-                    faulted_threads,
-                    &none,
-                );
-                assert_eq!(
-                    faulted_point,
-                    point,
-                    "{} {sizes:?} {model}: rate-0 point estimate must be bit-identical \
-                     (threads={faulted_threads})",
-                    task.name()
-                );
-                let faulted_series = probability::monte_carlo_bitsliced_series_faulted(
-                    &model,
-                    task.as_ref(),
-                    &alpha,
-                    t,
-                    SAMPLES,
-                    SEED,
-                    faulted_threads,
-                    &none,
-                );
+                let (faulted_series, _) =
+                    probability::monte_carlo_bitsliced_series_faulted_with_stats(
+                        &model,
+                        task.as_ref(),
+                        &alpha,
+                        t,
+                        SAMPLES,
+                        SEED,
+                        faulted_threads,
+                        &none,
+                    );
                 assert_eq!(
                     faulted_series,
                     series,
-                    "{} {sizes:?} {model}: rate-0 series must be bit-identical \
-                     (threads={faulted_threads})",
+                    "{} {sizes:?} {model}: rate-0 series and point estimate must be \
+                     bit-identical (threads={faulted_threads})",
                     task.name()
                 );
             }

@@ -11,17 +11,24 @@
 //! compiled once per run to straight-line bitwise ops — answers all 64
 //! verdicts per evaluation.
 //!
+//! **Entry points.** Every estimate is a series: the fault-free
+//! [`monte_carlo_bitsliced_series`] (and its `_with_stats` form) and the
+//! faulted [`monte_carlo_bitsliced_series_faulted_with_stats`], all on
+//! one word loop. A point estimate at `t` is entry `t − 1` of the series
+//! at horizon `t`: the same draws, the same word loop, the same early
+//! exit.
+//!
 //! **Determinism.** Lane `l` of word `w` is sample index `w·64 + l` and
 //! draws its per-source words from `StreamRng(seed, w·64 + l)` — the
 //! identical per-sample stream discipline of the scalar kernel — and the
 //! equality tracking and compiled verdicts are exact (not approximate),
 //! so every per-sample first-solving-round equals the scalar kernel's
 //! and the estimates are **bit-identical to a serial stream-order loop
-//! of the scalar kernel (the tests' oracle) for any thread count and any
-//! lane fill**. Worker chunks are word-aligned
-//! ([`pool::map_sample_chunks_aligned`] with `align = 64`), so lane ↔
-//! stream mapping never depends on the worker count; the last partial
-//! word masks its dead lanes out of every tally.
+//! of the scalar kernel (the Monte-Carlo oracle in the test-only
+//! `oracle` module) for any thread count and any lane fill**. Worker
+//! chunks are word-aligned ([`pool::map_sample_chunks_aligned`] with
+//! `align = 64`), so lane ↔ stream mapping never depends on the worker
+//! count; the last partial word masks its dead lanes out of every tally.
 //!
 //! **Early exit.** Monotonicity (a solving round-`r` prefix solves at
 //! every later round — the same fact the exact DP absorbs solved states
@@ -42,7 +49,7 @@
 //! its fused pair runs with early exits (see [`VerdictPlan::eval`]). A
 //! plan that compiles to the empty, constant-false program (blackboard
 //! leader election without a singleton source, `p ≡ 0` by Theorem 4.1)
-//! returns zero tallies without drawing or stepping a word.
+//! returns an all-zero series without drawing or stepping a word.
 //!
 //! Tasks that compile no plan (no closed form, or an op budget overrun)
 //! peel every lane to the scalar [`SampleKernel`] path, counted in
@@ -63,160 +70,27 @@ use rsbt_tasks::{Task, VerdictPlan};
 use crate::probability::{check_mc_args, Estimate, McStats, SampleKernel};
 use crate::solvability::{self, SolvabilityMemo, TaskKernel};
 
-/// Deterministic parallel Monte-Carlo `Pr[S(t) | α]`: sample `i` always
-/// draws from [`StreamRng`]`(seed, i)`, 64 samples ride one lane word,
-/// and workers take word-aligned index ranges whose solved counts merge
-/// by integer addition — so the estimate is **bit-identical for any
-/// `threads` value** (see the module docs).
+/// The estimated series `p̂(1), …, p̂(t_max)` of `Pr[S(t) | α]` from
+/// **one** sampling pass: sample `i` always draws `t_max`-bit strings from
+/// [`StreamRng`]`(seed, i)`, 64 samples ride one lane word, and workers
+/// take word-aligned index ranges whose tallies merge by integer addition
+/// — so the series is **bit-identical for any `threads` value** (see the
+/// module docs). Each sample's first solving round decides its verdict at
+/// every `t` simultaneously (monotonicity), the Monte-Carlo mirror of the
+/// exact DP's one-sweep series, and the series is exactly monotone
+/// (common random numbers).
+///
+/// The estimate at one `t` is entry `t − 1` of the series at horizon `t`
+/// or any later one: the per-source word draw does not depend on the
+/// horizon, and a word stops stepping once every live lane has solved
+/// (asserted by test).
 ///
 /// # Panics
 ///
-/// Panics if `samples == 0` or exceeds
-/// [`MAX_MC_SAMPLES`](crate::probability::MAX_MC_SAMPLES), if `t > 63`,
+/// Panics if `t_max == 0`, if `samples == 0` or exceeds
+/// [`MAX_MC_SAMPLES`](crate::probability::MAX_MC_SAMPLES), if `t_max > 63`,
 /// if `alpha.n() > 255`, if `threads == 0`, or on a model/assignment node
 /// mismatch.
-pub fn monte_carlo_bitsliced<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Estimate
-where
-    T: Task + Sync + ?Sized,
-{
-    monte_carlo_bitsliced_with_stats(model, task, alpha, t, samples, seed, threads).0
-}
-
-/// [`monte_carlo_bitsliced`] exposing the verdict-path statistics
-/// (summed across workers).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_bitsliced`].
-pub fn monte_carlo_bitsliced_with_stats<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> (Estimate, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    check_mc_args(model, alpha, t, samples);
-    let (chunks, stats) = fold_lane_chunks(
-        model,
-        task,
-        alpha,
-        t,
-        samples,
-        seed,
-        threads,
-        None,
-        || 0u64,
-        |solved: &mut u64, _first, count| *solved += u64::from(count),
-    );
-    (Estimate::from_counts(chunks.iter().sum(), samples), stats)
-}
-
-/// [`monte_carlo_bitsliced`] under a [`FaultSpec`]: lane `l` of word `w`
-/// is still sample `w·64 + l`, draws its source words from the identical
-/// unsalted stream, and draws its per-node silence masks from the salted
-/// fault substream (the masks of the per-sample [`FaultSchedule`], written
-/// without building it) — the 64 lanes' masks of a word become per-round
-/// **silence lane words** (bit `l` = lane `l`'s node silent
-/// this round) fed to
-/// [`LaneStepper::step_faulted`](rsbt_sim::LaneStepper::step_faulted).
-/// Faulted lanes track every node as its own unit (silence is
-/// per-node), so the plan compiles over the identity unit layout;
-/// estimates are bit-identical for any thread count, and with a rate-zero
-/// spec bit-identical to the fault-free kernel (asserted by tests).
-///
-/// A sample "solves" when its consistency partition solves at some
-/// round `≤ t` — crashed nodes keep their (listening) knowledge and stay
-/// in the partition; see `DESIGN.md` §4.9 for how this relates to the
-/// operational runner's `None` outputs.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_bitsliced`], plus the
-/// [`FaultSpec::rates`] range panics if the spec was built with invalid
-/// rates, and a fixed schedule must cover `alpha.n()` nodes.
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_bitsliced_faulted<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-    faults: &FaultSpec,
-) -> Estimate
-where
-    T: Task + Sync + ?Sized,
-{
-    monte_carlo_bitsliced_faulted_with_stats(model, task, alpha, t, samples, seed, threads, faults)
-        .0
-}
-
-/// [`monte_carlo_bitsliced_faulted`] exposing the verdict-path
-/// statistics (summed across workers).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_bitsliced`].
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_bitsliced_faulted_with_stats<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-    faults: &FaultSpec,
-) -> (Estimate, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    check_mc_args(model, alpha, t, samples);
-    let (chunks, stats) = fold_lane_chunks(
-        model,
-        task,
-        alpha,
-        t,
-        samples,
-        seed,
-        threads,
-        Some(faults),
-        || 0u64,
-        |solved: &mut u64, _first, count| *solved += u64::from(count),
-    );
-    (Estimate::from_counts(chunks.iter().sum(), samples), stats)
-}
-
-/// The estimated series `p̂(1), …, p̂(t_max)` from **one** sampling pass:
-/// each sample's first solving round decides its verdict at every `t`
-/// simultaneously (monotonicity), the Monte-Carlo mirror of the exact
-/// DP's one-sweep series.
-///
-/// Sample `i` draws `t_max`-bit strings from stream `i`, so the estimate
-/// at each `t` is **bit-identical** to [`monte_carlo_bitsliced`]`(…, t,
-/// samples, seed, _)` (the per-source word draw does not depend on `t`;
-/// asserted by test), for any thread count, and the series is exactly
-/// monotone (common random numbers across the series).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_bitsliced`], plus `t_max ≥ 1`.
 pub fn monte_carlo_bitsliced_series<T>(
     model: &Model,
     task: &T,
@@ -232,7 +106,8 @@ where
     monte_carlo_bitsliced_series_with_stats(model, task, alpha, t_max, samples, seed, threads).0
 }
 
-/// [`monte_carlo_bitsliced_series`] exposing the verdict-path statistics.
+/// [`monte_carlo_bitsliced_series`] exposing the verdict-path statistics
+/// (summed across workers).
 ///
 /// # Panics
 ///
@@ -249,64 +124,40 @@ pub fn monte_carlo_bitsliced_series_with_stats<T>(
 where
     T: Task + Sync + ?Sized,
 {
-    assert!(threads >= 1, "need at least one thread");
-    assert!(t_max >= 1, "need at least one round");
-    check_mc_args(model, alpha, t_max, samples);
-    // first_solved[r] = samples whose first solving round is exactly
-    // r + 1 (round 0 counts as round 1: solved before any bits).
-    let (chunks, stats) = fold_lane_chunks(
-        model,
-        task,
-        alpha,
-        t_max,
-        samples,
-        seed,
-        threads,
-        None,
-        || vec![0u64; t_max],
-        |first_solved: &mut Vec<u64>, first, count| {
-            first_solved[first.saturating_sub(1)] += u64::from(count);
-        },
-    );
-    prefix_sum_series(&chunks, t_max, samples, stats)
+    fold_lane_chunks(model, task, alpha, t_max, samples, seed, threads, None)
 }
 
-/// [`monte_carlo_bitsliced_series`] under a [`FaultSpec`] (see
-/// [`monte_carlo_bitsliced_faulted`] for the lane discipline): the whole
-/// degradation curve `p̂(1), …, p̂(t_max)` from one faulted sampling
-/// pass. Sample `i`'s schedule is compiled once at horizon `t_max` and
-/// every prefix time reads the same silence pattern — common random
-/// numbers *and* common faults across the series.
+/// [`monte_carlo_bitsliced_series`] under a [`FaultSpec`], with the
+/// verdict-path statistics: the whole degradation curve
+/// `p̂(1), …, p̂(t_max)` from one faulted sampling pass. Lane `l` of word
+/// `w` is still sample `w·64 + l`, draws its source words from the
+/// identical unsalted stream, and draws its per-node silence masks from
+/// the salted fault substream (the masks of the per-sample
+/// [`FaultSchedule`], written without building it) — the 64 lanes' masks
+/// of a word become per-round **silence lane words** (bit `l` = lane
+/// `l`'s node silent this round) fed to
+/// [`LaneStepper::step_faulted`](rsbt_sim::LaneStepper::step_faulted).
+/// Faulted lanes track every node as its own unit (silence is per-node),
+/// so the plan compiles over the identity unit layout; the series is
+/// bit-identical for any thread count, and with a rate-zero spec
+/// bit-identical to the fault-free series (asserted by tests).
+///
+/// Sample `i`'s schedule is compiled once at horizon `t_max` and every
+/// prefix time reads the same silence pattern — common random numbers
+/// *and* common faults across the series. Fault draws run node-major over
+/// rounds `1..=t_max`, so the faulted estimate at `t` is the **last**
+/// entry of the series at horizon `t`, not a prefix of a longer one.
+///
+/// A sample "solves" when its consistency partition solves at some
+/// round `≤ t` — crashed nodes keep their (listening) knowledge and stay
+/// in the partition; see `DESIGN.md` §4.9 for how this relates to the
+/// operational runner's `None` outputs.
 ///
 /// # Panics
 ///
-/// Same conditions as [`monte_carlo_bitsliced_series`].
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_bitsliced_series_faulted<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-    faults: &FaultSpec,
-) -> Vec<Estimate>
-where
-    T: Task + Sync + ?Sized,
-{
-    monte_carlo_bitsliced_series_faulted_with_stats(
-        model, task, alpha, t_max, samples, seed, threads, faults,
-    )
-    .0
-}
-
-/// [`monte_carlo_bitsliced_series_faulted`] exposing the verdict-path
-/// statistics.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_bitsliced_series`].
+/// Same conditions as [`monte_carlo_bitsliced_series`], plus the
+/// [`FaultSpec::rates`] range panics if the spec was built with invalid
+/// rates, and a fixed schedule must cover `alpha.n()` nodes.
 #[allow(clippy::too_many_arguments)]
 pub fn monte_carlo_bitsliced_series_faulted_with_stats<T>(
     model: &Model,
@@ -321,10 +172,7 @@ pub fn monte_carlo_bitsliced_series_faulted_with_stats<T>(
 where
     T: Task + Sync + ?Sized,
 {
-    assert!(threads >= 1, "need at least one thread");
-    assert!(t_max >= 1, "need at least one round");
-    check_mc_args(model, alpha, t_max, samples);
-    let (chunks, stats) = fold_lane_chunks(
+    fold_lane_chunks(
         model,
         task,
         alpha,
@@ -333,27 +181,88 @@ where
         seed,
         threads,
         Some(faults),
-        || vec![0u64; t_max],
-        |first_solved: &mut Vec<u64>, first, count| {
-            first_solved[first.saturating_sub(1)] += u64::from(count);
-        },
-    );
-    prefix_sum_series(&chunks, t_max, samples, stats)
+    )
 }
 
-/// Merges per-chunk first-solving-round tallies into the cumulative
-/// estimate series (shared by the fault-free and faulted series entry
-/// points).
-fn prefix_sum_series(
-    chunks: &[Vec<u64>],
-    t_max: usize,
+/// The one sharded lane loop every bit-sliced series runs on: per
+/// word-aligned chunk, either the compiled-plan path or the scalar peel,
+/// tallying how many samples first solve in each round, then summing the
+/// chunks into the cumulative estimate series.
+#[allow(clippy::too_many_arguments)]
+fn fold_lane_chunks<T>(
+    model: &Model,
+    task: &T,
+    alpha: &Assignment,
+    t: usize,
     samples: usize,
-    stats: McStats,
-) -> (Vec<Estimate>, McStats) {
-    let mut first_solved = vec![0u64; t_max];
-    for chunk in chunks {
-        for (acc, c) in first_solved.iter_mut().zip(chunk) {
-            *acc += c;
+    seed: u64,
+    threads: usize,
+    faults: Option<&FaultSpec>,
+) -> (Vec<Estimate>, McStats)
+where
+    T: Task + Sync + ?Sized,
+{
+    assert!(threads >= 1, "need at least one thread");
+    assert!(t >= 1, "need at least one round");
+    check_mc_args(model, alpha, t, samples);
+    // first_solved[r] = samples whose first solving round is exactly
+    // r + 1 (round 0 counts as round 1: solved before any bits).
+    let mut first_solved = vec![0u64; t];
+    let mut stats = McStats::default();
+    // Compile once per run: the unit layout is a pure function of
+    // (model, alpha) — and of whether faults are in play: silence is
+    // per-node, so the faulted stepper tracks every node as its own
+    // unit instead of collapsing source groups.
+    let layout = LaneStepper::unit_layout(model, alpha, faults.is_some());
+    let plan = task.lane_plan(&layout.unit_of_node, layout.units);
+    // A constant-false plan (e.g. blackboard leader election with no
+    // singleton source, p ≡ 0 by Theorem 4.1) never solves a lane, so
+    // there is nothing to draw or step.
+    if !plan.as_ref().is_some_and(VerdictPlan::is_empty) {
+        // The dense fallback is only reachable from the peel path.
+        let table = if plan.is_some() {
+            None
+        } else {
+            solvability::fallback_table(task, alpha.n())
+        };
+        let per_chunk = pool::map_sample_chunks_aligned(samples, threads, 64, |arena, range| {
+            let mut chunk = vec![0u64; t];
+            let mut stats = McStats::default();
+            match plan.as_ref() {
+                Some(plan) => run_plan_words(
+                    model, alpha, plan, t, seed, faults, &range, &mut chunk, &mut stats,
+                ),
+                None => {
+                    let kernel = TaskKernel::new(task, table.as_ref());
+                    let mut memo = SolvabilityMemo::new();
+                    let mut sampler = SampleKernel::new(model, kernel, alpha, t, arena);
+                    let mut schedule = FaultSchedule::empty(alpha.n(), t);
+                    for i in range.clone() {
+                        let mut rng = StreamRng::new(seed, i as u64);
+                        let first = match faults {
+                            None => sampler.first_solving_round(&mut rng, &mut memo, arena),
+                            Some(spec) => {
+                                spec.fill_schedule(alpha.n(), t, seed, i as u64, &mut schedule);
+                                sampler.first_solving_round_faulted(
+                                    &mut rng, &schedule, &mut memo, arena,
+                                )
+                            }
+                        };
+                        if let Some(first) = first {
+                            chunk[first.saturating_sub(1)] += 1;
+                        }
+                    }
+                    stats.peeled_lanes += range.len() as u64;
+                    stats.absorb(&memo);
+                }
+            }
+            (chunk, stats)
+        });
+        for (chunk, st) in per_chunk {
+            for (acc, c) in first_solved.iter_mut().zip(chunk) {
+                *acc += c;
+            }
+            stats.merge(&st);
         }
     }
     let mut solved = 0u64;
@@ -367,91 +276,11 @@ fn prefix_sum_series(
     (series, stats)
 }
 
-/// The one sharded lane loop both bit-sliced estimators run on: per
-/// word-aligned chunk, either the compiled-plan path or the scalar peel,
-/// tallying `(first_solving_round, lane count)` pairs into a per-chunk
-/// accumulator.
-#[allow(clippy::too_many_arguments)]
-fn fold_lane_chunks<T, A, I, F>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-    faults: Option<&FaultSpec>,
-    init: I,
-    tally: F,
-) -> (Vec<A>, McStats)
-where
-    T: Task + Sync + ?Sized,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize, u32) + Sync,
-{
-    // Compile once per run: the unit layout is a pure function of
-    // (model, alpha) — and of whether faults are in play: silence is
-    // per-node, so the faulted stepper tracks every node as its own
-    // unit instead of collapsing source groups.
-    let layout = LaneStepper::unit_layout(model, alpha, faults.is_some());
-    let plan = task.lane_plan(&layout.unit_of_node, layout.units);
-    if plan.as_ref().is_some_and(VerdictPlan::is_empty) {
-        // Constant-false plan (e.g. blackboard leader election with no
-        // singleton source, p ≡ 0 by Theorem 4.1): no lane ever solves,
-        // so there is nothing to draw or step.
-        return (vec![init()], McStats::default());
-    }
-    // The dense fallback is only reachable from the peel path.
-    let table = if plan.is_some() {
-        None
-    } else {
-        solvability::fallback_table(task, alpha.n())
-    };
-    let per_chunk = pool::map_sample_chunks_aligned(samples, threads, 64, |arena, range| {
-        let mut acc = init();
-        let mut stats = McStats::default();
-        match plan.as_ref() {
-            Some(plan) => run_plan_words(
-                model, alpha, plan, t, seed, faults, &range, &mut acc, &tally, &mut stats,
-            ),
-            None => {
-                let kernel = TaskKernel::new(task, table.as_ref());
-                let mut memo = SolvabilityMemo::new();
-                let mut sampler = SampleKernel::new(model, kernel, alpha, t, arena);
-                let mut schedule = FaultSchedule::empty(alpha.n(), t);
-                for i in range.clone() {
-                    let mut rng = StreamRng::new(seed, i as u64);
-                    let first = match faults {
-                        None => sampler.first_solving_round(&mut rng, &mut memo, arena),
-                        Some(spec) => {
-                            spec.fill_schedule(alpha.n(), t, seed, i as u64, &mut schedule);
-                            sampler
-                                .first_solving_round_faulted(&mut rng, &schedule, &mut memo, arena)
-                        }
-                    };
-                    if let Some(first) = first {
-                        tally(&mut acc, first, 1);
-                    }
-                }
-                stats.peeled_lanes += range.len() as u64;
-                stats.absorb(&memo);
-            }
-        }
-        (acc, stats)
-    });
-    let mut accs = Vec::with_capacity(per_chunk.len());
-    let mut stats = McStats::default();
-    for (acc, st) in per_chunk {
-        accs.push(acc);
-        stats.merge(&st);
-    }
-    (accs, stats)
-}
-
 /// The compiled-plan word loop (see the module docs for the layout and
-/// early-exit argument). `range` is word-aligned: `range.start % 64 == 0`
-/// and only the final word can be partially live.
+/// early-exit argument): adds each lane's first solving round into
+/// `first_solved` (round 0 into entry 0, round `r` into entry `r − 1`).
+/// `range` is word-aligned: `range.start % 64 == 0` and only the final
+/// word can be partially live.
 ///
 /// Under `faults`, each word also writes its 64 lanes' per-node silence
 /// masks from the salted fault substream
@@ -466,7 +295,7 @@ where
 /// (each round's knowledge embeds the node's own previous knowledge), so
 /// per-lane verdicts stay monotone in `r`.
 #[allow(clippy::too_many_arguments)]
-fn run_plan_words<A, F>(
+fn run_plan_words(
     model: &Model,
     alpha: &Assignment,
     plan: &VerdictPlan,
@@ -474,12 +303,9 @@ fn run_plan_words<A, F>(
     seed: u64,
     faults: Option<&FaultSpec>,
     range: &std::ops::Range<usize>,
-    acc: &mut A,
-    tally: &F,
+    first_solved: &mut [u64],
     stats: &mut McStats,
-) where
-    F: Fn(&mut A, usize, u32),
-{
+) {
     debug_assert_eq!(range.start % 64, 0, "chunks must be word-aligned");
     let (k, n) = (alpha.k(), alpha.n());
     let mut stepper = match faults {
@@ -533,9 +359,7 @@ fn run_plan_words<A, F>(
         // Round 0: the all-⊥ partition (all lanes all-equal) — matches
         // the scalar kernel's `Some(0)` probe.
         let mut solved = plan.eval(stepper.eq_words(), &mut regs) & live_mask;
-        if solved != 0 {
-            tally(acc, 0, solved.count_ones());
-        }
+        first_solved[0] += u64::from(solved.count_ones());
         for r in 0..t {
             if solved == live_mask {
                 break;
@@ -554,10 +378,8 @@ fn run_plan_words<A, F>(
                 Some(_) => stepper.step_faulted(|s| draws[s][r], |i| sil[i][r]),
             }
             let newly = plan.eval(stepper.eq_words(), &mut regs) & live_mask & !solved;
-            if newly != 0 {
-                tally(acc, r + 1, newly.count_ones());
-                solved |= newly;
-            }
+            first_solved[r] += u64::from(newly.count_ones());
+            solved |= newly;
         }
         base += 64;
     }
@@ -637,8 +459,8 @@ fn ladder(a: &mut [u64], p: usize, stages: &[(usize, u64)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use crate::output_cache::build_output_table;
-    use crate::probability::oracle;
     use crate::solvability::OpaqueLeaderElection;
     use rsbt_tasks::{
         pair_count, pair_index, KLeaderElection, LeaderAndDeputy, LeaderElection,
@@ -653,6 +475,24 @@ mod tests {
 
     fn random_matrix(salt: u64) -> [u64; 64] {
         std::array::from_fn(|i| mix(i as u64 ^ salt))
+    }
+
+    /// The faulted series without its statistics.
+    #[allow(clippy::too_many_arguments)]
+    fn series_faulted<T: Task + Sync + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t_max: usize,
+        samples: usize,
+        seed: u64,
+        threads: usize,
+        faults: &FaultSpec,
+    ) -> Vec<Estimate> {
+        monte_carlo_bitsliced_series_faulted_with_stats(
+            model, task, alpha, t_max, samples, seed, threads, faults,
+        )
+        .0
     }
 
     #[test]
@@ -753,7 +593,7 @@ mod tests {
                 let reference =
                     oracle::estimate(&model, task.as_ref(), &alpha, t, samples, 42, None);
                 for threads in [1usize, 2, 3, 4, 8] {
-                    let sliced = monte_carlo_bitsliced(
+                    let sliced = monte_carlo_bitsliced_series(
                         &model,
                         task.as_ref(),
                         &alpha,
@@ -761,7 +601,7 @@ mod tests {
                         samples,
                         42,
                         threads,
-                    );
+                    )[t - 1];
                     assert_eq!(
                         sliced,
                         reference,
@@ -835,19 +675,9 @@ mod tests {
                 let reference = oracle::series(model, task, alpha, t, 130, 17, None);
                 let sliced = monte_carlo_bitsliced_series(model, task, alpha, t, 130, 17, 2);
                 assert_eq!(sliced, reference, "{what}");
-                let silent = monte_carlo_bitsliced_series_faulted(
-                    model,
-                    task,
-                    alpha,
-                    t,
-                    130,
-                    17,
-                    2,
-                    &FaultSpec::none(),
-                );
+                let silent = series_faulted(model, task, alpha, t, 130, 17, 2, &FaultSpec::none());
                 assert_eq!(silent, reference, "{what} rate zero");
-                let faulted =
-                    monte_carlo_bitsliced_series_faulted(model, task, alpha, t, 130, 17, 2, &spec);
+                let faulted = series_faulted(model, task, alpha, t, 130, 17, 2, &spec);
                 let serial = oracle::series(model, task, alpha, t, 130, 17, Some(&spec));
                 assert_eq!(faulted, serial, "{what} faulted");
             }
@@ -893,7 +723,7 @@ mod tests {
                     let reference =
                         oracle::estimate(&model, task.as_ref(), &alpha, t, samples, 42, Some(spec));
                     for threads in [1usize, 3] {
-                        let sliced = monte_carlo_bitsliced_faulted(
+                        let sliced = series_faulted(
                             &model,
                             task.as_ref(),
                             &alpha,
@@ -902,7 +732,7 @@ mod tests {
                             42,
                             threads,
                             spec,
-                        );
+                        )[t - 1];
                         assert_eq!(
                             sliced,
                             reference,
@@ -925,21 +755,9 @@ mod tests {
                 "{} {model} scalar",
                 task.name()
             );
-            let plain = monte_carlo_bitsliced(&model, task.as_ref(), &alpha, t, 200, 11, 2);
-            let faulted =
-                monte_carlo_bitsliced_faulted(&model, task.as_ref(), &alpha, t, 200, 11, 2, &spec);
-            assert_eq!(faulted, plain, "{} {model}", task.name());
             let series = monte_carlo_bitsliced_series(&model, task.as_ref(), &alpha, t, 200, 11, 2);
-            let faulted_series = monte_carlo_bitsliced_series_faulted(
-                &model,
-                task.as_ref(),
-                &alpha,
-                t,
-                200,
-                11,
-                2,
-                &spec,
-            );
+            let faulted_series =
+                series_faulted(&model, task.as_ref(), &alpha, t, 200, 11, 2, &spec);
             assert_eq!(faulted_series, series, "{} {model} series", task.name());
         }
     }
@@ -948,29 +766,12 @@ mod tests {
     fn faulted_series_tail_equals_the_point_estimate_and_stays_monotone() {
         // Schedules are compiled at the series horizon, so interior points
         // are *distributionally* p̂(t) but only the tail is bit-identical
-        // to the point kernel at the same horizon.
+        // to a point estimate at the same horizon (here the oracle's).
         let spec = FaultSpec::rates(0.1, 0.2);
         for (model, task, alpha, t_max) in grid() {
-            let series = monte_carlo_bitsliced_series_faulted(
-                &model,
-                task.as_ref(),
-                &alpha,
-                t_max,
-                200,
-                13,
-                2,
-                &spec,
-            );
-            let point = monte_carlo_bitsliced_faulted(
-                &model,
-                task.as_ref(),
-                &alpha,
-                t_max,
-                200,
-                13,
-                2,
-                &spec,
-            );
+            let task = task.as_ref();
+            let series = series_faulted(&model, task, &alpha, t_max, 200, 13, 2, &spec);
+            let point = oracle::estimate(&model, task, &alpha, t_max, 200, 13, Some(&spec));
             assert_eq!(series[t_max - 1], point, "{} {model}", task.name());
             for w in series.windows(2) {
                 assert!(w[1].solved >= w[0].solved, "{} {model}", task.name());
@@ -984,7 +785,7 @@ mod tests {
         // identity unit layout: the faulted kernel must run words, not
         // peel.
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let (_, stats) = monte_carlo_bitsliced_faulted_with_stats(
+        let (_, stats) = monte_carlo_bitsliced_series_faulted_with_stats(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
@@ -1002,7 +803,7 @@ mod tests {
     fn faulted_planless_tasks_peel_to_the_scalar_path() {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
         let spec = FaultSpec::rates(0.1, 0.2);
-        let (est, stats) = monte_carlo_bitsliced_faulted_with_stats(
+        let (series, stats) = monte_carlo_bitsliced_series_faulted_with_stats(
             &Model::Blackboard,
             &OpaqueLeaderElection,
             &alpha,
@@ -1016,8 +817,8 @@ mod tests {
         assert_eq!(stats.lane_words, 0);
         // Bit-identical to the plan path on the same underlying task.
         assert_eq!(
-            est,
-            monte_carlo_bitsliced_faulted(
+            series,
+            series_faulted(
                 &Model::Blackboard,
                 &LeaderElection,
                 &alpha,
@@ -1033,7 +834,7 @@ mod tests {
     #[test]
     fn lane_word_counters_count_words() {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let (_, stats) = monte_carlo_bitsliced_with_stats(
+        let (_, stats) = monte_carlo_bitsliced_series_with_stats(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
@@ -1051,7 +852,7 @@ mod tests {
     #[test]
     fn planless_tasks_peel_to_the_scalar_path() {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let (est, stats) = monte_carlo_bitsliced_with_stats(
+        let (series, stats) = monte_carlo_bitsliced_series_with_stats(
             &Model::Blackboard,
             &OpaqueLeaderElection,
             &alpha,
@@ -1065,7 +866,7 @@ mod tests {
         assert!(stats.dense_scan_verdicts > 0, "no closed form, no plan");
         // Still bit-identical — and equal to the plan path on the
         // same underlying task.
-        let want = oracle::estimate(
+        let want = oracle::series(
             &Model::Blackboard,
             &OpaqueLeaderElection,
             &alpha,
@@ -1074,10 +875,10 @@ mod tests {
             5,
             None,
         );
-        assert_eq!(est, want);
+        assert_eq!(series, want);
         assert_eq!(
-            est,
-            monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, 4, 100, 5, 3)
+            series,
+            monte_carlo_bitsliced_series(&Model::Blackboard, &LeaderElection, &alpha, 4, 100, 5, 3)
         );
     }
 

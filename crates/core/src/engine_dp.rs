@@ -36,8 +36,8 @@
 //!   old `k·t ≤ 30` enumeration wall.
 //! * **Verdict & absorption** — a state's verdict comes from the task's
 //!   closed-form [`rsbt_tasks::Task::solves_partition`] with the dense
-//!   fallback through `SolvabilityMemo::solves_labels` (representatives
-//!   synthesized from the labels; no knowledge ids exist here). One round
+//!   fallback, through `SolvabilityMemo` (representatives synthesized
+//!   from the labels; no knowledge ids exist here). One round
 //!   only refines the partition, so verdicts are monotone and solved
 //!   states **absorb**: `solved(r) = solved(r−1)·2^k + newly(r)` — a
 //!   solving node's whole subtree solves (tested bit-identical to
@@ -65,8 +65,8 @@
 //! DP above.
 //!
 //! Every exact query runs here: [`crate::probability::exact`],
-//! [`crate::probability::exact_series`] and their faulted, parallel and
-//! cached variants all read their counts off [`solved_series`] or its
+//! [`crate::probability::exact_series`] and their faulted and cached
+//! variants all read their counts off [`solved_series_with_stats`] or its
 //! faulted twin. A query is admitted when [`orbit_eligible`] holds, when
 //! `k ≤` [`MAX_DP_K`], or when `k·t ≤ 62` (see [`MAX_DP_K`]).
 
@@ -134,35 +134,22 @@ pub struct DpStats {
     pub dense_scan_verdicts: u64,
 }
 
-/// Per-depth solved-node tallies from one DP sweep: `counts[d − 1]` is
-/// the number of depth-`d` execution-tree nodes (time-`d` realizations)
-/// that solve `task`, for `d ∈ 1..=t_max`, so `p(d) = counts[d − 1]/2^{k·d}`.
-/// Bit-identical to leaf-by-leaf enumeration (tested on every small
-/// profile and under fixed fault schedules).
+/// Per-depth solved-node tallies from one DP sweep, with the sweep's
+/// [`DpStats`]: `counts[d − 1]` is the number of depth-`d`
+/// execution-tree nodes (time-`d` realizations) that solve `task`, for
+/// `d ∈ 1..=t_max`, so `p(d) = counts[d − 1]/2^{k·d}`. Bit-identical to
+/// leaf-by-leaf enumeration (tested on every small profile and under
+/// fixed fault schedules). Rounds whose frontier has at least
+/// `PAR_MIN_STATES` (16) missing transition rows compute them on
+/// `threads` workers; interning stays serial and ordered, so counts and
+/// stats are bit-identical for every `threads`.
 ///
 /// # Panics
 ///
-/// Panics if `k·t_max >` [`MAX_DP_BITS`], if `k >` [`MAX_DP_K`] and
-/// `k·t_max > 62` for a query that is not [`orbit_eligible`], or on a
-/// model/assignment node mismatch; also if the labeled DP would need more
-/// than 255 knowledge units.
-pub fn solved_series<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-) -> Vec<u128> {
-    solved_series_with_stats(model, task, alpha, t_max, 1).0
-}
-
-/// [`solved_series`] with the sweep's [`DpStats`] and a worker-thread
-/// count: rounds whose frontier has at least `PAR_MIN_STATES` (16) missing
-/// transition rows compute them on `threads` workers (interning stays
-/// serial and ordered, so counts are bit-identical for every `threads`).
-///
-/// # Panics
-///
-/// Same conditions as [`solved_series`], plus `threads ≥ 1`.
+/// Panics if `threads == 0`, if `k·t_max >` [`MAX_DP_BITS`], if `k >`
+/// [`MAX_DP_K`] and `k·t_max > 62` for a query that is not
+/// [`orbit_eligible`], or on a model/assignment node mismatch; also if
+/// the labeled DP would need more than 255 knowledge units.
 pub fn solved_series_with_stats<T: Task + ?Sized>(
     model: &Model,
     task: &T,
@@ -173,31 +160,17 @@ pub fn solved_series_with_stats<T: Task + ?Sized>(
     run(model, task, alpha, t_max, None, threads)
 }
 
-/// [`solved_series`] under a **fixed** [`FaultSchedule`]: the round-`r`
-/// transition meets the state with both the digit's equality pattern and
-/// the schedule's silence pattern at `r` (deterministic per round, so the
-/// DP caches one row per `(state, silence mask)`). Bit-identical to a
-/// leaf-by-leaf faulted re-simulation.
+/// [`solved_series_with_stats`] under a **fixed** [`FaultSchedule`]: the
+/// round-`r` transition meets the state with both the digit's equality
+/// pattern and the schedule's silence pattern at `r` (deterministic per
+/// round, so the DP caches one row per `(state, silence mask)`).
+/// Bit-identical to a leaf-by-leaf faulted re-simulation.
 ///
 /// # Panics
 ///
-/// Same conditions as [`solved_series`], plus a schedule/assignment node
-/// mismatch and `n ≤ 64` (silence masks are one `u64`).
-pub fn solved_series_faulted<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    faults: &FaultSchedule,
-) -> Vec<u128> {
-    solved_series_faulted_with_stats(model, task, alpha, t_max, faults, 1).0
-}
-
-/// [`solved_series_faulted`] with [`DpStats`] and a worker-thread count.
-///
-/// # Panics
-///
-/// Same conditions as [`solved_series_faulted`], plus `threads ≥ 1`.
+/// Same conditions as [`solved_series_with_stats`], plus a
+/// schedule/assignment node mismatch and `n ≤ 64` (silence masks are one
+/// `u64`).
 pub fn solved_series_faulted_with_stats<T: Task + ?Sized>(
     model: &Model,
     task: &T,
@@ -338,10 +311,12 @@ impl<'a, T: Task + ?Sized> Dp<'a, T> {
         }
     }
 
-    /// Interns a state, computing its verdict on first sight: node-unit
-    /// states ask [`SolvabilityMemo::solves_labels`] directly; source-unit
-    /// states (fault-free blackboard) pull the partition back to nodes
-    /// and re-canonicalize first.
+    /// Interns a state, computing its verdict on first sight. Node-unit
+    /// states (message passing, faulted runs) are already node partitions,
+    /// deduplicated by `index`, so each is decided exactly once and skips
+    /// the memo map ([`SolvabilityMemo::decide_labels`]); source-unit
+    /// states (fault-free blackboard) pull the partition back to nodes,
+    /// re-canonicalize and ask the memo.
     fn intern(&mut self, labels: &[u8]) -> u32 {
         if let Some(&id) = self.index.get(labels) {
             return id;
@@ -366,7 +341,7 @@ impl<'a, T: Task + ?Sized> Dp<'a, T> {
             }
             self.memo.solves_labels(&self.node_labels, &self.kernel)
         } else {
-            self.memo.solves_labels(labels, &self.kernel)
+            self.memo.decide_labels(labels, &self.kernel)
         };
         self.verdicts.push(verdict);
         id
@@ -512,7 +487,7 @@ pub fn orbit_eligible<T: Task + ?Sized>(
 /// and the whole exact answer at `t = 0`.
 pub(crate) fn root_solves<T: Task + ?Sized>(task: &T, n: usize) -> bool {
     let table = solvability::fallback_table(task, n);
-    SolvabilityMemo::new().solves_labels(&vec![0u8; n], &TaskKernel::new(task, table.as_ref()))
+    SolvabilityMemo::new().decide_labels(&vec![0u8; n], &TaskKernel::new(task, table.as_ref()))
 }
 
 /// `counts[d − 1] = 2^{k·d}` at every depth: the all-⊥ root already
@@ -656,7 +631,7 @@ fn run_labeled<T: Task + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probability;
+    use crate::oracle;
     use crate::solvability::OpaqueLeaderElection;
     use rsbt_random::Realization;
     use rsbt_sim::lanes::pair_index;
@@ -664,6 +639,28 @@ mod tests {
     use rsbt_tasks::{
         KLeaderElection, LeaderAndDeputy, LeaderElection, Task, WeakSymmetryBreaking,
     };
+
+    /// The solved counts of [`solved_series_with_stats`] on one thread.
+    fn solved_series<T: Task + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t_max: usize,
+    ) -> Vec<u128> {
+        solved_series_with_stats(model, task, alpha, t_max, 1).0
+    }
+
+    /// The solved counts of [`solved_series_faulted_with_stats`] on one
+    /// thread.
+    fn solved_series_faulted<T: Task + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t_max: usize,
+        faults: &FaultSchedule,
+    ) -> Vec<u128> {
+        solved_series_faulted_with_stats(model, task, alpha, t_max, faults, 1).0
+    }
 
     /// The labeled DP, bypassing the orbit dispatch.
     fn labeled_series<T: Task + ?Sized>(
@@ -699,7 +696,7 @@ mod tests {
                 Realization::enumerate_consistent(alpha, t)
                     .filter(|rho| {
                         let exec = Execution::run_with_faults(model, rho, faults, &mut arena);
-                        solvability::solves_execution_reference(&exec, task)
+                        oracle::solves_execution_reference(&exec, task)
                     })
                     .count() as u128
             })
@@ -726,7 +723,7 @@ mod tests {
                 for model in models_for(n) {
                     for task in tasks_for(n) {
                         let mut arena = KnowledgeArena::new();
-                        let reference: Vec<u128> = probability::exact_series_reference(
+                        let reference: Vec<u128> = oracle::exact_series_reference(
                             &model,
                             task.as_ref(),
                             &alpha,
@@ -931,6 +928,28 @@ mod tests {
             (206, 135, 526, 169_216),
             "{stats:?}"
         );
+    }
+
+    #[test]
+    fn node_unit_states_skip_the_memo_map() {
+        // Node-unit states are node partitions already deduplicated by
+        // the state index: each is decided once, by closed form, and the
+        // verdict memo stays empty — counted all the same.
+        let alpha = Assignment::private(6);
+        let model = Model::message_passing_cyclic(6);
+        let kernel = TaskKernel::new(&LeaderElection, None);
+        let mut dp = Dp::new(&model, &alpha, kernel, false);
+        dp.intern(&vec![0u8; dp.units]);
+        let mut row = Vec::new();
+        for sid in 0..3 {
+            let labels = dp.states[sid].clone();
+            dp.expand(&labels, None, &mut row);
+        }
+        assert!(dp.states.len() > 3, "{}", dp.states.len());
+        assert_eq!(dp.memo.memoized(), 0);
+        let stats = dp.stats(1);
+        assert_eq!(stats.closed_form_verdicts, stats.states as u64, "{stats:?}");
+        assert_eq!(stats.memo_hits, 0);
     }
 
     #[test]

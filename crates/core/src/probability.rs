@@ -11,20 +11,22 @@
 //! take the DP's orbit quotient ([`crate::engine_dp::orbit_eligible`]),
 //! which has no `k` limit; the labeled DP takes every other query with
 //! `k ≤` [`crate::engine_dp::MAX_DP_K`], or with `k·t ≤ 62` past it.
-//! Every exact entry point here reads its counts off that one engine.
-//! [`exact_reference`] and [`exact_series_reference`] enumerate leaf by
-//! leaf; they are the tests' oracle, not a production path.
+//! Every exact entry point here ([`exact`], [`exact_faulted`],
+//! [`exact_series`] and their [`Cache`]d forms) reads its counts off that
+//! one engine. The leaf-by-leaf enumeration they are checked against
+//! lives in the test-only `oracle` module; it is not a production path.
 //!
 //! Past the exact wall the estimate comes from one sampler,
-//! [`monte_carlo_bitsliced`] and its `_series`/`_faulted` forms: 64
-//! samples per `u64` lane word, sample `i` keyed to
+//! [`monte_carlo_bitsliced_series`] and its `_with_stats` and faulted
+//! forms: 64 samples per `u64` lane word, sample `i` keyed to
 //! [`StreamRng`](rand::rngs::StreamRng)`(seed, i)`, bit-identical for every
-//! thread count. Its per-lane peel path, the scalar `SampleKernel`, also
-//! backs the generator-driven [`monte_carlo`] and serves as the serial
-//! test oracle the bit-sliced kernel is checked against.
+//! thread count; the estimate at one `t` is the last entry of the series
+//! at horizon `t`. Its per-lane peel path, the scalar `SampleKernel`,
+//! also backs the generator-driven [`monte_carlo`] and the serial
+//! Monte-Carlo oracle the bit-sliced kernel is checked against.
 
 use rand::Rng;
-use rsbt_random::{Assignment, BitString, Realization};
+use rsbt_random::{Assignment, BitString};
 use rsbt_sim::{FaultSchedule, FxHashMap, KnowledgeArena, KnowledgeId, Model, RoundStepper};
 use rsbt_tasks::Task;
 
@@ -32,10 +34,8 @@ use crate::engine_dp;
 use crate::solvability::{self, SolvabilityMemo, TaskKernel};
 
 pub use crate::bitsliced::{
-    monte_carlo_bitsliced, monte_carlo_bitsliced_faulted, monte_carlo_bitsliced_faulted_with_stats,
-    monte_carlo_bitsliced_series, monte_carlo_bitsliced_series_faulted,
-    monte_carlo_bitsliced_series_faulted_with_stats, monte_carlo_bitsliced_series_with_stats,
-    monte_carlo_bitsliced_with_stats,
+    monte_carlo_bitsliced_series, monte_carlo_bitsliced_series_faulted_with_stats,
+    monte_carlo_bitsliced_series_with_stats,
 };
 
 /// Largest `k·t` accepted by the exact entry points: the quotient DP
@@ -57,7 +57,7 @@ pub const MAX_EXACT_BITS: usize = 126;
 pub const TREE_EXACT_BITS: usize = 30;
 
 /// Exact `Pr[S(t) | α]`: the integer count of solving realizations over
-/// `2^{k·t}`, from the quotient DP ([`engine_dp::solved_series`]; see
+/// `2^{k·t}`, from the quotient DP ([`engine_dp::solved_series_with_stats`]; see
 /// [`MAX_EXACT_BITS`]).
 ///
 /// # Panics
@@ -79,7 +79,7 @@ pub const TREE_EXACT_BITS: usize = 30;
 /// assert!((p - 0.5).abs() < 1e-12);
 /// ```
 pub fn exact<T: Task + ?Sized>(model: &Model, task: &T, alpha: &Assignment, t: usize) -> f64 {
-    exact_at(model, task, alpha, t, None, 1)
+    exact_at(model, task, alpha, t, None)
 }
 
 /// Exact `Pr[S(t) | α]` under a **fixed** [`FaultSchedule`]: counts the
@@ -91,7 +91,7 @@ pub fn exact<T: Task + ?Sized>(model: &Model, task: &T, alpha: &Assignment, t: u
 /// Random fault *rates* are deliberately not accepted here: enumerating
 /// them would weight realizations by fault-pattern probability and break
 /// Lemma B.1's equiprobability — rates belong to the Monte-Carlo
-/// estimator [`monte_carlo_bitsliced_faulted`] and its series form. For
+/// estimator [`monte_carlo_bitsliced_series_faulted_with_stats`]. For
 /// the solvability-law fine print (where the zero-one argument survives
 /// omission faults and where crashes break it) see `DESIGN.md` §4.9.
 ///
@@ -106,7 +106,7 @@ pub fn exact_faulted<T: Task + ?Sized>(
     t: usize,
     faults: &FaultSchedule,
 ) -> f64 {
-    exact_at(model, task, alpha, t, Some(faults), 1)
+    exact_at(model, task, alpha, t, Some(faults))
 }
 
 /// Asserts the shared preconditions of every exact entry point.
@@ -122,24 +122,21 @@ fn check_budget(model: &Model, alpha: &Assignment, t: usize) {
 }
 
 /// Solved counts per depth `1..=t_max` from the quotient DP, faulted or
-/// not, with `threads` row-building workers.
+/// not, on one thread.
 fn dp_counts<T: Task + ?Sized>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
     t_max: usize,
     faults: Option<&FaultSchedule>,
-    threads: usize,
 ) -> Vec<u128> {
     match faults {
-        None => engine_dp::solved_series_with_stats(model, task, alpha, t_max, threads).0,
-        Some(f) => {
-            engine_dp::solved_series_faulted_with_stats(model, task, alpha, t_max, f, threads).0
-        }
+        None => engine_dp::solved_series_with_stats(model, task, alpha, t_max, 1).0,
+        Some(f) => engine_dp::solved_series_faulted_with_stats(model, task, alpha, t_max, f, 1).0,
     }
 }
 
-/// The body of [`exact`], [`exact_faulted`] and [`exact_parallel`]. At
+/// The body of [`exact`] and [`exact_faulted`]. At
 /// `t = 0` no round runs and faults never act: the DP's root verdict (the
 /// all-`⊥` partition) is the whole answer.
 fn exact_at<T: Task + ?Sized>(
@@ -148,7 +145,6 @@ fn exact_at<T: Task + ?Sized>(
     alpha: &Assignment,
     t: usize,
     faults: Option<&FaultSchedule>,
-    threads: usize,
 ) -> f64 {
     check_budget(model, alpha, t);
     if t == 0 {
@@ -158,57 +154,8 @@ fn exact_at<T: Task + ?Sized>(
             0.0
         };
     }
-    let counts = dp_counts(model, task, alpha, t, faults, threads);
+    let counts = dp_counts(model, task, alpha, t, faults);
     counts[t - 1] as f64 / (1u128 << (alpha.k() * t)) as f64
-}
-
-/// The leaf-by-leaf reference path: re-simulation over
-/// [`Realization::enumerate_consistent`], kept verbatim as the independent
-/// ground truth for the engine's bit-identity tests — including the old
-/// per-leaf solvability cost model ([`solvability::solves_reference`]
-/// rebuilds the output complex and scans it per realization, exactly as
-/// `solves` did before the dense/closed-form rewrite). Not used by any
-/// production caller — prefer [`exact`].
-///
-/// # Panics
-///
-/// Same conditions as [`exact`].
-pub fn exact_reference<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    arena: &mut KnowledgeArena,
-) -> f64 {
-    check_budget(model, alpha, t);
-    let mut solved = 0u64;
-    let mut total = 0u64;
-    for rho in Realization::enumerate_consistent(alpha, t) {
-        if solvability::solves_reference(model, &rho, task, arena) {
-            solved += 1;
-        }
-        total += 1;
-    }
-    solved as f64 / total as f64
-}
-
-/// Reference form of [`exact_series`]: one [`exact_reference`] per `t`
-/// over a shared arena (the pre-engine cost model, `Σ_t t·2^{k·t}`
-/// rounds).
-///
-/// # Panics
-///
-/// Same conditions as [`exact`], applied at `t_max`.
-pub fn exact_series_reference<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    arena: &mut KnowledgeArena,
-) -> Vec<f64> {
-    (1..=t_max)
-        .map(|t| exact_reference(model, task, alpha, t, arena))
-        .collect()
 }
 
 /// The series `p(1), …, p(t_max)` of exact success probabilities.
@@ -228,7 +175,7 @@ pub fn exact_series<T: Task + ?Sized>(
     t_max: usize,
 ) -> Vec<f64> {
     check_budget(model, alpha, t_max);
-    let counts = dp_counts(model, task, alpha, t_max, None, 1);
+    let counts = dp_counts(model, task, alpha, t_max, None);
     counts
         .iter()
         .enumerate()
@@ -446,33 +393,6 @@ pub fn exact_series_cached<T: Task + ?Sized>(
             }
         })
         .collect()
-}
-
-/// Exact `Pr[S(t) | α]` computed on `threads` OS threads. Produces
-/// bit-identical results to [`exact`] (verified by test); use for the
-/// larger sweeps where single-threaded evaluation dominates wall-clock
-/// time.
-///
-/// The threads build missing labeled transition rows per round
-/// ([`engine_dp::solved_series_with_stats`]); interning stays serial and
-/// ordered, so the counts are independent of `threads`. The orbit
-/// quotient and the streaming mode run serially.
-///
-/// # Panics
-///
-/// Same conditions as [`exact`], plus `threads ≥ 1`.
-pub fn exact_parallel<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    threads: usize,
-) -> f64
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    exact_at(model, task, alpha, t, None, threads)
 }
 
 /// The largest sample count the estimators accept: counts above `2^53`
@@ -697,8 +617,9 @@ impl<'a, T: Task + ?Sized> SampleKernel<'a, T> {
     }
 
     /// Runs one sample drawn from `rng`: `true` iff it solves at time
-    /// `t`. Consumes the generator exactly like [`Realization::sample`]
-    /// (k `u64` draws, source order), so the verdict stream is
+    /// `t`. Consumes the generator exactly like
+    /// [`Realization::sample`](rsbt_random::Realization::sample) (k `u64`
+    /// draws, source order), so the verdict stream is
     /// bit-comparable to a leaf-by-leaf decision of each sampled
     /// realization (pinned by the test
     /// `kernel_monte_carlo_bit_identical_to_reference`).
@@ -799,12 +720,13 @@ impl<'a, T: Task + ?Sized> SampleKernel<'a, T> {
 }
 
 /// Monte-Carlo `Pr[S(t) | α]` from a caller-provided generator: `samples`
-/// draws of [`Realization::sample`]'s shape (`k` `u64` words per sample,
-/// source order), each stepped through one reused [`RoundStepper`] and
-/// decided closed-form-first, stopping at its first solving round.
+/// draws of [`Realization::sample`](rsbt_random::Realization::sample)'s
+/// shape (`k` `u64` words per sample, source order), each stepped through
+/// one reused [`RoundStepper`] and decided closed-form-first, stopping at
+/// its first solving round.
 ///
 /// The serial, generator-driven form of the estimator. Seeded sweeps use
-/// [`monte_carlo_bitsliced`] instead, which keys sample `i` to
+/// [`monte_carlo_bitsliced_series`] instead, which keys sample `i` to
 /// [`StreamRng`](rand::rngs::StreamRng)`(seed, i)` and is thread-count
 /// invariant.
 ///
@@ -835,98 +757,27 @@ pub fn monte_carlo<T: Task + ?Sized, R: Rng + ?Sized>(
     Estimate::from_counts(solved, samples)
 }
 
-/// The serial test oracle of the bit-sliced estimators: sample `i` draws
-/// from `StreamRng(seed, i)` and is decided by one scalar [`SampleKernel`],
-/// in stream order on one thread — no lanes, no chunking, no plans.
-#[cfg(test)]
-pub(crate) mod oracle {
-    use rand::rngs::StreamRng;
-    use rsbt_random::Assignment;
-    use rsbt_sim::{FaultSchedule, FaultSpec, KnowledgeArena, Model};
-    use rsbt_tasks::Task;
-
-    use super::{Estimate, McStats, SampleKernel};
-    use crate::solvability::{self, SolvabilityMemo, TaskKernel};
-
-    /// Each sample's first solving round at horizon `t` (`None` when it
-    /// does not solve by `t`), plus the memo's verdict counters. Under
-    /// `faults`, sample `i` compiles its schedule at horizon `t` from the
-    /// same `(seed, i)` key.
-    pub(crate) fn first_rounds<T: Task + ?Sized>(
-        model: &Model,
-        task: &T,
-        alpha: &Assignment,
-        t: usize,
-        samples: usize,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> (Vec<Option<usize>>, McStats) {
-        let table = solvability::fallback_table(task, alpha.n());
-        let kernel = TaskKernel::new(task, table.as_ref());
-        let mut arena = KnowledgeArena::new();
-        let mut memo = SolvabilityMemo::new();
-        let mut sampler = SampleKernel::new(model, kernel, alpha, t, &mut arena);
-        let mut schedule = FaultSchedule::empty(alpha.n(), t);
-        let firsts = (0..samples as u64)
-            .map(|i| {
-                let mut rng = StreamRng::new(seed, i);
-                match faults {
-                    None => sampler.first_solving_round(&mut rng, &mut memo, &mut arena),
-                    Some(spec) => {
-                        spec.fill_schedule(alpha.n(), t, seed, i, &mut schedule);
-                        sampler
-                            .first_solving_round_faulted(&mut rng, &schedule, &mut memo, &mut arena)
-                    }
-                }
-            })
-            .collect();
-        let mut stats = McStats::default();
-        stats.absorb(&memo);
-        (firsts, stats)
-    }
-
-    /// The oracle's estimate at horizon `t`.
-    pub(crate) fn estimate<T: Task + ?Sized>(
-        model: &Model,
-        task: &T,
-        alpha: &Assignment,
-        t: usize,
-        samples: usize,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Estimate {
-        series(model, task, alpha, t, samples, seed, faults)[t - 1]
-    }
-
-    /// The oracle's series `p̂(1), …, p̂(t_max)` from one pass at horizon
-    /// `t_max`: sample `i` counts at `t` iff its first solving round is
-    /// at most `t` (round 0 counts from `t = 1`).
-    pub(crate) fn series<T: Task + ?Sized>(
-        model: &Model,
-        task: &T,
-        alpha: &Assignment,
-        t_max: usize,
-        samples: usize,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Vec<Estimate> {
-        let (firsts, _) = first_rounds(model, task, alpha, t_max, samples, seed, faults);
-        (1..=t_max)
-            .map(|t| {
-                let solved = firsts.iter().filter(|f| f.is_some_and(|r| r <= t)).count();
-                Estimate::from_counts(solved as u64, samples)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
+    use rsbt_random::Realization;
     use rsbt_sim::FaultSpec;
     use rsbt_tasks::{KLeaderElection, LeaderElection, WeakSymmetryBreaking};
+
+    /// `p(t)` from the quotient DP with `threads` row-building workers.
+    fn exact_threads<T: Task + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t: usize,
+        threads: usize,
+    ) -> f64 {
+        let (counts, _) = engine_dp::solved_series_with_stats(model, task, alpha, t, threads);
+        counts[t - 1] as f64 / (1u128 << (alpha.k() * t)) as f64
+    }
 
     #[test]
     fn shared_source_never_solves() {
@@ -1087,8 +938,15 @@ mod tests {
     #[test]
     fn parallel_monte_carlo_is_thread_count_invariant() {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let serial =
-            monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, 4, 5_000, 7, 1);
+        let serial = monte_carlo_bitsliced_series(
+            &Model::Blackboard,
+            &LeaderElection,
+            &alpha,
+            4,
+            5_000,
+            7,
+            1,
+        )[3];
         assert_eq!(
             serial,
             oracle::estimate(
@@ -1102,7 +960,7 @@ mod tests {
             )
         );
         for threads in [2usize, 3, 4, 8] {
-            let par = monte_carlo_bitsliced(
+            let par = monte_carlo_bitsliced_series(
                 &Model::Blackboard,
                 &LeaderElection,
                 &alpha,
@@ -1110,12 +968,19 @@ mod tests {
                 5_000,
                 7,
                 threads,
-            );
+            )[3];
             assert_eq!(par, serial, "threads={threads}");
         }
         // Different seeds give different (decorrelated) estimates.
-        let other =
-            monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, 4, 5_000, 8, 2);
+        let other = monte_carlo_bitsliced_series(
+            &Model::Blackboard,
+            &LeaderElection,
+            &alpha,
+            4,
+            5_000,
+            8,
+            2,
+        )[3];
         assert_ne!(other.solved, serial.solved, "seed must matter");
     }
 
@@ -1124,7 +989,7 @@ mod tests {
         let alpha = Assignment::from_group_sizes(&[1, 2, 2]).unwrap();
         let t = 4;
         let exact_p = exact(&Model::Blackboard, &LeaderElection, &alpha, t);
-        let (est, stats) = monte_carlo_bitsliced_with_stats(
+        let (series, stats) = monte_carlo_bitsliced_series_with_stats(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
@@ -1133,6 +998,7 @@ mod tests {
             2021,
             4,
         );
+        let est = series[t - 1];
         assert!(
             est.is_consistent_with(exact_p, 4.0),
             "MC {est:?} vs exact {exact_p}"
@@ -1169,7 +1035,9 @@ mod tests {
         for (task, sizes, t) in grid {
             let alpha = Assignment::from_group_sizes(sizes).unwrap();
             let exact_p = exact(&Model::Blackboard, task, &alpha, t);
-            let est = monte_carlo_bitsliced(&Model::Blackboard, task, &alpha, t, 30_000, 2021, 2);
+            let est =
+                monte_carlo_bitsliced_series(&Model::Blackboard, task, &alpha, t, 30_000, 2021, 2)
+                    [t - 1];
             assert!(
                 est.is_consistent_with(exact_p, 4.0),
                 "{} {sizes:?} t={t}: MC {est:?} vs exact {exact_p}",
@@ -1210,7 +1078,7 @@ mod tests {
         let spec = FaultSpec::fixed(sched.clone());
         for model in [Model::Blackboard, Model::message_passing_cyclic(5)] {
             let p = exact_faulted(&model, &LeaderElection, &alpha, t, &sched);
-            let est = monte_carlo_bitsliced_faulted(
+            let (series, _) = monte_carlo_bitsliced_series_faulted_with_stats(
                 &model,
                 &LeaderElection,
                 &alpha,
@@ -1220,6 +1088,7 @@ mod tests {
                 3,
                 &spec,
             );
+            let est = series[t - 1];
             assert!(
                 est.is_consistent_with(p, 4.0),
                 "{model}: MC {est:?} vs exact {p}"
@@ -1246,10 +1115,17 @@ mod tests {
         // strictly, from 0).
         let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
         let t = 4;
-        let plain =
-            monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, t, 4_000, 3, 2);
+        let plain = monte_carlo_bitsliced_series(
+            &Model::Blackboard,
+            &LeaderElection,
+            &alpha,
+            t,
+            4_000,
+            3,
+            2,
+        )[t - 1];
         assert_eq!(plain.solved, 0, "fault-free [2,2] blackboard is dead");
-        let faulted = monte_carlo_bitsliced_faulted(
+        let (series, _) = monte_carlo_bitsliced_series_faulted_with_stats(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
@@ -1259,6 +1135,7 @@ mod tests {
             2,
             &FaultSpec::rates(0.2, 0.1),
         );
+        let faulted = series[t - 1];
         assert!(
             faulted.solved > 0,
             "silence must break the [2,2] symmetry: {faulted:?}"
@@ -1267,22 +1144,34 @@ mod tests {
 
     #[test]
     fn one_pass_series_equals_per_t_estimates() {
-        // The single sampling pass must reproduce each fixed-t estimate
-        // bit-for-bit (the per-source word draw does not depend on t),
-        // and the common-random-numbers series must be exactly monotone.
+        // The series at horizon T must carry the series at every shorter
+        // horizon t as its prefix, bit for bit (the per-source word draw
+        // does not depend on the horizon) — so the point estimate at t,
+        // entry t − 1 of the series at t, is entry t − 1 of any longer
+        // series. Planned and planless tasks, 1 and 3 threads; the
+        // common-random-numbers series must be exactly monotone.
+        let tasks: [&(dyn Task + Sync); 2] =
+            [&LeaderElection, &crate::solvability::OpaqueLeaderElection];
         for sizes in [vec![1usize, 2], vec![2, 2], vec![1, 1, 2]] {
             let alpha = Assignment::from_group_sizes(&sizes).unwrap();
             for model in [Model::Blackboard, Model::message_passing_cyclic(alpha.n())] {
-                let series =
-                    monte_carlo_bitsliced_series(&model, &LeaderElection, &alpha, 5, 2_000, 13, 3);
-                assert_eq!(series.len(), 5);
-                for (i, est) in series.iter().enumerate() {
-                    let per_t =
-                        monte_carlo_bitsliced(&model, &LeaderElection, &alpha, i + 1, 2_000, 13, 2);
-                    assert_eq!(est, &per_t, "{model} {sizes:?} t={}", i + 1);
-                }
-                for w in series.windows(2) {
-                    assert!(w[1].solved >= w[0].solved, "series must be monotone");
+                for task in tasks {
+                    for threads in [1usize, 3] {
+                        let what = format!("{model} {sizes:?} {} threads={threads}", task.name());
+                        let series = monte_carlo_bitsliced_series(
+                            &model, task, &alpha, 5, 2_000, 13, threads,
+                        );
+                        assert_eq!(series.len(), 5);
+                        for t in 1..=5 {
+                            let shorter = monte_carlo_bitsliced_series(
+                                &model, task, &alpha, t, 2_000, 13, threads,
+                            );
+                            assert_eq!(shorter[..], series[..t], "{what} t={t}");
+                        }
+                        for w in series.windows(2) {
+                            assert!(w[1].solved >= w[0].solved, "series must be monotone");
+                        }
+                    }
                 }
             }
         }
@@ -1317,7 +1206,8 @@ mod tests {
         // t = 64 > MAX_BITS = 63: rejected up front with a clear message
         // instead of panicking deep inside BitString::sample mid-run.
         let alpha = Assignment::private(2);
-        let _ = monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, 64, 10, 0, 1);
+        let _ =
+            monte_carlo_bitsliced_series(&Model::Blackboard, &LeaderElection, &alpha, 64, 10, 0, 1);
     }
 
     #[test]
@@ -1339,7 +1229,7 @@ mod tests {
         let alpha = Assignment::from_group_sizes(&[1, 7, 7, 7]).unwrap();
         let t = 32;
         assert!(alpha.k() * t > MAX_EXACT_BITS);
-        let est = monte_carlo_bitsliced(
+        let est = monte_carlo_bitsliced_series(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
@@ -1347,7 +1237,7 @@ mod tests {
             20_000,
             42,
             4,
-        );
+        )[t - 1];
         let closed_form = (1.0 - 0.5f64.powi(t as i32)).powi(3);
         assert!(
             est.is_consistent_with(closed_form, 4.0),
@@ -1379,7 +1269,7 @@ mod tests {
                 let seq = exact(&Model::Blackboard, &LeaderElection, &alpha, t);
                 for threads in [1usize, 2, 4] {
                     let par =
-                        exact_parallel(&Model::Blackboard, &LeaderElection, &alpha, t, threads);
+                        exact_threads(&Model::Blackboard, &LeaderElection, &alpha, t, threads);
                     assert_eq!(seq, par, "sizes {sizes:?} t {t} threads {threads}");
                 }
             }
@@ -1391,7 +1281,7 @@ mod tests {
         let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
         let model = Model::message_passing_cyclic(4);
         let seq = exact(&model, &LeaderElection, &alpha, 3);
-        let par = exact_parallel(&model, &LeaderElection, &alpha, 3, 3);
+        let par = exact_threads(&model, &LeaderElection, &alpha, 3, 3);
         assert_eq!(seq, par);
     }
 
@@ -1413,7 +1303,7 @@ mod tests {
         let alpha = Assignment::private(21);
         let model = Model::message_passing_cyclic(21);
         assert_eq!(
-            engine_dp::solved_series(&model, &LeaderElection, &alpha, 1),
+            engine_dp::solved_series_with_stats(&model, &LeaderElection, &alpha, 1, 1).0,
             vec![42]
         );
         let series = exact_series(&model, &LeaderElection, &alpha, 1);
@@ -1457,7 +1347,8 @@ mod tests {
         // k = 40 > MAX_DP_K: the orbit quotient reaches k·t = 120, where
         // the labeled DP's wide-k budget k·t ≤ 62 would refuse.
         let alpha = Assignment::private(40);
-        let counts = engine_dp::solved_series(&Model::Blackboard, &LeaderElection, &alpha, 3);
+        let (counts, _) =
+            engine_dp::solved_series_with_stats(&Model::Blackboard, &LeaderElection, &alpha, 3, 1);
         for t in 1..=3u32 {
             assert_eq!(
                 counts[t as usize - 1] as i128,
@@ -1468,7 +1359,7 @@ mod tests {
         let p = exact(&Model::Blackboard, &LeaderElection, &alpha, 3);
         let expect = private_le_solved(40, 3) as f64 / (1u128 << 120) as f64;
         assert_eq!(p.to_bits(), expect.to_bits());
-        let par = exact_parallel(&Model::Blackboard, &LeaderElection, &alpha, 3, 2);
+        let par = exact_threads(&Model::Blackboard, &LeaderElection, &alpha, 3, 2);
         assert_eq!(par.to_bits(), p.to_bits());
         // Theorem 4.1: gcd 2 never elects, at k = 32 past MAX_DP_K too.
         let pairs = Assignment::from_group_sizes(&[2; 32]).unwrap();
@@ -1518,11 +1409,11 @@ mod tests {
                     for alpha in Assignment::iter_profiles(n) {
                         let mut ref_arena = KnowledgeArena::new();
                         let reference =
-                            exact_series_reference(model, task, &alpha, 3, &mut ref_arena);
+                            oracle::exact_series_reference(model, task, &alpha, 3, &mut ref_arena);
                         let series = exact_series(model, task, &alpha, 3);
                         // t = 0: the DP's root verdict against the one
                         // empty realization.
-                        let root = exact_reference(model, task, &alpha, 0, &mut ref_arena);
+                        let root = oracle::exact_reference(model, task, &alpha, 0, &mut ref_arena);
                         assert_eq!(exact(model, task, &alpha, 0).to_bits(), root.to_bits());
                         for (i, (&p, &q)) in series.iter().zip(&reference).enumerate() {
                             let t = i + 1;
@@ -1530,7 +1421,7 @@ mod tests {
                             let single = exact(model, task, &alpha, t);
                             assert_eq!(single.to_bits(), q.to_bits(), "{model} {alpha} t={t}");
                             for threads in [1usize, 2, 3, 4, 8] {
-                                let par = exact_parallel(model, task, &alpha, t, threads);
+                                let par = exact_threads(model, task, &alpha, t, threads);
                                 assert_eq!(
                                     par.to_bits(),
                                     q.to_bits(),
@@ -1553,7 +1444,7 @@ mod tests {
             let one_pass = exact_series(&model, &LeaderElection, &alpha, 4);
             assert_eq!(one_pass.len(), 4);
             for (i, &p) in one_pass.iter().enumerate() {
-                let fresh = exact_reference(
+                let fresh = oracle::exact_reference(
                     &model,
                     &LeaderElection,
                     &alpha,

@@ -1,44 +1,48 @@
-//! Solvability of symmetry-breaking tasks, three ways.
+//! Solvability of symmetry-breaking tasks: one production path, the two
+//! definitions it is proved against, and a test oracle.
 //!
-//! * [`solves`] — the fast combinatorial criterion: a realization solves
-//!   `O` iff some facet `τ ∈ O` is *monochromatic on every consistency
-//!   class*. This is the forced form of the name-preserving simplicial map
-//!   `δ : π̃(ρ) → π(τ)` of Definition 3.4: name preservation pins
-//!   `δ(i, x_i) = (i, τ_i)`, and simpliciality is exactly
-//!   class-monochromaticity. The production path decides it without ever
-//!   materializing the output complex: it consults the task's closed-form
-//!   [`Task::solves_partition`] first and otherwise scans a dense
-//!   [`FacetTable`] (`O(1)` value lookups, single-`u32` cell compares).
-//! * [`solves_via_projection`] — Definition 3.4 verbatim: build `π̃(ρ)`
-//!   and run the generic name-preserving simplicial-map search into each
-//!   `π(τ)`.
-//! * [`solves_via_definition_3_1`] — Definition 3.1 verbatim on the
-//!   protocol facet `σ = h⁻¹(ρ)`: search for a name-preserving *and
-//!   name-independent* simplicial map `σ → τ`.
+//! * [`solves`] / [`solves_with_cache`] — the production path: a
+//!   realization solves `O` iff some facet `τ ∈ O` is *monochromatic on
+//!   every consistency class*. This is the forced form of the
+//!   name-preserving simplicial map `δ : π̃(ρ) → π(τ)` of Definition 3.4:
+//!   name preservation pins `δ(i, x_i) = (i, τ_i)`, and simpliciality is
+//!   exactly class-monochromaticity. It never materializes the output
+//!   complex: the task's closed-form [`Task::solves_partition`] answers
+//!   first, and only tasks without one scan a dense [`FacetTable`]
+//!   (`O(1)` value lookups, single-`u32` cell compares).
+//! * The subjects of Lemma 3.5, searched verbatim over a cached output
+//!   complex: [`solves_via_projection_cached`] (Definition 3.4: build
+//!   `π̃(ρ)` and run the generic name-preserving simplicial-map search
+//!   into each `π(τ)`) and [`solves_via_definition_3_1_cached`]
+//!   (Definition 3.1 on the protocol facet `σ = h⁻¹(ρ)`: search for a
+//!   name-preserving *and name-independent* simplicial map `σ → τ`).
 //!
 //! Lemma 3.5 states the three agree; the property tests in this module and
 //! in `tests/framework.rs` verify that agreement on every realization small
-//! enough to enumerate. [`solves_execution_reference`] preserves the
-//! pre-dense path (rebuild `output_complex`, scan `Simplex::value_of` by
-//! binary search) verbatim as the independent ground truth for the
-//! bit-identity tests.
+//! enough to enumerate, and `exp_fig4_lemma35` prints it. The verdict
+//! oracle of the bit-identity tests — rebuild the output complex and scan
+//! its facets by `Simplex::value_of` binary search — lives in the
+//! test-only `oracle` module.
 //!
 //! Checkers that run in a loop over realizations of one `(task, n)` pair
-//! should thread an [`OutputComplexCache`] through the `_with_cache`
-//! variants so the dense table is built once, not per call. The exact
-//! engine and the Monte-Carlo kernels go one step further: a run-owned
-//! `TaskKernel` (the task plus, only for tasks without a closed form, its
-//! dense table) answers through a `SolvabilityMemo` keyed by consistency
-//! partition, so each distinct partition is decided once per run.
+//! should thread an [`OutputComplexCache`] through the `_with_cache` and
+//! `_cached` forms so each output representation is built once, not per
+//! call. The exact engine and the Monte-Carlo kernels go one step
+//! further: a run-owned `TaskKernel` (the task plus, only for tasks
+//! without a closed form, its dense table) answers through a
+//! `SolvabilityMemo` keyed by consistency partition, so each distinct
+//! partition is decided once per run.
 
-use rsbt_complex::{ops, search, FacetTable, ProcessName, Simplex};
+use rsbt_complex::{ops, search, FacetTable};
 use rsbt_random::Realization;
 use rsbt_sim::{Execution, FxHashMap, KnowledgeArena, KnowledgeId, Model};
 use rsbt_tasks::{projection, Task};
 
 use crate::output_cache::{build_output_table, OutputComplexCache};
 
-/// Fast solvability check (the production path).
+/// Fast solvability check (the production path), with a fresh
+/// [`OutputComplexCache`]: the dense table is only built for tasks
+/// without a closed form.
 ///
 /// # Example
 ///
@@ -67,8 +71,7 @@ pub fn solves<T: Task + ?Sized>(
     task: &T,
     arena: &mut KnowledgeArena,
 ) -> bool {
-    let exec = Execution::run(model, rho, arena);
-    solves_execution(&exec, task)
+    solves_with_cache(model, rho, task, arena, &mut OutputComplexCache::new())
 }
 
 /// [`solves`] with a caller-provided [`OutputComplexCache`], so loops over
@@ -82,27 +85,13 @@ pub fn solves_with_cache<T: Task + ?Sized>(
     cache: &mut OutputComplexCache,
 ) -> bool {
     let exec = Execution::run(model, rho, arena);
-    solves_execution_with_cache(&exec, task, cache)
+    solves_execution(&exec, task, cache)
 }
 
-/// Fast solvability check on an existing execution (final time).
-///
-/// Consults the task's closed-form [`Task::solves_partition`] first; only
-/// tasks without one pay for a facet scan, and that scan runs over a
-/// dense [`FacetTable`] built by streaming [`Task::facet_stream`] (one
-/// table per call here — prefer [`solves_execution_with_cache`] or the
-/// engine's memo when calling in a loop).
-pub fn solves_execution<T: Task + ?Sized>(exec: &Execution, task: &T) -> bool {
-    let classes = exec.consistency_partition(exec.time());
-    let (labels, reps) = partition_labels(&classes, exec.n());
-    match task.solves_partition(&labels) {
-        Some(verdict) => verdict,
-        None => facet_scan(&build_output_table(task, exec.n()), &labels, &reps),
-    }
-}
-
-/// [`solves_execution`] against a take-or-build table cache.
-pub fn solves_execution_with_cache<T: Task + ?Sized>(
+/// The production verdict on an existing execution (final time): the
+/// task's closed-form [`Task::solves_partition`] first; only tasks
+/// without one pay for the dense scan, over the cache's table.
+fn solves_execution<T: Task + ?Sized>(
     exec: &Execution,
     task: &T,
     cache: &mut OutputComplexCache,
@@ -113,41 +102,6 @@ pub fn solves_execution_with_cache<T: Task + ?Sized>(
         Some(verdict) => verdict,
         None => facet_scan(cache.table(task, exec.n()), &labels, &reps),
     }
-}
-
-/// The pre-dense reference path, kept verbatim: rebuild the output
-/// complex and scan its facets with per-vertex binary-search lookups.
-/// Ground truth for the closed-form/dense paths' agreement tests; not used
-/// by production callers.
-pub fn solves_execution_reference<T: Task + ?Sized>(exec: &Execution, task: &T) -> bool {
-    let classes = exec.consistency_partition(exec.time());
-    task.output_complex(exec.n())
-        .facets()
-        .any(|tau| classes_monochromatic(&classes, tau))
-}
-
-/// [`solves_execution_reference`] from a realization (runs the execution
-/// first) — the per-call cost model `probability::exact_reference` keeps.
-pub fn solves_reference<T: Task + ?Sized>(
-    model: &Model,
-    rho: &Realization,
-    task: &T,
-    arena: &mut KnowledgeArena,
-) -> bool {
-    let exec = Execution::run(model, rho, arena);
-    solves_execution_reference(&exec, task)
-}
-
-/// Whether every class holds a single output value in `tau`.
-fn classes_monochromatic(classes: &[Vec<usize>], tau: &Simplex<u64>) -> bool {
-    classes.iter().all(|class| {
-        let first = tau
-            .value_of(ProcessName::new(class[0] as u32))
-            .expect("facet covers all names");
-        class
-            .iter()
-            .all(|&i| tau.value_of(ProcessName::new(i as u32)) == Some(first))
-    })
 }
 
 /// Converts a consistency partition (classes of node indices covering
@@ -273,7 +227,7 @@ impl SolvabilityMemo {
     }
 
     /// Whether a knowledge vector solves the kernel's task — the
-    /// criterion of [`solves_execution`] (some facet monochromatic on
+    /// criterion of `solves_execution` (some facet monochromatic on
     /// every consistency class), memoized on the partition signature.
     /// Misses dispatch to the closed form first and the dense scan
     /// otherwise.
@@ -321,6 +275,30 @@ impl SolvabilityMemo {
         labels: &[u8],
         kernel: &TaskKernel<'_, T>,
     ) -> bool {
+        self.load_labels(labels);
+        self.verdict_for_scratch(kernel)
+    }
+
+    /// [`SolvabilityMemo::solves_labels`] without the memo map: decides
+    /// the partition by closed form, else by dense scan, counted in the
+    /// same counters but never stored — for callers that already
+    /// deduplicate their partitions, so a stored verdict would never hit.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`SolvabilityMemo::solves_labels`].
+    pub(crate) fn decide_labels<T: Task + ?Sized>(
+        &mut self,
+        labels: &[u8],
+        kernel: &TaskKernel<'_, T>,
+    ) -> bool {
+        self.load_labels(labels);
+        self.decide_scratch(kernel)
+    }
+
+    /// Copies canonical `labels` into the scratch and derives the class
+    /// representatives (the first node of each class).
+    fn load_labels(&mut self, labels: &[u8]) {
         assert!(
             labels.len() <= u8::MAX as usize,
             "too many nodes for labels"
@@ -336,17 +314,24 @@ impl SolvabilityMemo {
                 assert!(c < self.reps.len(), "labels not in first-occurrence form");
             }
         }
-        self.verdict_for_scratch(kernel)
     }
 
-    /// The shared memo/closed-form/dense-scan tail: answers for the
-    /// canonical partition currently held in the `labels`/`reps` scratch.
+    /// The memoized tail: answers for the canonical partition currently
+    /// held in the `labels`/`reps` scratch, deciding and storing it on a
+    /// miss.
     fn verdict_for_scratch<T: Task + ?Sized>(&mut self, kernel: &TaskKernel<'_, T>) -> bool {
         if let Some(&verdict) = self.verdicts.get(self.labels.as_slice()) {
             self.memo_hits += 1;
             return verdict;
         }
-        let verdict = match kernel.task.solves_partition(&self.labels) {
+        let verdict = self.decide_scratch(kernel);
+        self.verdicts.insert(self.labels.clone(), verdict);
+        verdict
+    }
+
+    /// The closed form, else the dense scan, on the scratch partition.
+    fn decide_scratch<T: Task + ?Sized>(&mut self, kernel: &TaskKernel<'_, T>) -> bool {
+        match kernel.task.solves_partition(&self.labels) {
             Some(v) => {
                 self.closed_form_verdicts += 1;
                 v
@@ -358,25 +343,19 @@ impl SolvabilityMemo {
                     .expect("tasks without a closed form carry a dense table");
                 facet_scan(table, &self.labels, &self.reps)
             }
-        };
-        self.verdicts.insert(self.labels.clone(), verdict);
-        verdict
+        }
+    }
+
+    /// How many partitions the memo map stores.
+    #[cfg(test)]
+    pub(crate) fn memoized(&self) -> usize {
+        self.verdicts.len()
     }
 }
 
 /// Definition 3.4 verbatim: existence of a name-preserving simplicial map
-/// `δ : π̃(ρ) → π(τ)` for some facet `τ` of the output complex.
-pub fn solves_via_projection<T: Task + ?Sized>(
-    model: &Model,
-    rho: &Realization,
-    task: &T,
-    arena: &mut KnowledgeArena,
-) -> bool {
-    solves_via_projection_cached(model, rho, task, arena, &mut OutputComplexCache::new())
-}
-
-/// [`solves_via_projection`] with a take-or-build output-complex cache
-/// (the complex is no longer rebuilt per call inside sweeps).
+/// `δ : π̃(ρ) → π(τ)` for some facet `τ` of the output complex, taken
+/// from a take-or-build output-complex cache.
 pub fn solves_via_projection_cached<T: Task + ?Sized>(
     model: &Model,
     rho: &Realization,
@@ -393,18 +372,8 @@ pub fn solves_via_projection_cached<T: Task + ?Sized>(
 
 /// Definition 3.1 verbatim: existence of a name-preserving,
 /// name-independent simplicial map `δ : σ → τ` where `σ = h⁻¹(ρ)` is the
-/// protocol facet (viewed as a complex).
-pub fn solves_via_definition_3_1<T: Task + ?Sized>(
-    model: &Model,
-    rho: &Realization,
-    task: &T,
-    arena: &mut KnowledgeArena,
-) -> bool {
-    solves_via_definition_3_1_cached(model, rho, task, arena, &mut OutputComplexCache::new())
-}
-
-/// [`solves_via_definition_3_1`] with a take-or-build output-complex
-/// cache.
+/// protocol facet (viewed as a complex), with a take-or-build
+/// output-complex cache.
 pub fn solves_via_definition_3_1_cached<T: Task + ?Sized>(
     model: &Model,
     rho: &Realization,
@@ -418,51 +387,6 @@ pub fn solves_via_definition_3_1_cached<T: Task + ?Sized>(
         let tau_cx = ops::facet_as_complex(tau);
         search::exists_name_independent_map(&sigma_cx, &tau_cx)
     })
-}
-
-/// Monotonicity (Section 3.2): once a realization solves a task, every
-/// succeeding realization solves it too. Verifies the claim for all
-/// one-round extensions of `rho`; returns the number of extensions
-/// checked.
-///
-/// # Panics
-///
-/// Panics if `rho.n() ≥ 32` (the extension mask is 32-bit), or if a
-/// solving realization has a non-solving extension.
-pub fn verify_monotonicity<T: Task + ?Sized>(
-    model: &Model,
-    rho: &Realization,
-    task: &T,
-    arena: &mut KnowledgeArena,
-) -> usize {
-    let n = rho.n();
-    assert!(
-        n < 32,
-        "verify_monotonicity enumerates 2^n one-round extensions; \
-         n = {n} overflows its 32-bit extension mask"
-    );
-    let mut cache = OutputComplexCache::new();
-    if !solves_with_cache(model, rho, task, arena, &mut cache) {
-        return 0;
-    }
-    let mut checked = 0;
-    for mask in 0..1u32 << n {
-        let strings: Vec<_> = (0..n)
-            .map(|i| {
-                let mut s = rho.node(i);
-                s.push(mask >> i & 1 == 1);
-                s
-            })
-            .collect();
-        let ext = Realization::new(strings).expect("uniform length");
-        assert!(ext.succeeds(rho));
-        assert!(
-            solves_with_cache(model, &ext, task, arena, &mut cache),
-            "extension {ext} of a solving realization must solve"
-        );
-        checked += 1;
-    }
-    checked
 }
 
 /// Leader election with its closed form and lane plan hidden: every
@@ -484,6 +408,7 @@ impl Task for OpaqueLeaderElection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use rsbt_random::BitString;
     use rsbt_sim::PortNumbering;
     use rsbt_tasks::{KLeaderElection, LeaderAndDeputy, LeaderElection, WeakSymmetryBreaking};
@@ -578,12 +503,13 @@ mod tests {
     #[test]
     fn all_three_definitions_agree_message_passing() {
         let mut arena = KnowledgeArena::new();
+        let mut cache = OutputComplexCache::new();
         let le = LeaderElection;
         let model = Model::MessagePassing(PortNumbering::adversarial(4, 2));
         for r in Realization::enumerate_all(4, 1) {
             let fast = solves(&model, &r, &le, &mut arena);
-            let proj = solves_via_projection(&model, &r, &le, &mut arena);
-            let d31 = solves_via_definition_3_1(&model, &r, &le, &mut arena);
+            let proj = solves_via_projection_cached(&model, &r, &le, &mut arena, &mut cache);
+            let d31 = solves_via_definition_3_1_cached(&model, &r, &le, &mut arena, &mut cache);
             assert_eq!(fast, proj, "Def 3.4 mismatch on {r}");
             assert_eq!(fast, d31, "Def 3.1 mismatch on {r}");
         }
@@ -609,15 +535,17 @@ mod tests {
                     for r in Realization::enumerate_all(n, t) {
                         let exec = Execution::run(&model, &r, &mut arena);
                         for task in &tasks {
-                            let reference = solves_execution_reference(&exec, task.as_ref());
+                            let reference =
+                                oracle::solves_execution_reference(&exec, task.as_ref());
+                            let fresh = &mut OutputComplexCache::new();
                             assert_eq!(
-                                solves_execution(&exec, task.as_ref()),
+                                solves_execution(&exec, task.as_ref(), fresh),
                                 reference,
                                 "{model} n={n} {} on {r}",
                                 task.name()
                             );
                             assert_eq!(
-                                solves_execution_with_cache(&exec, task.as_ref(), &mut cache),
+                                solves_execution(&exec, task.as_ref(), &mut cache),
                                 reference,
                                 "cached: {model} n={n} {} on {r}",
                                 task.name()
@@ -673,10 +601,7 @@ mod tests {
                 for task in &tasks {
                     let table = build_output_table(task.as_ref(), n);
                     let dense = facet_scan(&table, &labels, &reps);
-                    let simplex_scan = task
-                        .output_complex(n)
-                        .facets()
-                        .any(|tau| classes_monochromatic(&classes, tau));
+                    let simplex_scan = oracle::solves_classes(task.as_ref(), n, &classes);
                     assert_eq!(dense, simplex_scan, "{} n={n} {labels:?}", task.name());
                     if let Some(closed) = task.solves_partition(&labels) {
                         assert_eq!(closed, dense, "{} n={n} {labels:?}", task.name());
@@ -688,25 +613,26 @@ mod tests {
 
     #[test]
     fn monotonicity_holds() {
+        // Section 3.2: every one-round successor of a solving realization
+        // solves too.
         let mut arena = KnowledgeArena::new();
-        let mut total = 0;
+        let mut cache = OutputComplexCache::new();
+        let model = Model::Blackboard;
+        let mut checked = 0;
         for r in Realization::enumerate_all(3, 1) {
-            total += verify_monotonicity(&Model::Blackboard, &r, &LeaderElection, &mut arena);
+            if !solves_with_cache(&model, &r, &LeaderElection, &mut arena, &mut cache) {
+                continue;
+            }
+            for ext in crate::evolution::one_round_successors(&r) {
+                assert!(ext.succeeds(&r));
+                assert!(
+                    solves_with_cache(&model, &ext, &LeaderElection, &mut arena, &mut cache),
+                    "extension {ext} of a solving realization must solve"
+                );
+                checked += 1;
+            }
         }
-        assert!(total > 0, "some realization at t=1 must solve");
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows its 32-bit extension mask")]
-    fn monotonicity_rejects_oversized_systems() {
-        // 32 five-bit strings (all distinct, so the realization solves):
-        // the 2^32 extension enumeration must be refused up front.
-        let strings: Vec<BitString> = (0..32u32)
-            .map(|i| BitString::from_bits((0..5).map(|b| i >> b & 1 == 1)))
-            .collect();
-        let r = Realization::new(strings).unwrap();
-        let mut arena = KnowledgeArena::new();
-        let _ = verify_monotonicity(&Model::Blackboard, &r, &LeaderElection, &mut arena);
+        assert!(checked > 0, "some realization at t=1 must solve");
     }
 
     #[test]
@@ -754,15 +680,15 @@ mod tests {
                     for t in 0..=2usize {
                         for rho in Realization::enumerate_all(n, t) {
                             let exec = Execution::run(&model, &rho, &mut arena);
-                            let direct = solves_execution_reference(&exec, task.as_ref());
+                            let direct = oracle::solves_execution_reference(&exec, task.as_ref());
                             let memoized = memo.solves(exec.knowledge_at(t), &kernel);
                             assert_eq!(direct, memoized, "{model} n={n} t={t} {rho}");
                         }
                     }
-                    assert!(!memo.verdicts.is_empty());
+                    assert!(memo.memoized() > 0);
                     // Built-ins answer in closed form; the dense scan
                     // never runs for them.
-                    assert_eq!(memo.closed_form_verdicts(), memo.verdicts.len() as u64);
+                    assert_eq!(memo.closed_form_verdicts(), memo.memoized() as u64);
                     assert_eq!(memo.dense_scan_verdicts(), 0);
                     assert!(memo.memo_hits() > 0);
                 }
@@ -814,7 +740,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(via_ids.verdicts.len(), via_labels.verdicts.len());
+        assert_eq!(via_ids.memoized(), via_labels.memoized());
         assert!(via_labels.memo_hits() > 0);
     }
 

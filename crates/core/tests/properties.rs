@@ -2,6 +2,7 @@
 //! monotonicity, probability laws.
 
 use proptest::prelude::*;
+use rsbt_core::output_cache::OutputComplexCache;
 use rsbt_core::{consistency, evolution, probability, solvability};
 use rsbt_random::{Assignment, BitString, Realization};
 use rsbt_sim::{KnowledgeArena, Model, PortNumbering};
@@ -45,11 +46,16 @@ proptest! {
     #[test]
     fn solvability_definitions_agree(rho in arb_realization(3, 2), model in arb_model(3)) {
         let mut arena = KnowledgeArena::new();
+        let mut cache = OutputComplexCache::new();
         for k in 1..=3usize {
             let task = KLeaderElection::new(k);
             let fast = solvability::solves(&model, &rho, &task, &mut arena);
-            let proj = solvability::solves_via_projection(&model, &rho, &task, &mut arena);
-            let d31 = solvability::solves_via_definition_3_1(&model, &rho, &task, &mut arena);
+            let proj = solvability::solves_via_projection_cached(
+                &model, &rho, &task, &mut arena, &mut cache,
+            );
+            let d31 = solvability::solves_via_definition_3_1_cached(
+                &model, &rho, &task, &mut arena, &mut cache,
+            );
             prop_assert_eq!(fast, proj, "k={} {}", k, &rho);
             prop_assert_eq!(fast, d31, "k={} {}", k, &rho);
         }
@@ -162,7 +168,7 @@ proptest! {
         // Independent serial ground truth: sample i from stream i, decide
         // with the reference solvability path.
         let mut arena = KnowledgeArena::new();
-        let mut cache = rsbt_core::output_cache::OutputComplexCache::new();
+        let mut cache = OutputComplexCache::new();
         let mut solved = 0u64;
         for i in 0..samples {
             let mut rng = StreamRng::new(seed, i as u64);
@@ -174,16 +180,16 @@ proptest! {
             }
         }
         for threads in [1usize, 2, 3, 4, 8] {
-            let est = probability::monte_carlo_bitsliced(
+            let est = probability::monte_carlo_bitsliced_series(
                 &Model::Blackboard, &LeaderElection, &alpha, t, samples, seed, threads,
-            );
+            )[t - 1];
             prop_assert_eq!(est.solved, solved, "threads={}", threads);
             prop_assert_eq!(est.samples, samples);
         }
     }
 
     /// A rate-zero fault spec is bit-identical to the fault-free sampler
-    /// — point estimates and series — for any thread count. The fault
+    /// — the whole series, so every point estimate — for any thread count. The fault
     /// plumbing constructs no RNG at rate zero and the faulted stepper
     /// tracks exactly the fault-free relation, so this is structural, not
     /// coincidental; the property pins it for random seeds, profiles, and
@@ -199,24 +205,14 @@ proptest! {
         let spec = rsbt_sim::FaultSpec::none();
         let samples = 192usize;
         for model in [Model::Blackboard, Model::message_passing_cyclic(alpha.n())] {
-            let sliced = probability::monte_carlo_bitsliced(
-                &model, &LeaderElection, &alpha, t, samples, seed, 1,
-            );
             let series = probability::monte_carlo_bitsliced_series(
                 &model, &LeaderElection, &alpha, t, samples, seed, 1,
             );
             for threads in [1usize, 2, 3, 8] {
                 prop_assert_eq!(
-                    probability::monte_carlo_bitsliced_faulted(
+                    probability::monte_carlo_bitsliced_series_faulted_with_stats(
                         &model, &LeaderElection, &alpha, t, samples, seed, threads, &spec,
-                    ),
-                    sliced,
-                    "bitsliced threads={}", threads
-                );
-                prop_assert_eq!(
-                    probability::monte_carlo_bitsliced_series_faulted(
-                        &model, &LeaderElection, &alpha, t, samples, seed, threads, &spec,
-                    ),
+                    ).0,
                     series.clone(),
                     "series threads={}", threads
                 );
@@ -237,17 +233,15 @@ proptest! {
         let alpha = Assignment::from_group_sizes(profiles[sizes_idx]).unwrap();
         let spec = rsbt_sim::FaultSpec::rates(0.1, 0.2);
         let samples = 192usize;
-        let reference = probability::monte_carlo_bitsliced_faulted(
-            &Model::Blackboard, &LeaderElection, &alpha, t, samples, seed, 1, &spec,
-        );
+        let faulted = |threads| {
+            probability::monte_carlo_bitsliced_series_faulted_with_stats(
+                &Model::Blackboard, &LeaderElection, &alpha, t, samples, seed, threads, &spec,
+            )
+            .0
+        };
+        let reference = faulted(1);
         for threads in [2usize, 3, 4, 8] {
-            prop_assert_eq!(
-                probability::monte_carlo_bitsliced_faulted(
-                    &Model::Blackboard, &LeaderElection, &alpha, t, samples, seed, threads, &spec,
-                ),
-                reference,
-                "threads={}", threads
-            );
+            prop_assert_eq!(faulted(threads), reference.clone(), "threads={}", threads);
         }
     }
 
@@ -265,34 +259,5 @@ proptest! {
         prop_assert!(lo_wide <= lo && hi <= hi_wide, "interval must widen in z");
         // Never degenerate: positive width even at the extremes.
         prop_assert!(hi > lo, "Wilson interval must have positive width");
-    }
-}
-
-/// `k·t = 16` series points where the production exact path must
-/// reproduce the pre-engine leaf-by-leaf reference bit for bit (2^16
-/// realizations, 8 rounds each on the old path), for leader election and
-/// for the facet-heavier 2-LE and WSB.
-#[test]
-fn engine_matches_reference_at_sixteen_bits() {
-    let two_le = KLeaderElection::new(2);
-    let cases: [(&dyn rsbt_tasks::Task, &[usize]); 3] = [
-        (&LeaderElection, &[1, 3]),
-        (&two_le, &[2, 2]),
-        (&WeakSymmetryBreaking, &[2, 2]),
-    ];
-    for (task, sizes) in cases {
-        let alpha = Assignment::from_group_sizes(sizes).unwrap();
-        let reference = probability::exact_series_reference(
-            &Model::Blackboard,
-            task,
-            &alpha,
-            8,
-            &mut KnowledgeArena::new(),
-        );
-        let engine = probability::exact_series(&Model::Blackboard, task, &alpha, 8);
-        assert_eq!(engine.len(), reference.len());
-        for (i, (p, q)) in engine.iter().zip(&reference).enumerate() {
-            assert_eq!(p.to_bits(), q.to_bits(), "{} t={}", task.name(), i + 1);
-        }
     }
 }

@@ -26,3 +26,9 @@ pub use rsbt_protocols as protocols;
 pub use rsbt_random as random;
 pub use rsbt_sim as sim;
 pub use rsbt_tasks as tasks;
+
+/// The Rust examples of the workspace `README.md`, compiled and run as
+/// doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
