@@ -5,9 +5,9 @@
 //! [`RoundStepper`] and decides each partition with a branchy scalar
 //! closed form. This module packs 64 independent samples into the bit
 //! positions ("lanes") of `u64` words and advances them together: a
-//! [`LaneStepper`](rsbt_sim::LaneStepper) tracks the pairwise
+//! [`LaneStepper`] tracks the pairwise
 //! knowledge-equality relation per round as packed words, and a
-//! [`VerdictPlan`](rsbt_tasks::VerdictPlan) — the task's closed form
+//! [`VerdictPlan`] — the task's closed form
 //! compiled once per run to straight-line bitwise ops — answers all 64
 //! verdicts per evaluation.
 //!
@@ -38,15 +38,24 @@
 //!
 //! **Work only for what is in play.** One word loop serves the
 //! fault-free and the faulted kernels (the faulted one adds per-round
-//! silence words). Per word it keeps each source's 64 raw draws and
+//! silence words). Per word it draws the 64 lanes' streams together
+//! through one [`StreamBlock`] (lane `l` of draw `s` is exactly the
+//! `s`-th word of `StreamRng(seed, w·64 + l)`; the lanes' xoshiro states
+//! step side by side instead of as 64 serial chains), and under faults
+//! fills the silence words the same way
+//! ([`LaneSilence::fill_word`]). It keeps each source's 64 raw draws and
 //! transposes only the round rows the word reaches: rounds `0..2` up
 //! front, and when the word reaches round `ready`, rounds
 //! `ready..2·ready` (capped at `t`) from the raw words shifted right by
 //! `ready`. Most words exit within a few rounds, so most rows are never
-//! computed. The stepper's first step from the all-equal state skips the
-//! message-passing port terms, later steps share one AND per group of
-//! pairs with the same terms (see [`LaneStepper`]), and the plan folds
-//! its fused pair runs with early exits (see [`VerdictPlan::eval`]). A
+//! computed. Every word starts from the all-equal relation, so the
+//! round-0 verdict is evaluated once per call and each word starts from
+//! it masked to its live lanes. The stepper's first step from the
+//! all-equal state skips the message-passing port terms, later steps
+//! share one AND per group of pairs with the same terms (see
+//! [`LaneStepper`]), and the plan answers only the live, unsolved lanes
+//! ([`VerdictPlan::eval_masked`]): the others are absorbed up front, so
+//! its fused pair runs exit as soon as those lanes are decided. A
 //! plan that compiles to the empty, constant-false program (blackboard
 //! leader election without a singleton source, `p ≡ 0` by Theorem 4.1)
 //! returns an all-zero series without drawing or stepping a word.
@@ -59,10 +68,11 @@
 //! [`SampleKernel`]: crate::probability
 //! [`McStats::peeled_lanes`]: crate::probability::McStats::peeled_lanes
 //! [`LaneStepper`]: rsbt_sim::LaneStepper
-//! [`VerdictPlan::eval`]: rsbt_tasks::VerdictPlan::eval
+//! [`VerdictPlan::eval_masked`]: rsbt_tasks::VerdictPlan::eval_masked
+//! [`StreamBlock`]: rand::rngs::StreamBlock
+//! [`LaneSilence::fill_word`]: rsbt_sim::LaneSilence::fill_word
 
-use rand::rngs::StreamRng;
-use rand::RngCore;
+use rand::rngs::{StreamBlock, StreamRng};
 use rsbt_random::Assignment;
 use rsbt_sim::{pool, FaultSchedule, FaultSpec, LaneStepper, Model};
 use rsbt_tasks::{Task, VerdictPlan};
@@ -284,7 +294,7 @@ where
 ///
 /// Under `faults`, each word also writes its 64 lanes' per-node silence
 /// masks from the salted fault substream
-/// ([`LaneSilence::fill_lane`](rsbt_sim::LaneSilence::fill_lane), no
+/// ([`LaneSilence::fill_word`](rsbt_sim::LaneSilence::fill_word), no
 /// per-lane [`FaultSchedule`]) and transposes them into per-round
 /// **silence lane words** (`sil[i][r]` bit `l` = lane
 /// `l`'s node `i` silent in round `r + 1`) for
@@ -323,6 +333,11 @@ fn run_plan_words(
     let mut rows = vec![[0u64; 64]; blocks];
     let silence = faults.map(|spec| spec.lane_silence(n, t, seed));
     let mut regs: Vec<u64> = Vec::new();
+    // Round 0: the all-⊥ partition (all lanes all-equal) — matches the
+    // scalar kernel's `Some(0)` probe. Every word starts there, so one
+    // evaluation answers round 0 for all of them (all ones or all zeros).
+    stepper.reset();
+    let root = plan.eval(stepper.eq_words(), &mut regs);
     let mut base = range.start;
     while base < range.end {
         let live = (range.end - base).min(64);
@@ -331,23 +346,12 @@ fn run_plan_words(
         } else {
             (1u64 << live) - 1
         };
-        for l in 0..64 {
-            if l < live {
-                // Exactly the scalar discipline: sample w·64 + l draws k
-                // words in source order from its own stream.
-                let mut rng = StreamRng::new(seed, (base + l) as u64);
-                let (draws, sil) = raw.split_at_mut(k);
-                for d in draws {
-                    d[l] = rng.next_u64();
-                }
-                if let Some(silence) = &silence {
-                    silence.fill_lane((base + l) as u64, l, sil);
-                }
-            } else {
-                for block in &mut raw {
-                    block[l] = 0;
-                }
-            }
+        // Exactly the scalar discipline: sample w·64 + l draws k words in
+        // source order from its own stream; dead lanes draw zeros.
+        let (draws, sil) = raw.split_at_mut(k);
+        StreamBlock::new(seed, base as u64, live).fill(draws);
+        if let Some(silence) = &silence {
+            silence.fill_word(base as u64, live, sil);
         }
         // Rounds 0..ready are transposed; most words exit within them.
         let mut ready = t.min(2);
@@ -356,9 +360,7 @@ fn run_plan_words(
         }
         stepper.reset();
         stats.lane_words += 1;
-        // Round 0: the all-⊥ partition (all lanes all-equal) — matches
-        // the scalar kernel's `Some(0)` probe.
-        let mut solved = plan.eval(stepper.eq_words(), &mut regs) & live_mask;
+        let mut solved = root & live_mask;
         first_solved[0] += u64::from(solved.count_ones());
         for r in 0..t {
             if solved == live_mask {
@@ -377,7 +379,8 @@ fn run_plan_words(
                 None => stepper.step(|s| draws[s][r]),
                 Some(_) => stepper.step_faulted(|s| draws[s][r], |i| sil[i][r]),
             }
-            let newly = plan.eval(stepper.eq_words(), &mut regs) & live_mask & !solved;
+            // Only the live, unsolved lanes can change the tally.
+            let newly = plan.eval_masked(stepper.eq_words(), live_mask & !solved, &mut regs);
             first_solved[r] += u64::from(newly.count_ones());
             solved |= newly;
         }

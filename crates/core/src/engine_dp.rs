@@ -312,11 +312,12 @@ impl<'a, T: Task + ?Sized> Dp<'a, T> {
     }
 
     /// Interns a state, computing its verdict on first sight. Node-unit
-    /// states (message passing, faulted runs) are already node partitions,
-    /// deduplicated by `index`, so each is decided exactly once and skips
-    /// the memo map ([`SolvabilityMemo::decide_labels`]); source-unit
-    /// states (fault-free blackboard) pull the partition back to nodes,
-    /// re-canonicalize and ask the memo.
+    /// states (message passing, faulted runs) are already node partitions;
+    /// source-unit states (fault-free blackboard) pull the partition back
+    /// to nodes and re-canonicalize. Every source feeds at least one node,
+    /// so the pullback is injective: either way `index` has already
+    /// deduplicated the node partition, each is decided exactly once, and
+    /// the memo map would never hit ([`SolvabilityMemo::decide_labels`]).
     fn intern(&mut self, labels: &[u8]) -> u32 {
         if let Some(&id) = self.index.get(labels) {
             return id;
@@ -339,7 +340,7 @@ impl<'a, T: Task + ?Sized> Dp<'a, T> {
                 }
                 self.node_labels.push(self.remap[class]);
             }
-            self.memo.solves_labels(&self.node_labels, &self.kernel)
+            self.memo.decide_labels(&self.node_labels, &self.kernel)
         } else {
             self.memo.decide_labels(labels, &self.kernel)
         };
@@ -946,6 +947,31 @@ mod tests {
             dp.expand(&labels, None, &mut row);
         }
         assert!(dp.states.len() > 3, "{}", dp.states.len());
+        assert_eq!(dp.memo.memoized(), 0);
+        let stats = dp.stats(1);
+        assert_eq!(stats.closed_form_verdicts, stats.states as u64, "{stats:?}");
+        assert_eq!(stats.memo_hits, 0);
+    }
+
+    #[test]
+    fn source_unit_states_skip_the_memo_map() {
+        // Fault-free blackboard states are source partitions. Every
+        // source feeds a node, so distinct states pull back to distinct
+        // node partitions: each is decided once, the memo map stays
+        // empty, and no verdict could have come from it.
+        let alpha = Assignment::from_group_sizes(&[1, 2, 3, 1]).unwrap();
+        let kernel = TaskKernel::new(&LeaderElection, None);
+        let mut dp = Dp::new(&Model::Blackboard, &alpha, kernel, false);
+        assert!(dp.node_unit.is_some(), "blackboard units are the sources");
+        dp.intern(&vec![0u8; dp.units]);
+        let mut row = Vec::new();
+        let mut sid = 0;
+        while sid < dp.states.len() {
+            let labels = dp.states[sid].clone();
+            dp.expand(&labels, None, &mut row);
+            sid += 1;
+        }
+        assert_eq!(dp.states.len(), 15, "Bell(4) source partitions");
         assert_eq!(dp.memo.memoized(), 0);
         let stats = dp.stats(1);
         assert_eq!(stats.closed_form_verdicts, stats.states as u64, "{stats:?}");

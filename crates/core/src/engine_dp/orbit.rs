@@ -93,6 +93,10 @@ impl<T: Task + ?Sized> Orbit<'_, T> {
 
     /// Interns a state, computing its verdict on first sight: class `j`
     /// of the sorted state contributes its node count of label `j`.
+    /// Unlike the labeled DP's states, distinct orbit states can share
+    /// these node labels (under group sizes `[1, 1, 1, 1, 2, 2]` a class
+    /// of two singleton sources and one of a single pair both hold two
+    /// nodes), so the verdict goes through the memo map, which hits.
     fn intern(&mut self, state: &[u32]) -> u32 {
         if let Some(&id) = self.index.get(state) {
             return id;

@@ -30,6 +30,7 @@
 //!   never sent.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rsbt_sim::runner::RunOptions;
 use rsbt_sim::Model;
@@ -369,8 +370,10 @@ impl LocalSpec {
 }
 
 /// A validated projection of a [`GlobalProtocol`] onto a concrete model
-/// and system size: one [`LocalSpec`] per role, plus the derived runner
-/// options.
+/// and system size: one shared [`LocalSpec`] per role, plus the derived
+/// runner options. Machines hold their role's spec through the `Arc`, so
+/// building the nodes of a run (once per sample in Monte-Carlo) copies a
+/// pointer per node, not the spec's phase vectors.
 #[derive(Clone, Debug)]
 pub struct Projection {
     /// Protocol name.
@@ -378,7 +381,7 @@ pub struct Projection {
     /// The participation discipline (drives [`Projection::options`]).
     pub participation: Participation,
     n: usize,
-    locals: Vec<LocalSpec>,
+    locals: Vec<Arc<LocalSpec>>,
 }
 
 impl Projection {
@@ -393,7 +396,7 @@ impl Projection {
     ///
     /// Panics when the role does not exist (a construction bug, not a
     /// runtime condition).
-    pub fn local(&self, role: &str) -> &LocalSpec {
+    pub fn local(&self, role: &str) -> &Arc<LocalSpec> {
         self.locals
             .iter()
             .find(|l| l.role == role)
@@ -401,7 +404,7 @@ impl Projection {
     }
 
     /// All local specs, in role declaration order.
-    pub fn locals(&self) -> &[LocalSpec] {
+    pub fn locals(&self) -> &[Arc<LocalSpec>] {
         &self.locals
     }
 
@@ -525,25 +528,27 @@ impl GlobalProtocol {
         let locals = self
             .roles
             .iter()
-            .map(|role| LocalSpec {
-                protocol: self.name,
-                role: role.name,
-                phases: self
-                    .phases
-                    .iter()
-                    .map(|phase| LocalPhase {
-                        name: phase.name,
-                        allowed: phase
-                            .actions
-                            .iter()
-                            .find(|(r, _)| *r == role.name)
-                            .map(|(_, kinds)| {
-                                kinds.iter().copied().filter(|k| k.fits(model)).collect()
-                            })
-                            .unwrap_or_default(),
-                        exit: phase.exit,
-                    })
-                    .collect(),
+            .map(|role| {
+                Arc::new(LocalSpec {
+                    protocol: self.name,
+                    role: role.name,
+                    phases: self
+                        .phases
+                        .iter()
+                        .map(|phase| LocalPhase {
+                            name: phase.name,
+                            allowed: phase
+                                .actions
+                                .iter()
+                                .find(|(r, _)| *r == role.name)
+                                .map(|(_, kinds)| {
+                                    kinds.iter().copied().filter(|k| k.fits(model)).collect()
+                                })
+                                .unwrap_or_default(),
+                            exit: phase.exit,
+                        })
+                        .collect(),
+                })
             })
             .collect();
         Ok(Projection {

@@ -11,6 +11,7 @@
 //! untyped [`Outgoing`].
 
 use std::fmt;
+use std::sync::Arc;
 
 use rsbt_sim::runner::{BoardView, Incoming, Outgoing, PortsView, Protocol, RoundCtx};
 
@@ -141,12 +142,12 @@ pub trait DualRole {
 #[derive(Clone, Debug)]
 pub struct BoardMachine<R> {
     role: R,
-    spec: LocalSpec,
+    spec: Arc<LocalSpec>,
 }
 
 impl<R: BoardRole> BoardMachine<R> {
     /// Binds `role` to its projected local spec.
-    pub fn new(role: R, spec: LocalSpec) -> Self {
+    pub fn new(role: R, spec: Arc<LocalSpec>) -> Self {
         BoardMachine { role, spec }
     }
 
@@ -196,12 +197,12 @@ impl<R: BoardRole> Protocol for BoardMachine<R> {
 #[derive(Clone, Debug)]
 pub struct PortMachine<R> {
     role: R,
-    spec: LocalSpec,
+    spec: Arc<LocalSpec>,
 }
 
 impl<R: PortRole> PortMachine<R> {
     /// Binds `role` to its projected local spec.
-    pub fn new(role: R, spec: LocalSpec) -> Self {
+    pub fn new(role: R, spec: Arc<LocalSpec>) -> Self {
         PortMachine { role, spec }
     }
 
@@ -253,12 +254,12 @@ impl<R: PortRole> Protocol for PortMachine<R> {
 #[derive(Clone, Debug)]
 pub struct DualMachine<R> {
     role: R,
-    spec: LocalSpec,
+    spec: Arc<LocalSpec>,
 }
 
 impl<R: DualRole> DualMachine<R> {
     /// Binds `role` to its projected local spec.
-    pub fn new(role: R, spec: LocalSpec) -> Self {
+    pub fn new(role: R, spec: Arc<LocalSpec>) -> Self {
         DualMachine { role, spec }
     }
 

@@ -28,18 +28,18 @@
 //!
 //! # Monotone coupling
 //!
-//! [`FaultSpec::fill_schedule`] and the lane kernels'
-//! [`LaneSilence::fill_lane`] share one draw loop. It always draws
-//! **both** a crash word and an omission word for every `(node, round)`
-//! cell, even after the node has crashed and even when one rate is zero
-//! (unless both are, in which case the schedule is empty without
-//! touching any RNG). Draw positions are therefore a pure function of
-//! `(n, t)`: raising a rate can only *add* silences to the schedule
-//! produced under a lower rate with the same seed — the
-//! common-random-numbers coupling that makes degradation curves monotone
-//! sample-by-sample.
+//! [`FaultSpec::fill_schedule`] (one sample) and the lane kernels'
+//! [`LaneSilence::fill_word`] (64 samples at once) keep one draw
+//! discipline. They always draw **both** a crash word and an omission
+//! word for every `(node, round)` cell, node-major and round-minor, even
+//! after the node has crashed and even when one rate is zero (unless both
+//! are, in which case the schedule is empty without touching any RNG).
+//! Draw positions are therefore a pure function of `(n, t)`: raising a
+//! rate can only *add* silences to the schedule produced under a lower
+//! rate with the same seed — the common-random-numbers coupling that
+//! makes degradation curves monotone sample-by-sample.
 
-use rand::rngs::StreamRng;
+use rand::rngs::{StreamBlock, StreamRng, BLOCK_LANES};
 use rand::RngCore;
 
 /// The salt folded into the base seed to key the fault substream. Any
@@ -55,28 +55,44 @@ pub fn fault_stream(seed: u64, sample: u64) -> StreamRng {
     StreamRng::new(seed ^ FAULT_STREAM_SALT, sample)
 }
 
+/// [`fault_stream`]`(seed, first + l)` in lane `l < live` of one
+/// [`StreamBlock`].
+fn fault_streams(seed: u64, first: u64, live: usize) -> StreamBlock {
+    StreamBlock::new(seed ^ FAULT_STREAM_SALT, first, live)
+}
+
 /// A per-node per-round rate as a 64-bit threshold: a raw 64-bit draw
 /// fires when `draw < p · 2⁶⁴`, saturating at the endpoints so `p ≤ 0`
-/// never fires and `p ≥ 1` always does (`None`: 2⁶⁴ does not fit a
+/// never fires and `p ≥ 1` always does (`always`: 2⁶⁴ does not fit a
 /// `u64`). For `p` in `(0, 1)` the product is an exact power-of-two
 /// scaling below 2⁶⁴, so the truncating cast is exact and the test is
-/// decided by one integer compare per draw.
+/// decided by one integer compare per draw, without a branch.
 #[derive(Clone, Copy, Debug)]
-struct Threshold(Option<u64>);
+struct Threshold {
+    limit: u64,
+    always: bool,
+}
 
 impl Threshold {
     fn of(p: f64) -> Threshold {
-        if p >= 1.0 {
-            Threshold(None)
-        } else if p > 0.0 {
-            Threshold(Some((p * 18_446_744_073_709_551_616.0) as u64))
+        let limit = if p > 0.0 && p < 1.0 {
+            (p * 18_446_744_073_709_551_616.0) as u64
         } else {
-            Threshold(Some(0))
+            0
+        };
+        Threshold {
+            limit,
+            always: p >= 1.0,
         }
     }
 
     fn fires(self, draw: u64) -> bool {
-        self.0.is_none_or(|limit| draw < limit)
+        self.always | (draw < self.limit)
+    }
+
+    /// [`Threshold::fires`] as a word: all ones when the draw fires.
+    fn mask(self, draw: u64) -> u64 {
+        u64::from(self.fires(draw)).wrapping_neg()
     }
 }
 
@@ -89,7 +105,7 @@ enum Silence {
 }
 
 /// A spec's two rates as thresholds, converted once and then used for
-/// every draw of a [`FaultSpec::fill_schedule`] call, or of every sample
+/// every draw of a [`FaultSpec::fill_schedule`] call, or of every word
 /// a [`LaneSilence`] fills.
 #[derive(Clone, Copy, Debug)]
 struct Rates {
@@ -106,12 +122,14 @@ impl Rates {
         })
     }
 
-    /// The one fault draw loop. Draw discipline: node-major, round-minor;
-    /// for every `(node, round)` cell first a crash word then an omission
-    /// word is drawn from [`fault_stream`]`(seed, sample)` — always both,
-    /// so the draw positions are independent of outcomes (see the module
-    /// docs on monotone coupling). Calls `on(node, round, silence)` for
-    /// the node's first crash and for every omission, in draw order.
+    /// The one-sample fault draw loop. Draw discipline: node-major,
+    /// round-minor; for every `(node, round)` cell first a crash word then
+    /// an omission word is drawn from [`fault_stream`]`(seed, sample)` —
+    /// always both, so the draw positions are independent of outcomes (see
+    /// the module docs on monotone coupling). Calls `on(node, round,
+    /// silence)` for the node's first crash and for every omission, in
+    /// draw order. [`LaneSilence::fill_word`] runs the same discipline on
+    /// 64 samples at once.
     fn draw(
         self,
         n: usize,
@@ -272,34 +290,51 @@ enum SilenceSource {
 }
 
 impl LaneSilence {
-    /// Sets lane `lane` of `words[i]`, for every node `i`, to sample
-    /// `sample`'s silence word of node `i` (bit `r` = silent in round
+    /// Sets lane `l < live` of `words[i]`, for every node `i`, to sample
+    /// `first + l`'s silence word of node `i` (bit `r` = silent in round
     /// `r + 1`): exactly [`FaultSchedule::silent_mask64`] of the schedule
-    /// [`FaultSpec::fill_schedule`] compiles for the same sample — the
+    /// [`FaultSpec::fill_schedule`] compiles for that sample — the
     /// omission bits, OR `u64::MAX << (c − 1)` for a crash in round `c`.
+    /// Lanes from `live` on are set to zero.
+    ///
+    /// The 64 samples' fault streams are drawn one word per `(node, round,
+    /// crash | omission)` position through a [`StreamBlock`], in the draw
+    /// order of [`FaultSpec::fill_schedule`], and every draw sets its
+    /// bits by a threshold compare instead of a branch. A crash ORs in its
+    /// whole tail each time its draw fires: a later crash's tail lies
+    /// inside the first one's, so only the first crash shows.
     ///
     /// # Panics
     ///
-    /// Panics if `words` has fewer than `n` columns.
-    pub fn fill_lane(&self, sample: u64, lane: usize, words: &mut [[u64; 64]]) {
+    /// Panics if `words` has fewer than `n` columns or `live > 64`.
+    pub fn fill_word(&self, first: u64, live: usize, words: &mut [[u64; BLOCK_LANES]]) {
         let words = &mut words[..self.n];
         match &self.source {
             SilenceSource::Fixed(masks) => {
                 for (column, &mask) in words.iter_mut().zip(masks) {
-                    column[lane] = mask;
+                    let (live_lanes, dead) = column.split_at_mut(live);
+                    live_lanes.fill(mask);
+                    dead.fill(0);
                 }
             }
-            SilenceSource::Drawn(rates) => {
+            SilenceSource::Drawn(None) => words.fill([0; BLOCK_LANES]),
+            SilenceSource::Drawn(Some(rates)) => {
+                let mut rng = fault_streams(self.seed, first, live);
+                // Up to four rounds' (crash, omission) draws per fill.
+                let mut draws = [[0u64; BLOCK_LANES]; 8];
                 for column in words.iter_mut() {
-                    column[lane] = 0;
-                }
-                if let Some(rates) = rates {
-                    rates.draw(self.n, self.t, self.seed, sample, |node, round, silence| {
-                        words[node][lane] |= match silence {
-                            Silence::Crash => u64::MAX << (round - 1),
-                            Silence::Omission => 1 << (round - 1),
-                        };
-                    });
+                    *column = [0; BLOCK_LANES];
+                    for start in (0..self.t).step_by(4) {
+                        let draws = &mut draws[..2 * (self.t - start).min(4)];
+                        rng.fill(draws);
+                        for (round, [crash, omit]) in (start..).zip(draws.as_chunks::<2>().0) {
+                            let (tail, bit) = (u64::MAX << round, 1u64 << round);
+                            for ((word, &c), &o) in column.iter_mut().zip(crash).zip(omit) {
+                                *word |= rates.crash.mask(c) & tail | rates.omission.mask(o) & bit;
+                            }
+                        }
+                    }
+                    column[live..].fill(0);
                 }
             }
         }
@@ -601,6 +636,39 @@ mod tests {
         }
     }
 
+    /// Fills one word of `live` samples from `first` on and checks every
+    /// lane against the sample's compiled schedule (dead lanes: zero).
+    fn assert_word_equals_schedules(
+        spec: &FaultSpec,
+        n: usize,
+        t: usize,
+        first: u64,
+        live: usize,
+        words: &mut [[u64; 64]],
+    ) {
+        let silence = spec.lane_silence(n, t, 21);
+        // Stale bits from an earlier fill must not survive.
+        words.fill([!0; 64]);
+        silence.fill_word(first, live, words);
+        let mut schedule = FaultSchedule::default();
+        for l in 0..64 {
+            if l < live {
+                spec.fill_schedule(n, t, 21, first + l as u64, &mut schedule);
+            }
+            for (i, column) in words[..n].iter().enumerate() {
+                let want = if l < live {
+                    schedule.silent_mask64(i)
+                } else {
+                    0
+                };
+                assert_eq!(
+                    column[l], want,
+                    "{spec:?} n={n} t={t} first={first} live={live} lane={l} node={i}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn lane_silence_equals_schedule_masks() {
         // Each edge rate as the crash rate, the omission rate, and both.
@@ -609,23 +677,16 @@ mod tests {
             .flat_map(|&p| [(p, 0.0), (0.0, p), (p, p)])
             .map(|(crash, omission)| FaultSpec::rates(crash, omission))
             .collect();
-        let mut schedule = FaultSchedule::default();
         let mut words = vec![[0u64; 64]; 9];
         for spec in &specs {
             for n in 1..=9 {
                 for t in [1, 8, 63] {
-                    let silence = spec.lane_silence(n, t, 21);
-                    for sample in 0..256u64 {
-                        let lane = (sample % 64) as usize;
-                        spec.fill_schedule(n, t, 21, sample, &mut schedule);
-                        silence.fill_lane(sample, lane, &mut words);
-                        for (i, column) in words[..n].iter().enumerate() {
-                            assert_eq!(
-                                column[lane],
-                                schedule.silent_mask64(i),
-                                "{spec:?} n={n} t={t} sample={sample} node={i}"
-                            );
-                        }
+                    for first in [0u64, 64, 128, 192] {
+                        assert_word_equals_schedules(spec, n, t, first, 64, &mut words);
+                    }
+                    // Partial words, as the last word of a sample range.
+                    for live in [1, 2, 33, 63] {
+                        assert_word_equals_schedules(spec, n, t, 256, live, &mut words);
                     }
                 }
             }
@@ -638,13 +699,9 @@ mod tests {
         fixed.set_crash(2, 5);
         fixed.set_omission(3, 1);
         let spec = FaultSpec::fixed(fixed.clone());
-        let silence = spec.lane_silence(4, 8, 21);
-        for sample in [0u64, 5, 63] {
-            let lane = sample as usize;
-            silence.fill_lane(sample, lane, &mut words);
-            for (i, column) in words[..4].iter().enumerate() {
-                assert_eq!(column[lane], fixed.silent_mask64(i), "node {i}");
-            }
+        for live in [64, 5] {
+            assert_word_equals_schedules(&spec, 4, 8, 0, live, &mut words);
+            assert_eq!(words[2][0], fixed.silent_mask64(2));
         }
     }
 
