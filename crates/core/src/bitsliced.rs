@@ -53,12 +53,11 @@
 //! it masked to its live lanes. The stepper's first step from the
 //! all-equal state skips the message-passing port terms, later steps
 //! share one AND per group of pairs with the same terms (see
-//! [`LaneStepper`]), and the plan answers only the live, unsolved lanes
-//! ([`VerdictPlan::eval_masked`]): the others are absorbed up front, so
-//! its fused pair runs exit as soon as those lanes are decided. A
-//! plan that compiles to the empty, constant-false program (blackboard
-//! leader election without a singleton source, `p ≡ 0` by Theorem 4.1)
-//! returns an all-zero series without drawing or stepping a word.
+//! [`LaneStepper`]), and the plan folds its fused pair runs with early
+//! exits (see [`VerdictPlan::eval`]). A plan that compiles to the empty,
+//! constant-false program (blackboard leader election without a
+//! singleton source, `p ≡ 0` by Theorem 4.1) returns an all-zero series
+//! without drawing or stepping a word.
 //!
 //! Tasks that compile no plan (no closed form, or an op budget overrun)
 //! peel every lane to the scalar [`SampleKernel`] path, counted in
@@ -68,7 +67,7 @@
 //! [`SampleKernel`]: crate::probability
 //! [`McStats::peeled_lanes`]: crate::probability::McStats::peeled_lanes
 //! [`LaneStepper`]: rsbt_sim::LaneStepper
-//! [`VerdictPlan::eval_masked`]: rsbt_tasks::VerdictPlan::eval_masked
+//! [`VerdictPlan::eval`]: rsbt_tasks::VerdictPlan::eval
 //! [`StreamBlock`]: rand::rngs::StreamBlock
 //! [`LaneSilence::fill_word`]: rsbt_sim::LaneSilence::fill_word
 
@@ -379,8 +378,7 @@ fn run_plan_words(
                 None => stepper.step(|s| draws[s][r]),
                 Some(_) => stepper.step_faulted(|s| draws[s][r], |i| sil[i][r]),
             }
-            // Only the live, unsolved lanes can change the tally.
-            let newly = plan.eval_masked(stepper.eq_words(), live_mask & !solved, &mut regs);
+            let newly = plan.eval(stepper.eq_words(), &mut regs) & live_mask & !solved;
             first_solved[r] += u64::from(newly.count_ones());
             solved |= newly;
         }

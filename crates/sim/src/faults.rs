@@ -29,8 +29,8 @@
 //! # Monotone coupling
 //!
 //! [`FaultSpec::fill_schedule`] (one sample) and the lane kernels'
-//! [`LaneSilence::fill_word`] (64 samples at once) keep one draw
-//! discipline. They always draw **both** a crash word and an omission
+//! [`LaneSilence::fill_word`] (64 samples at once) share one draw loop
+//! (`draw_cells`). It always draws **both** a crash word and an omission
 //! word for every `(node, round)` cell, node-major and round-minor, even
 //! after the node has crashed and even when one rate is zero (unless both
 //! are, in which case the schedule is empty without touching any RNG).
@@ -96,14 +96,6 @@ impl Threshold {
     }
 }
 
-/// What one `(node, round)` draw made the node: the draw loop reports a
-/// node's first crash and every omission.
-#[derive(Clone, Copy, Debug)]
-enum Silence {
-    Crash,
-    Omission,
-}
-
 /// A spec's two rates as thresholds, converted once and then used for
 /// every draw of a [`FaultSpec::fill_schedule`] call, or of every word
 /// a [`LaneSilence`] fills.
@@ -121,36 +113,29 @@ impl Rates {
             omission: Threshold::of(spec.omission),
         })
     }
+}
 
-    /// The one-sample fault draw loop. Draw discipline: node-major,
-    /// round-minor; for every `(node, round)` cell first a crash word then
-    /// an omission word is drawn from [`fault_stream`]`(seed, sample)` —
-    /// always both, so the draw positions are independent of outcomes (see
-    /// the module docs on monotone coupling). Calls `on(node, round,
-    /// silence)` for the node's first crash and for every omission, in
-    /// draw order. [`LaneSilence::fill_word`] runs the same discipline on
-    /// 64 samples at once.
-    fn draw(
-        self,
-        n: usize,
-        t: usize,
-        seed: u64,
-        sample: u64,
-        mut on: impl FnMut(usize, usize, Silence),
-    ) {
-        let mut rng = fault_stream(seed, sample);
-        for node in 0..n {
-            let mut crashed = false;
-            for round in 1..=t {
-                let crash_draw = rng.next_u64();
-                let omit_draw = rng.next_u64();
-                if !crashed && self.crash.fires(crash_draw) {
-                    crashed = true;
-                    on(node, round, Silence::Crash);
-                }
-                if self.omission.fires(omit_draw) {
-                    on(node, round, Silence::Omission);
-                }
+/// The one fault draw order, shared by [`FaultSpec::fill_schedule`] (one
+/// sample, `W = u64`) and [`LaneSilence::fill_word`] (64 samples, `W =
+/// [u64; 64]`): node-major, round-minor, and for every `(node, round)`
+/// cell first a crash word then an omission word — always both, so the
+/// draw positions are independent of outcomes (see the module docs on
+/// monotone coupling). `fill` draws the next `draws.len()` words, up to
+/// four rounds' worth at a time, into `buf`; `cell(node, round, crash,
+/// omission)` then sees each cell's pair, `round` counting from 0.
+fn draw_cells<W>(
+    n: usize,
+    t: usize,
+    buf: &mut [W; 8],
+    mut fill: impl FnMut(&mut [W]),
+    mut cell: impl FnMut(usize, usize, &W, &W),
+) {
+    for node in 0..n {
+        for start in (0..t).step_by(4) {
+            let draws = &mut buf[..2 * (t - start).min(4)];
+            fill(draws);
+            for (round, [crash, omit]) in (start..).zip(draws.as_chunks::<2>().0) {
+                cell(node, round, crash, omit);
             }
         }
     }
@@ -235,10 +220,24 @@ impl FaultSpec {
         }
         out.reset(n, t);
         if let Some(rates) = Rates::of(self) {
-            rates.draw(n, t, seed, sample, |node, round, silence| match silence {
-                Silence::Crash => out.set_crash(node, round),
-                Silence::Omission => out.set_omission(node, round),
-            });
+            let mut rng = fault_stream(seed, sample);
+            // The last node that crashed: only a node's first crash counts.
+            let mut crashed = None;
+            draw_cells(
+                n,
+                t,
+                &mut [0; 8],
+                |draws| draws.fill_with(|| rng.next_u64()),
+                |node, round, &crash, &omit| {
+                    if crashed != Some(node) && rates.crash.fires(crash) {
+                        crashed = Some(node);
+                        out.set_crash(node, round + 1);
+                    }
+                    if rates.omission.fires(omit) {
+                        out.set_omission(node, round + 1);
+                    }
+                },
+            );
         }
     }
 
@@ -298,8 +297,8 @@ impl LaneSilence {
     /// Lanes from `live` on are set to zero.
     ///
     /// The 64 samples' fault streams are drawn one word per `(node, round,
-    /// crash | omission)` position through a [`StreamBlock`], in the draw
-    /// order of [`FaultSpec::fill_schedule`], and every draw sets its
+    /// crash | omission)` position through a [`StreamBlock`], by the same
+    /// draw loop as [`FaultSpec::fill_schedule`], and every draw sets its
     /// bits by a threshold compare instead of a branch. A crash ORs in its
     /// whole tail each time its draw fires: a later crash's tail lies
     /// inside the first one's, so only the first crash shows.
@@ -320,20 +319,20 @@ impl LaneSilence {
             SilenceSource::Drawn(None) => words.fill([0; BLOCK_LANES]),
             SilenceSource::Drawn(Some(rates)) => {
                 let mut rng = fault_streams(self.seed, first, live);
-                // Up to four rounds' (crash, omission) draws per fill.
-                let mut draws = [[0u64; BLOCK_LANES]; 8];
-                for column in words.iter_mut() {
-                    *column = [0; BLOCK_LANES];
-                    for start in (0..self.t).step_by(4) {
-                        let draws = &mut draws[..2 * (self.t - start).min(4)];
-                        rng.fill(draws);
-                        for (round, [crash, omit]) in (start..).zip(draws.as_chunks::<2>().0) {
-                            let (tail, bit) = (u64::MAX << round, 1u64 << round);
-                            for ((word, &c), &o) in column.iter_mut().zip(crash).zip(omit) {
-                                *word |= rates.crash.mask(c) & tail | rates.omission.mask(o) & bit;
-                            }
+                words.fill([0; BLOCK_LANES]);
+                draw_cells(
+                    self.n,
+                    self.t,
+                    &mut [[0; BLOCK_LANES]; 8],
+                    |draws| rng.fill(draws),
+                    |node, round, crash, omit| {
+                        let (tail, bit) = (u64::MAX << round, 1u64 << round);
+                        for ((word, &c), &o) in words[node].iter_mut().zip(crash).zip(omit) {
+                            *word |= rates.crash.mask(c) & tail | rates.omission.mask(o) & bit;
                         }
-                    }
+                    },
+                );
+                for column in words {
                     column[live..].fill(0);
                 }
             }

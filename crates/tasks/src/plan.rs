@@ -27,12 +27,6 @@
 //! which the rest of the run cannot change it. [`VerdictPlan::ops`]
 //! expands the runs back, so the introspection view and
 //! [`VerdictPlan::len`] still count single ops.
-//!
-//! **Care masks.** [`VerdictPlan::eval_masked`] answers only the lanes of
-//! a `care` word (the Monte-Carlo word loop passes the lanes that are
-//! live and not yet solved) and absorbs the rest up front, so a run over
-//! "differs from every other unit" stops once the cared-for lanes are
-//! decided, not once all 64 are.
 
 /// The packed index of unit pair `(a, b)`, `a < b`, among `units` units
 /// (row-major upper triangle). Must match the convention of the caller's
@@ -136,8 +130,7 @@ pub enum PlanOp {
 /// A compiled lane-parallel solvability verdict (see the module docs).
 ///
 /// Built by [`crate::Task::lane_plan`]; evaluated once per 64-sample
-/// word and round by [`VerdictPlan::eval_masked`] on the lanes still in
-/// play.
+/// word by [`VerdictPlan::eval`].
 #[derive(Clone, Debug)]
 pub struct VerdictPlan {
     units: usize,
@@ -147,9 +140,6 @@ pub struct VerdictPlan {
     pairs: Vec<u32>,
     /// The op count with every run expanded (what [`Self::len`] reports).
     len: usize,
-    /// The number of leading ops after which register 0 only ever takes
-    /// ORs, so that its set lanes are final (see [`Self::eval_masked`]).
-    or_tail: usize,
 }
 
 impl VerdictPlan {
@@ -161,34 +151,21 @@ impl VerdictPlan {
             ops: Vec::new(),
             pairs: Vec::new(),
             len: 0,
-            or_tail: 0,
         }
     }
 
     /// Appends one op, extending the last run when `op` continues it.
+    /// Runs only ever grow at the tail of `pairs`, so a run that is the
+    /// last op always ends at `pairs.len()`.
     fn push(&mut self, op: PlanOp) {
         self.len += 1;
-        match op {
-            PlanOp::Ones { dst } => self.ops.push(Op::Ones { dst }),
-            PlanOp::AndNotEq { dst, pair } => self.push_run(dst, Fold::And, pair),
-            PlanOp::OrNotEq { dst, pair } => self.push_run(dst, Fold::Or, pair),
-            PlanOp::Or { dst, src } => self.ops.push(Op::Or { dst, src }),
-            PlanOp::OrAnd { dst, a, b } => self.ops.push(Op::OrAnd { dst, a, b }),
-        }
-        if matches!(
-            op,
-            PlanOp::Ones { dst: 0 } | PlanOp::AndNotEq { dst: 0, .. }
-        ) {
-            // Register 0 can lose lanes up to and including this op.
-            self.or_tail = self.ops.len();
-        }
-    }
-
-    /// Appends one pair to the last run, or starts a run when the last op
-    /// is not a run of the same destination and fold. Runs only ever grow
-    /// at the tail of `pairs`, so a run that is the last op always ends
-    /// at `pairs.len()`.
-    fn push_run(&mut self, dst: u16, fold: Fold, pair: u32) {
+        let (dst, fold, pair) = match op {
+            PlanOp::AndNotEq { dst, pair } => (dst, Fold::And, pair),
+            PlanOp::OrNotEq { dst, pair } => (dst, Fold::Or, pair),
+            PlanOp::Ones { dst } => return self.ops.push(Op::Ones { dst }),
+            PlanOp::Or { dst, src } => return self.ops.push(Op::Or { dst, src }),
+            PlanOp::OrAnd { dst, a, b } => return self.ops.push(Op::OrAnd { dst, a, b }),
+        };
         let end = self.pairs.len();
         self.pairs.push(pair);
         match self.ops.last_mut() {
@@ -274,41 +251,16 @@ impl VerdictPlan {
     /// Runs the plan over packed pairwise-equality words: bit `l` of the
     /// result is the task's verdict for lane `l`'s partition. `regs` is
     /// caller-owned scratch, reused across calls without reallocating.
-    /// This is [`VerdictPlan::eval_masked`] with every lane cared for.
+    ///
+    /// Each fused run folds its pairs in a local register and stops as
+    /// soon as that register is absorbing (`0` for an AND run, `!0` for
+    /// an OR run): the remaining ops of the run cannot change it.
     ///
     /// # Panics
     ///
     /// Panics if `eq` is not the packed upper triangle for the plan's
     /// unit count.
-    #[inline]
     pub fn eval(&self, eq: &[u64], regs: &mut Vec<u64>) -> u64 {
-        self.eval_masked(eq, !0, regs)
-    }
-
-    /// [`VerdictPlan::eval`] on the lanes of `care` only: the result is
-    /// `eval(eq) & care`, bit for bit.
-    ///
-    /// Every op acts on each lane on its own, so lanes outside the open
-    /// set may hold anything without touching the lanes inside it. The
-    /// open set starts as `care`: `Ones` loads it, an AND run starts from
-    /// its register AND it, an OR run from its register OR its
-    /// complement, and the result is ANDed with `care`. Each fused run
-    /// folds its pairs in a local register and stops as soon as that
-    /// register is absorbing (`0` for an AND run, `!0` for an OR run), so
-    /// with the other lanes already absorbed, a run stops as soon as the
-    /// open lanes are decided.
-    ///
-    /// From the op on which register 0 only ever takes ORs, a lane set
-    /// there is set in the result, so the open set drops it; once no lane
-    /// is open, the remaining ops are skipped. Leader election over 24
-    /// units, an OR of 24 "differs from every other unit" runs, stops at
-    /// the run that finds the last open lane's singleton.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eq` is not the packed upper triangle for the plan's
-    /// unit count.
-    pub fn eval_masked(&self, eq: &[u64], care: u64, regs: &mut Vec<u64>) -> u64 {
         assert_eq!(
             eq.len(),
             pair_count(self.units),
@@ -317,17 +269,16 @@ impl VerdictPlan {
         );
         regs.clear();
         regs.resize(self.regs, 0);
-        let mut open = care;
-        for (i, op) in self.ops.iter().enumerate() {
+        for op in &self.ops {
             match *op {
-                Op::Ones { dst } => regs[dst as usize] = open,
+                Op::Ones { dst } => regs[dst as usize] = !0,
                 Op::Run {
                     dst,
                     fold: Fold::And,
                     lo,
                     hi,
                 } => {
-                    let mut r = regs[dst as usize] & open;
+                    let mut r = regs[dst as usize];
                     for &p in &self.pairs[lo..hi] {
                         if r == 0 {
                             break;
@@ -342,7 +293,7 @@ impl VerdictPlan {
                     lo,
                     hi,
                 } => {
-                    let mut r = regs[dst as usize] | !open;
+                    let mut r = regs[dst as usize];
                     for &p in &self.pairs[lo..hi] {
                         if r == !0 {
                             break;
@@ -357,14 +308,8 @@ impl VerdictPlan {
                     regs[dst as usize] |= v;
                 }
             }
-            if i + 1 >= self.or_tail {
-                open &= !regs[0];
-                if open == 0 {
-                    break;
-                }
-            }
         }
-        regs[0] & care
+        regs[0]
     }
 }
 
@@ -643,107 +588,6 @@ mod tests {
             }
         }
         assert!(plans > 100, "only {plans} plans built");
-    }
-
-    #[test]
-    fn masked_eval_is_eval_and_care() {
-        // Every built-in task at 1..=24 units (identity layout), the
-        // deputy task also under random role constraints, on random
-        // equality and care words plus the edge cares 0 and !0.
-        let mut plans = 0;
-        let mut regs = Vec::new();
-        for n in 1..=24usize {
-            let mut tasks: Vec<Box<dyn Task>> = vec![Box::new(LeaderElection)];
-            if n >= 2 {
-                tasks.push(Box::new(WeakSymmetryBreaking));
-                tasks.push(Box::new(LeaderAndDeputy::unconstrained(n)));
-                let lead: Vec<bool> = (0..n)
-                    .map(|i| mix(0x1ead ^ (n * 64 + i) as u64) & 1 == 1)
-                    .collect();
-                let deputy: Vec<bool> = (0..n)
-                    .map(|i| !mix(0xde9 ^ (n * 64 + i) as u64).is_multiple_of(3))
-                    .collect();
-                let admits = (0..n).any(|l| (0..n).any(|d| l != d && lead[l] && deputy[d]));
-                if admits {
-                    tasks.push(Box::new(LeaderAndDeputy::new(lead, deputy)));
-                }
-                for k in 1..=n {
-                    tasks.push(Box::new(KLeaderElection::new(k)));
-                }
-            }
-            let identity: Vec<usize> = (0..n).collect();
-            for (case, task) in tasks.iter().enumerate() {
-                let Some(plan) = task.lane_plan(&identity, n) else {
-                    continue;
-                };
-                plans += 1;
-                let salt = (n * 64 + case) as u64;
-                let mut eqs = word_sets(pair_count(n), salt);
-                eqs.push(eq_words_from_labels(&random_lanes(n, salt), n));
-                for (e, eq) in eqs.iter().enumerate() {
-                    let full = plan.eval(eq, &mut regs);
-                    let cares = [
-                        0,
-                        !0,
-                        mix(salt ^ e as u64),
-                        mix(salt ^ e as u64) & mix(!salt),
-                    ];
-                    for care in cares {
-                        assert_eq!(
-                            plan.eval_masked(eq, care, &mut regs),
-                            full & care,
-                            "{} n={n} care={care:#x} eq={eq:x?}",
-                            task.name()
-                        );
-                    }
-                }
-            }
-        }
-        assert!(plans > 150, "only {plans} plans built");
-    }
-
-    #[test]
-    fn masked_eval_of_random_raw_plans_is_interpretation_and_care() {
-        // Random op streams over every op kind, register 0 included, so
-        // that register 0 loses lanes (`Ones`, AND runs) after it has
-        // gained some: the open set may only shrink past the last such op.
-        let mut regs = Vec::new();
-        for case in 0..400u64 {
-            let len = 1 + (mix(case) % 24) as usize;
-            let ops: Vec<PlanOp> = (0..len as u64)
-                .map(|i| {
-                    let r = mix(case << 8 ^ i);
-                    let reg = |shift: u32| (r >> shift) as u16 % 3;
-                    let pair = (r >> 20) as u32 % 6;
-                    match r % 5 {
-                        0 => PlanOp::Ones { dst: reg(8) },
-                        1 => PlanOp::AndNotEq { dst: reg(8), pair },
-                        2 => PlanOp::OrNotEq { dst: reg(8), pair },
-                        3 => PlanOp::Or {
-                            dst: reg(8),
-                            src: reg(12),
-                        },
-                        _ => PlanOp::OrAnd {
-                            dst: reg(8),
-                            a: reg(12),
-                            b: reg(16),
-                        },
-                    }
-                })
-                .collect();
-            let plan = VerdictPlan::from_raw_ops(4, 3, &ops);
-            for eq in word_sets(pair_count(4), case) {
-                let full = interpret(&plan, &eq);
-                assert_eq!(plan.eval(&eq, &mut regs), full, "{ops:?} {eq:x?}");
-                for care in [0, mix(!case), mix(case ^ 5) & mix(case ^ 6)] {
-                    assert_eq!(
-                        plan.eval_masked(&eq, care, &mut regs),
-                        full & care,
-                        "{ops:?} care={care:#x} eq={eq:x?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
